@@ -17,9 +17,8 @@ from .groups import (AbelianInvariants, DirectProduct, FiniteAbelian,
                      gen, heisenberg_presentation, inverse, is_abelian,
                      lower_central_data, power, quotient_by_lcs)
 from .snf import cokernel_invariants, int_det, integer_rank, smith_normal_form
-from .rootdata import (Factor, ReductiveSpec, RootDatum, WeylGroup,
-                       build_root_datum, enumerate_weyl, pi1_G, pi1_G_ab,
-                       reductive)
+from .rootdata import (Factor, ReductiveSpec, RootDatum, build_root_datum,
+                       enumerate_weyl, pi1_G, pi1_G_ab, reductive)
 from .invariants import (GradedPoly, coinvariant_char, exterior_char,
                          exterior_invariant_dims_oracle, poincare_char_variety,
                          poincare_hom_component, poly)
@@ -39,7 +38,7 @@ __all__ = [
     "InexactDivision", "LowerCentralData", "NilrepError", "ParseError",
     "Presentation", "Presented", "ReductiveSpec", "RootDatum", "TooLarge",
     "UnsupportedGroup", "UnsupportedQuotient", "UnsupportedType", "Verdict",
-    "WeylGroup", "Word", "abelianize", "analyze", "build_root_datum",
+    "Word", "abelianize", "analyze", "build_root_datum",
     "central_image_order_bound", "coinvariant_char", "cokernel_invariants",
     "commutator", "concat", "connectivity_verdict", "cyclic", "dihedral",
     "enumerate_homs", "enumerate_weyl", "exterior_char",

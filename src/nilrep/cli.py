@@ -37,19 +37,28 @@ def _emit(payload: dict, args) -> None:
             print("%s: %s" % (key, value))
 
 
+def _positive(option: str, value: int) -> int:
+    if value < 1:
+        raise ParseError("%s must be at least 1, got %d" % (option, value), 0,
+                         ("integer >= 1",))
+    return value
+
+
 def _finite_target(name: str):
     if name == "q8":
         return q8()
-    if name.startswith("c") and name[1:].isdigit():
-        return cyclic(int(name[1:]))
-    if name.startswith("d") and name[1:].isdigit():
-        return dihedral(int(name[1:]))
-    raise ParseError("unknown finite group %r" % name, 0, ("q8", "cN", "dN"))
+    size = int(name[1:]) if name[1:].isdigit() else 0
+    if name.startswith("c") and size >= 1:
+        return cyclic(size)
+    if name.startswith("d") and size >= 1:
+        return dihedral(size)
+    raise ParseError("unknown finite group %r" % name, 0,
+                     ("q8", "cN", "dN with N >= 1"))
 
 
 def _group_arg(args):
     if getattr(args, "r_override", None) is not None:
-        return FreeAbelian(args.r_override)
+        return FreeAbelian(_positive("--r-override", args.r_override))
     return parse_group_spec(args.group)
 
 
@@ -123,7 +132,8 @@ def _cmd_homcount(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    _emit({"m": args.m, "bound": central_image_order_bound(args.m)}, args)
+    m = _positive("--m", args.m)
+    _emit({"m": m, "bound": central_image_order_bound(m)}, args)
     return 0
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .arith import totient
-from .errors import TooLarge, UnsupportedGroup, UnsupportedQuotient
+from .errors import (NilrepError, TooLarge, UnsupportedGroup,
+                     UnsupportedQuotient)
 from .groups import (DirectProduct, FiniteAbelian, FreeAbelian, FreeNilpotent,
                      GroupSpec, Heisenberg, Presentation, Presented, Word,
                      abelianize, finite_abelian_presentation,
@@ -79,10 +80,11 @@ class FiniteGroup:
         return self.table[a][b]
 
     def power(self, g, e):
+        # g^order = 1 (Lagrange), so the loop runs e mod order times
         if e < 0:
             g, e = self.inverse[g], -e
         out = self.identity
-        for _ in range(e):
+        for _ in range(e % self.order):
             out = self.mul(out, g)
         return out
 
@@ -170,7 +172,6 @@ def q8() -> FiniteGroup:
                     elems.add(p)
                     fresh.append(p)
         frontier = fresh
-    assert len(elems) == 8
 
     def neg(m):
         return tuple(tuple((-re, -im) for re, im in row) for row in m)
@@ -178,7 +179,8 @@ def q8() -> FiniteGroup:
     gen_k = _gauss_mat_mul(gen_i, gen_j)
     ordered = [one, neg(one), gen_i, neg(gen_i), gen_j, neg(gen_j),
                gen_k, neg(gen_k)]
-    assert set(ordered) == elems
+    if len(elems) != 8 or set(ordered) != elems:
+        raise NilrepError("Gaussian generators do not close up to Q8")
     index = {m: i for i, m in enumerate(ordered)}
     table = [[index[_gauss_mat_mul(a, b)] for b in ordered] for a in ordered]
     labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")

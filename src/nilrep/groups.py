@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import divisors, mobius
-from .errors import UnsupportedQuotient
+from .errors import NilrepError, UnsupportedQuotient
 from .snf import cokernel_invariants, smith_normal_form, diagonal_of
 
 
@@ -334,7 +334,9 @@ def free_nilpotent_lcs_ranks(n: int, c: int) -> list[int]:
     out = []
     for i in range(1, c + 1):
         total = sum(mobius(d) * n ** (i // d) for d in divisors(i))
-        assert total % i == 0
+        if total % i:
+            raise NilrepError("Witt formula sum %d not divisible by %d"
+                              % (total, i))
         out.append(total // i)
     return out
 

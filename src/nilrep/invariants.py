@@ -7,19 +7,22 @@ algebra model of G/T (generators in degree 2) it is
     prod_i (1 - t^(2*d_i)) / det(I - t^2 * w),
 
 a division that is exact because the coinvariant algebra is finite
-dimensional.  Averaging these characters over the Weyl group gives the
-invariant dimensions degree by degree.  All arithmetic is integer or
-rational and exact; summation order can never change a result.
+dimensional.  Both depend on w only through det(I + t*w), so the Molien
+averages giving the invariant dimensions degree by degree run over the
+classes of Weyl elements with equal det(I + t*w), weighted by class size.
+All arithmetic is integer or rational and exact; summation order can
+never change a result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
-from .errors import InexactDivision, TooLarge
-from .rootdata import RootDatum, WeylGroup, enumerate_weyl
+from .errors import InexactDivision, NilrepError, TooLarge
+from .rootdata import Matrix, RootDatum, enumerate_weyl
 from .snf import int_det
 
 
@@ -204,34 +207,44 @@ def coinvariant_char(w, degrees) -> GradedPoly:
 
 
 # ---------------------------------------------------------------------------
-# Molien averages over the Weyl group
+# Molien averages over classes of det(I + t*w)
+
+
+@lru_cache(maxsize=None)
+def char_poly_classes(rd: RootDatum) -> tuple[tuple[Matrix, int], ...]:
+    """(representative, multiplicity) for each distinct det(I + t*w) over W,
+    sorted by its coefficients c_k; det(I - t^2*w) = sum_k c_k (-t^2)^k, so
+    both graded characters are constant on each class."""
+    classes = {}
+    for w in enumerate_weyl(rd):
+        classes.setdefault(tuple(char_coefficients(w)), []).append(w)
+    return tuple((ws[0], len(ws)) for _, ws in sorted(classes.items()))
 
 
 def poincare_char_variety(rd: RootDatum, r: int) -> GradedPoly:
     """Poincare polynomial of the identity component of the character
     variety of Z^r: the W-invariants of H^*(T^r)."""
-    weyl = enumerate_weyl(rd)
-    total = ZERO
-    for w in weyl:
-        total = total + exterior_char(w, r)
-    return _finalize(total.divide_int(len(weyl)))
+    total = sum((exterior_char(w, r) * k for w, k in char_poly_classes(rd)),
+                ZERO)
+    return _finalize(total.divide_int(rd.weyl_order()))
 
 
 def poincare_hom_component(rd: RootDatum, r: int) -> GradedPoly:
     """Poincare polynomial of the identity component of the representation
     variety of Z^r: the W-invariants of H^*(G/T x T^r)."""
-    weyl = enumerate_weyl(rd)
-    total = ZERO
-    for w in weyl:
-        total = total + coinvariant_char(w, rd.degrees) * exterior_char(w, r)
-    result = _finalize(total.divide_int(len(weyl)))
-    assert result.degree() <= 2 * rd.positive_coroot_count() + r * rd.rank
+    total = sum((coinvariant_char(w, rd.degrees) * exterior_char(w, r) * k
+                 for w, k in char_poly_classes(rd)), ZERO)
+    result = _finalize(total.divide_int(rd.weyl_order()))
+    if result.degree() > 2 * rd.positive_coroot_count() + r * rd.rank:
+        raise NilrepError("invariant series exceeds dim G/T + r * rank")
     return result
 
 
 def _finalize(p: GradedPoly) -> GradedPoly:
-    assert p.coefficient(0) == 1, "invariant series must start at 1"
-    assert all(c >= 0 for c in p.coefficients), "negative invariant dimension"
+    if p.coefficient(0) != 1:
+        raise NilrepError("invariant series must start at 1")
+    if any(c < 0 for c in p.coefficients):
+        raise NilrepError("negative invariant dimension")
     return p
 
 
@@ -239,7 +252,7 @@ def _finalize(p: GradedPoly) -> GradedPoly:
 # independent brute-force oracle
 
 
-def exterior_invariant_dims_oracle(weyl: WeylGroup, r: int) -> list[int]:
+def exterior_invariant_dims_oracle(weyl: tuple, r: int) -> list[int]:
     """Invariant dimensions of the exterior algebra on r copies of the
     reflection lattice, computed without characteristic polynomials.
 

@@ -61,6 +61,14 @@ class _Scanner:
             self.pos += 1
         return int(self.text[start:self.pos])
 
+    def positive_integer(self) -> int:
+        start = self.pos
+        value = self.integer()
+        if value < 1:
+            raise ParseError("expected a positive integer", start,
+                             ("integer >= 1",))
+        return value
+
     def identifier(self) -> str:
         start = self.pos
         if not (self.peek().isalpha() or self.peek() == "_"):
@@ -110,18 +118,16 @@ def _group_atom(s: _Scanner) -> GroupSpec:
     if s.try_literal("H3"):
         return Heisenberg()
     if s.try_literal("F("):
-        n = s.integer()
+        n = s.positive_integer()
         s.expect(",")
         s.skip_ws()
-        c = s.integer()
+        c = s.positive_integer()
         s.expect(")")
         return FreeNilpotent(n, c)
     if s.try_literal("Z^"):
-        return FreeAbelian(s.integer())
+        return FreeAbelian(s.positive_integer())
     if s.try_literal("Z/"):
-        d = s.integer()
-        if d < 1:
-            raise ParseError("modulus must be positive", s.pos)
+        d = s.positive_integer()
         return FiniteAbelian((d,) if d > 1 else ())
     if s.try_literal("Z"):
         return FreeAbelian(1)

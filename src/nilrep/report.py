@@ -10,7 +10,8 @@ from .invariants import (GradedPoly, poincare_char_variety,
                          poincare_hom_component)
 from .rootdata import (ReductiveSpec, build_root_datum, pi1_G, pi1_G_ab)
 
-# Molien sums stay fast up to this Weyl order; beyond it the analyze
+# Molien sums cost one Weyl enumeration plus one characteristic polynomial
+# per element, and stay fast up to this Weyl order; beyond it the analyze
 # report omits the polynomials (the poincare functions themselves go on
 # working up to the hard enumeration bound if called directly).
 ANALYZE_WEYL_LIMIT = 10**4

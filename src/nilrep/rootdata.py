@@ -17,10 +17,9 @@ Spin(n>=3), G2, F4, and tori.  Everything else raises UnsupportedType.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 
-from .errors import TooLarge, UnsupportedType
+from .errors import NilrepError, TooLarge, UnsupportedType
 from .groups import AbelianInvariants
 from .snf import cokernel_invariants, integer_rank
 
@@ -370,22 +369,9 @@ def build_root_datum(spec: ReductiveSpec) -> RootDatum:
                      tuple(sorted(degrees)))
 
 
-@dataclass(frozen=True)
-class WeylGroup:
-    """All Weyl elements as integer matrices, sorted for determinism."""
-
-    elements: tuple[Matrix, ...]
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-@lru_cache(maxsize=None)
-def enumerate_weyl(rd: RootDatum) -> WeylGroup:
-    """Breadth-first closure of the simple reflections under multiplication."""
+def enumerate_weyl(rd: RootDatum) -> tuple[Matrix, ...]:
+    """All Weyl elements as integer matrices, sorted for determinism: the
+    breadth-first closure of the simple reflections under multiplication."""
     expected = rd.weyl_order()
     if expected > WEYL_ORDER_BOUND:
         raise TooLarge("Weyl order %d exceeds the enumeration bound" % expected)
@@ -402,9 +388,9 @@ def enumerate_weyl(rd: RootDatum) -> WeylGroup:
                     fresh.append(p)
         frontier = fresh
     if len(seen) != expected:
-        raise AssertionError("Weyl closure produced %d elements, expected %d"
-                             % (len(seen), expected))
-    return WeylGroup(tuple(sorted(seen)))
+        raise NilrepError("Weyl closure produced %d elements, expected %d"
+                          % (len(seen), expected))
+    return tuple(sorted(seen))
 
 
 # ---------------------------------------------------------------------------

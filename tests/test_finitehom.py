@@ -83,6 +83,19 @@ def test_table_validation_rejects_bad_tables():
         FiniteGroup([[0, 1, 2], [1, 2, 0]])    # not square
 
 
+def test_power_matches_repeated_multiplication():
+    for group in (Q8, dihedral(4), cyclic(6)):
+        for g in range(group.order):
+            # g^0, g^1, ... by repeated multiplication, up to g's own order
+            powers = [group.identity]
+            while len(powers) == 1 or powers[-1] != group.identity:
+                powers.append(group.mul(powers[-1], g))
+            order = len(powers) - 1
+            for e in (-13, -1, 0, 1, 7, 10**12):
+                assert group.power(g, e) == powers[e % order], \
+                    (group.name, g, e)
+
+
 def test_nilpotency_classes():
     assert cyclic(6).nilpotency_class() == 1
     assert dihedral(4).nilpotency_class() == 2

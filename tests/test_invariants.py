@@ -1,15 +1,14 @@
 """Graded characters, Molien averages, and the brute-force projector oracle."""
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from nilrep.errors import InexactDivision, TooLarge
-from nilrep.invariants import (GradedPoly, char_coefficients,
-                               coinvariant_char, exterior_char,
-                               exterior_invariant_dims_oracle,
+from nilrep.errors import InexactDivision, NilrepError, TooLarge
+from nilrep.invariants import (GradedPoly, _finalize, char_coefficients,
+                               char_poly_classes, coinvariant_char,
+                               exterior_char, exterior_invariant_dims_oracle,
                                poincare_char_variety, poincare_hom_component,
                                poly)
 from nilrep.rootdata import build_root_datum, enumerate_weyl, reductive
@@ -143,25 +142,46 @@ def test_outputs_have_unit_constant_and_no_negatives():
             assert all(c >= 0 for c in p.coefficients)
 
 
+def test_finalize_rejects_impossible_series():
+    with pytest.raises(NilrepError):
+        _finalize(poly([2]))
+    with pytest.raises(NilrepError):
+        _finalize(poly([1, -1]))
+
+
+# every catalog factor with |W| <= 1152, and products with and without a torus
+REFEREE_FACTORS = (
+    [(("SL", n),) for n in range(2, 6)] + [(("GL", n),) for n in range(1, 6)]
+    + [(("PGL", n),) for n in range(2, 6)] + [(("Sp", n),) for n in (4, 6, 8)]
+    + [(("SO", n),) for n in range(3, 10)]
+    + [(("Spin", n),) for n in range(3, 10)]
+    + [("G2",), ("F4",), (("T", 1),), (("SL", 2), ("T", 1)),
+       (("SL", 2), "G2")])
+
+
 def test_molien_sum_is_order_independent():
-    # exact arithmetic: summing the per-element characters in any order,
-    # even through Fractions, reproduces the Molien average
-    rd = rd_of(("Sp", 4))
-    r = 2
-    elements = list(enumerate_weyl(rd))
+    # exact arithmetic: summing the per-element characters over all of W,
+    # in any order, reproduces the class-wise Molien averages
     rng = random.Random(11)
-    expected = poincare_hom_component(rd, r)
-    for _ in range(3):
+    assert len(REFEREE_FACTORS) == 35
+    for factors in REFEREE_FACTORS:
+        rd = rd_of(*factors)
+        elements = list(enumerate_weyl(rd))
+        assert sum(k for _, k in char_poly_classes(rd)) == len(elements)
         rng.shuffle(elements)
-        degree = max(2 * rd.positive_coroot_count() + r * rd.rank,
-                     expected.degree())
-        acc = [Fraction(0)] * (degree + 1)
-        for w in elements:
-            term = coinvariant_char(w, rd.degrees) * exterior_char(w, r)
-            for d, c in enumerate(term.coefficients):
-                acc[d] += Fraction(c, len(elements))
-        assert all(f.denominator == 1 for f in acc)
-        assert poly([int(f) for f in acc]) == expected
+        for r in range(4):
+            hom = char = poly([])
+            for w in elements:
+                ext = exterior_char(w, r)
+                char = char + ext
+                hom = hom + coinvariant_char(w, rd.degrees) * ext
+            assert (hom.divide_int(len(elements))
+                    == poincare_hom_component(rd, r)), (factors, r)
+            assert (char.divide_int(len(elements))
+                    == poincare_char_variety(rd, r)), (factors, r)
+    # type A: det(I + t*w) determines the cycle type, so p(n) classes
+    for n, partitions in zip(range(2, 7), (2, 3, 5, 7, 11)):
+        assert len(char_poly_classes(rd_of(("SL", n)))) == partitions
 
 
 # ---------------------------------------------------------------------------

@@ -196,3 +196,21 @@ def test_cli_exit_codes(capsys):
                            "--target", "SL12", "--json")
     assert code == 3
     assert json.loads(out)["error"]["type"] == "TooLarge"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--group", "Z^0", "--target", "SL2"],
+    ["analyze", "--group", "F(2,0)", "--target", "SL2"],
+    ["analyze", "--r-override", "-1", "--target", "SL2"],
+    ["analyze", "--r-override", "0", "--target", "SL2"],
+    ["homcount", "--group", "Z", "--finite", "c0"],
+    ["homcount", "--group", "Z", "--finite", "d0"],
+    ["bound", "--m", "0"],
+])
+def test_cli_rejects_degenerate_sizes_as_parse_errors(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error (parse):")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "parse"

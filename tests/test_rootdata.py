@@ -2,10 +2,11 @@
 
 import pytest
 
-from nilrep.errors import TooLarge, UnsupportedType
+from nilrep.errors import NilrepError, TooLarge, UnsupportedType
 from nilrep.groups import AbelianInvariants
-from nilrep.rootdata import (Factor, ReductiveSpec, build_root_datum,
-                             enumerate_weyl, pi1_G, pi1_G_ab, reductive)
+from nilrep.rootdata import (Factor, ReductiveSpec, RootDatum,
+                             build_root_datum, enumerate_weyl, pi1_G,
+                             pi1_G_ab, reductive)
 
 
 SMALL_SPECS = [
@@ -64,9 +65,16 @@ def test_gl2_datum():
 def test_weyl_sizes_match_degree_products():
     for spec in SMALL_SPECS:
         rd = build_root_datum(spec)
-        # enumerate_weyl itself asserts closure size == product of degrees
+        # enumerate_weyl itself checks closure size == product of degrees
         weyl = enumerate_weyl(rd)
         assert len(weyl) == rd.weyl_order(), str(spec)
+
+
+def test_weyl_closure_size_mismatch_is_an_error():
+    # a valid SL2 lattice with a degree that claims |W| = 3
+    rd = RootDatum(1, ((-1,), (1,)), (((-1,),),), (3,))
+    with pytest.raises(NilrepError, match="2 elements, expected 3"):
+        enumerate_weyl(rd)
 
 
 def test_weyl_elements_permute_coroots():
