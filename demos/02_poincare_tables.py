@@ -36,3 +36,7 @@ print("  Hom(Z, GL2)_1 = GL2(C), homotopy equivalent to U(2):",
       poincare_hom_component(rd, 1))
 print("  character variety of Z in SL2 is C (a cell):",
       poincare_char_variety(build_root_datum(parse_reductive_spec("SL2")), 1))
+p = poincare_hom_component(build_root_datum(parse_reductive_spec("SL9")), 1)
+print("  Hom(Z, SL9)_1 = SL9(C), |W| = 9! summed over 30 cycle types: "
+      "degree %d = dim SU(9), total Betti number %d = 2^8"
+      % (p.degree(), p(1)))

@@ -10,20 +10,32 @@ a division that is exact because the coinvariant algebra is finite
 dimensional.  Both depend on w only through det(I + t*w), so the Molien
 averages giving the invariant dimensions degree by degree run over the
 classes of Weyl elements with equal det(I + t*w), weighted by class size.
-All arithmetic is integer or rational and exact; summation order can
-never change a result.
+Those classes need no enumeration of W: a product's Weyl group is the
+product of its factors', so the factors' class lists multiply, and for
+the classical families the conjugacy classes are (signed) cycle types
+with closed-form sizes and characteristic polynomials (Carter,
+"Conjugacy classes in the Weyl group", 1972).  Only G2 and F4 enumerate
+their Weyl groups, as does the projector oracle at the end.  All
+arithmetic is integer or rational and exact; summation order can never
+change a result.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial, prod
 
 from .errors import InexactDivision, NilrepError, TooLarge
-from .rootdata import Matrix, RootDatum, enumerate_weyl
+from .rootdata import (Factor, ReductiveSpec, RootDatum, build_root_datum,
+                       enumerate_weyl)
 from .snf import int_det
+
+# (coefficients of det(I + t*w), number of Weyl elements w) pairs
+Classes = tuple[tuple[tuple[int, ...], int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +194,7 @@ def char_coefficients(w) -> list[int]:
 
 def exterior_char(w, r: int) -> GradedPoly:
     """Graded trace of w on the cohomology of T^r: det(I + t*w)^r."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    return poly(char_coefficients(w)) ** r
+    return _exterior_series(char_coefficients(w), r)
 
 
 def coinvariant_char(w, degrees) -> GradedPoly:
@@ -194,46 +204,142 @@ def coinvariant_char(w, degrees) -> GradedPoly:
     exact for every genuine (Weyl element, degrees) pair, so a remainder
     means the caller paired a matrix with the wrong datum.
     """
+    return _coinvariant_series(char_coefficients(w), degrees)
+
+
+def _exterior_series(cs, r: int) -> GradedPoly:
+    """det(I + t*w)^r from the coefficients cs of det(I + t*w)."""
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    return poly(cs) ** r
+
+
+def _coinvariant_series(cs, degrees) -> GradedPoly:
+    """prod_i (1 - t^(2*d_i)) / det(I - t^2*w) from the coefficients cs of
+    det(I + t*w), using det(I - t^2*w) = sum_k c_k (-t^2)^k."""
     num = ONE
     for d in degrees:
         term = [0] * (2 * d + 1)
         term[0], term[2 * d] = 1, -1
         num = num * poly(term)
-    cs = char_coefficients(w)
-    den = [0] * (2 * len(w) + 1)
+    den = [0] * (2 * len(cs) - 1)
     for k, c in enumerate(cs):
         den[2 * k] = c if k % 2 == 0 else -c
     return num.exact_div(poly(den))
 
 
 # ---------------------------------------------------------------------------
-# Molien averages over classes of det(I + t*w)
+# classes of det(I + t*w), factor by factor
+
+
+def _partitions(n: int, largest: int | None = None):
+    """Partitions of n as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _centralizer_order(parts, base: int = 1) -> int:
+    """prod_m (base*m)^(a_m) * a_m!, with a_m parts equal to m: z_lambda
+    for base 1, and the signed-cycle factor of type B/C for base 2."""
+    return prod((base * m) ** a * factorial(a)
+                for m, a in Counter(parts).items())
+
+
+def _cycles_poly(parts, sign: int) -> GradedPoly:
+    """det(I + t*w) for disjoint signed cycles of the given lengths, the
+    signs of each cycle multiplying to sign: prod_m (1 - sign * (-t)^m)."""
+    out = ONE
+    for m in parts:
+        term = [0] * (m + 1)
+        term[0], term[m] = 1, -sign * (-1) ** m
+        out = out * poly(term)
+    return out
 
 
 @lru_cache(maxsize=None)
-def char_poly_classes(rd: RootDatum) -> tuple[tuple[Matrix, int], ...]:
-    """(representative, multiplicity) for each distinct det(I + t*w) over W,
-    sorted by its coefficients c_k; det(I - t^2*w) = sum_k c_k (-t^2)^k, so
-    both graded characters are constant on each class."""
-    classes = {}
-    for w in enumerate_weyl(rd):
-        classes.setdefault(tuple(char_coefficients(w)), []).append(w)
-    return tuple((ws[0], len(ws)) for _, ws in sorted(classes.items()))
+def _factor_classes(f: Factor) -> Classes:
+    """(coefficients of det(I + t*w), multiplicity) over the Weyl group of
+    one catalog factor, in no particular order.
+
+    Type A: one class per partition of n, of size n!/z_lambda; the
+    reflection lattice of SL_n and PGL_n drops one trivial summand (1 + t)
+    from the permutation lattice of GL_n.  Types B/C/D act on Z^k by
+    signed permutations: one class per pair (alpha, beta) of partitions
+    of the positive and negative cycle lengths, |alpha| + |beta| = k, of
+    size 2^k k!/(z_alpha z_beta); type D keeps the pairs with an even
+    number of negative cycles.  G2 and F4 are enumerated.
+    """
+    fam, n = f.family, f.param
+    classes = Counter()
+    if fam == "T":
+        classes[poly([1, 1]) ** n] = 1
+    elif fam in ("GL", "SL", "PGL"):
+        for lam in _partitions(n):
+            p = _cycles_poly(lam, 1)
+            if fam != "GL":
+                p = p.exact_div(poly([1, 1]))
+            classes[p] += factorial(n) // _centralizer_order(lam)
+    elif fam in ("G2", "F4"):
+        for w in enumerate_weyl(build_root_datum(ReductiveSpec((f,)))):
+            classes[poly(char_coefficients(w))] += 1
+    else:
+        k = n // 2
+        type_d = fam != "Sp" and n % 2 == 0
+        for a in range(k + 1):
+            for alpha in _partitions(a):
+                for beta in _partitions(k - a):
+                    if type_d and len(beta) % 2:
+                        continue
+                    p = _cycles_poly(alpha, 1) * _cycles_poly(beta, -1)
+                    classes[p] += (2 ** k * factorial(k)
+                                   // (_centralizer_order(alpha, 2)
+                                       * _centralizer_order(beta, 2)))
+    return tuple((p.coefficients, size) for p, size in classes.items())
+
+
+def char_poly_classes(rd: RootDatum) -> Classes:
+    """(coefficients c_k of det(I + t*w), multiplicity) for each distinct
+    det(I + t*w) over W, sorted by coefficients.
+
+    W is the product of the factors' Weyl groups acting block-diagonally,
+    so the factors' lists convolve: polynomials and multiplicities
+    multiply.  det(I - t^2*w) = sum_k c_k (-t^2)^k, so both graded
+    characters are constant on each class.
+    """
+    if sum(f.rank() for f in rd.factors) != rd.rank:
+        raise NilrepError("root datum factors %s do not account for rank %d"
+                          % (list(map(str, rd.factors)), rd.rank))
+    classes = Counter({ONE: 1})
+    for f in rd.factors:
+        merged = Counter()
+        for p, a in classes.items():
+            for cs, b in _factor_classes(f):
+                merged[p * poly(cs)] += a * b
+        classes = merged
+    return tuple(sorted((p.coefficients, k) for p, k in classes.items()))
+
+
+# ---------------------------------------------------------------------------
+# Molien averages over classes of det(I + t*w)
 
 
 def poincare_char_variety(rd: RootDatum, r: int) -> GradedPoly:
     """Poincare polynomial of the identity component of the character
     variety of Z^r: the W-invariants of H^*(T^r)."""
-    total = sum((exterior_char(w, r) * k for w, k in char_poly_classes(rd)),
-                ZERO)
+    total = sum((_exterior_series(cs, r) * k
+                 for cs, k in char_poly_classes(rd)), ZERO)
     return _finalize(total.divide_int(rd.weyl_order()))
 
 
 def poincare_hom_component(rd: RootDatum, r: int) -> GradedPoly:
     """Poincare polynomial of the identity component of the representation
     variety of Z^r: the W-invariants of H^*(G/T x T^r)."""
-    total = sum((coinvariant_char(w, rd.degrees) * exterior_char(w, r) * k
-                 for w, k in char_poly_classes(rd)), ZERO)
+    total = sum((_coinvariant_series(cs, rd.degrees) * _exterior_series(cs, r)
+                 * k for cs, k in char_poly_classes(rd)), ZERO)
     result = _finalize(total.divide_int(rd.weyl_order()))
     if result.degree() > 2 * rd.positive_coroot_count() + r * rd.rank:
         raise NilrepError("invariant series exceeds dim G/T + r * rank")

@@ -10,12 +10,6 @@ from .invariants import (GradedPoly, poincare_char_variety,
                          poincare_hom_component)
 from .rootdata import (ReductiveSpec, build_root_datum, pi1_G, pi1_G_ab)
 
-# Molien sums cost one Weyl enumeration plus one characteristic polynomial
-# per element, and stay fast up to this Weyl order; beyond it the analyze
-# report omits the polynomials (the poincare functions themselves go on
-# working up to the hard enumeration bound if called directly).
-ANALYZE_WEYL_LIMIT = 10**4
-
 FIXED_CAVEATS = (
     "All statements describe the connected component of the trivial "
     "representation; other components can look different.",
@@ -96,8 +90,9 @@ class AnalysisReport:
 def analyze(g: GroupSpec, spec: ReductiveSpec,
             r_max_guard: int = 8) -> AnalysisReport:
     """Full report for one pair; Poincare polynomials are skipped (with a
-    stated caveat) when the free rank exceeds r_max_guard or the Weyl
-    group is too large for a comfortable Molien sum."""
+    stated caveat) only when the free rank exceeds r_max_guard.  The
+    Molien sums run over classes of Weyl elements, so every target that
+    ReductiveSpec admits gets its polynomials."""
     ab = abelianize(g)
     r = ab.rank
     rd = build_root_datum(spec)
@@ -107,11 +102,6 @@ def analyze(g: GroupSpec, spec: ReductiveSpec,
     if r > r_max_guard:
         caveats.append("Poincare polynomials omitted: free rank %d exceeds "
                        "the guard %d." % (r, r_max_guard))
-    elif rd.weyl_order() > ANALYZE_WEYL_LIMIT:
-        caveats.append("Poincare polynomials omitted: Weyl order %d exceeds "
-                       "%d; call the poincare functions directly if you "
-                       "really want them." % (rd.weyl_order(),
-                                              ANALYZE_WEYL_LIMIT))
     else:
         poincare_hom = poincare_hom_component(rd, r)
         poincare_char = poincare_char_variety(rd, r)

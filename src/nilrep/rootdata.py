@@ -319,13 +319,15 @@ class RootDatum:
 
     coroots holds the full (positive and negative) coroot system, so the
     Weyl group permutes it; degrees multiply to the Weyl order and there
-    is one per lattice dimension.
+    is one per lattice dimension.  factors names the catalog factors the
+    datum was assembled from, in block order (empty for a hand-built one).
     """
 
     rank: int
     coroots: tuple[Vector, ...]
     simple_reflections: tuple[Matrix, ...]
     degrees: tuple[int, ...]
+    factors: tuple[Factor, ...] = ()
 
     def __post_init__(self):
         if len(self.degrees) != self.rank:
@@ -366,7 +368,7 @@ def build_root_datum(spec: ReductiveSpec) -> RootDatum:
         degrees.extend(f.degrees())
         offset += rank
     return RootDatum(total, tuple(sorted(coroots)), tuple(reflections),
-                     tuple(sorted(degrees)))
+                     tuple(sorted(degrees)), spec.factors)
 
 
 def enumerate_weyl(rd: RootDatum) -> tuple[Matrix, ...]:

@@ -36,6 +36,21 @@ def check_steinberg():
                for n in (2, 3, 4))
 
 
+def hopf_product(degrees):
+    """prod_d (1 + t^(2d - 1)): the Poincare polynomial of a connected
+    reductive group whose Weyl invariants have the given degrees."""
+    out = poly([1])
+    for d in degrees:
+        out = out * poly([1] + [0] * (2 * d - 2) + [1])
+    return out
+
+
+def check_hopf_beyond_enumeration():
+    # Hom(Z, G)_1 = G; |W| is 362,880, 645,120 and 322,560 here
+    return all(poincare_hom_component(rd, 1) == hopf_product(rd.degrees)
+               for rd in map(_rd, (("SL", 9), ("Sp", 14), ("Spin", 14))))
+
+
 def check_oracle_agreement():
     for factor, r in ((("SL", 2), 2), (("GL", 2), 2), (("SL", 3), 1)):
         rd = _rd(factor)
@@ -104,6 +119,8 @@ CHECKS = (
     ("Molien identity: invariants at r = 0 are the constants",
      check_molien_identity),
     ("Steinberg: character variety of Z in SL_n is a cell", check_steinberg),
+    ("Hopf: Hom(Z, G)_1 = G for SL9, Sp14 and Spin14",
+     check_hopf_beyond_enumeration),
     ("projector oracle agrees with Molien averages", check_oracle_agreement),
     ("pi_1 cokernels for GL2 and SL2", check_pi1),
     ("homomorphism counts into the quaternion group", check_hom_counts),

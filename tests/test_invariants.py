@@ -1,6 +1,7 @@
 """Graded characters, Molien averages, and the brute-force projector oracle."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,9 @@ from nilrep.invariants import (GradedPoly, _finalize, char_coefficients,
                                exterior_char, exterior_invariant_dims_oracle,
                                poincare_char_variety, poincare_hom_component,
                                poly)
-from nilrep.rootdata import build_root_datum, enumerate_weyl, reductive
+from nilrep.rootdata import (RootDatum, build_root_datum, enumerate_weyl,
+                             reductive)
+from nilrep.selftest import hopf_product
 from nilrep.snf import int_det
 
 
@@ -156,18 +159,21 @@ REFEREE_FACTORS = (
     + [(("SO", n),) for n in range(3, 10)]
     + [(("Spin", n),) for n in range(3, 10)]
     + [("G2",), ("F4",), (("T", 1),), (("SL", 2), ("T", 1)),
-       (("SL", 2), "G2")])
+       (("SL", 2), "G2"), (("SL", 3), ("SL", 4)),
+       (("GL", 2), ("SO", 5), ("T", 2))])
 
 
 def test_molien_sum_is_order_independent():
     # exact arithmetic: summing the per-element characters over all of W,
-    # in any order, reproduces the class-wise Molien averages
+    # in any order, reproduces the class-wise Molien averages, and the
+    # closed-form classes are the buckets of det(I + t*w) over W
     rng = random.Random(11)
-    assert len(REFEREE_FACTORS) == 35
+    assert len(REFEREE_FACTORS) == 37
     for factors in REFEREE_FACTORS:
         rd = rd_of(*factors)
         elements = list(enumerate_weyl(rd))
-        assert sum(k for _, k in char_poly_classes(rd)) == len(elements)
+        buckets = Counter(tuple(char_coefficients(w)) for w in elements)
+        assert char_poly_classes(rd) == tuple(sorted(buckets.items())), factors
         rng.shuffle(elements)
         for r in range(4):
             hom = char = poly([])
@@ -182,6 +188,29 @@ def test_molien_sum_is_order_independent():
     # type A: det(I + t*w) determines the cycle type, so p(n) classes
     for n, partitions in zip(range(2, 7), (2, 3, 5, 7, 11)):
         assert len(char_poly_classes(rd_of(("SL", n)))) == partitions
+
+
+def test_class_sums_beyond_enumeration_range():
+    # Hom(Z, G)_1 = G: its Poincare polynomial is prod (1 + t^(2d - 1)),
+    # and the character variety G/G ~ T/W contributes only the central
+    # torus, one (1 + t) per degree-1 invariant
+    for factors in [(("SL", 9),), (("GL", 9),), (("PGL", 9),), (("Sp", 14),),
+                    (("SO", 14),), (("SO", 15),), (("Spin", 14),),
+                    (("Spin", 15),), ("F4", ("SL", 6)),
+                    (("GL", 2), ("SO", 5), ("T", 2))]:
+        rd = rd_of(*factors)
+        assert sum(k for _, k in char_poly_classes(rd)) == rd.weyl_order()
+        assert poincare_hom_component(rd, 1) == hopf_product(rd.degrees), \
+            factors
+        assert (poincare_char_variety(rd, 1)
+                == poly([1, 1]) ** rd.degrees.count(1)), factors
+
+
+def test_hand_built_datum_without_factors_is_refused():
+    # an SL2 lattice built by hand carries no factors to read classes from
+    rd = RootDatum(1, ((-1,), (1,)), (((-1,),),), (2,))
+    with pytest.raises(NilrepError):
+        poincare_hom_component(rd, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from nilrep.invariants import poly
 from nilrep.parsing import parse_group_spec, parse_reductive_spec
 from nilrep.report import analyze
 from nilrep.rootdata import reductive
+from nilrep.selftest import hopf_product
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
 
@@ -62,10 +63,15 @@ def test_analyze_respects_rank_guard():
 
 
 def test_analyze_omits_polynomials_for_huge_weyl_groups():
+    # |W(SL9)| = 9! once put SL9 past the analyze limit; the class sums
+    # now give Hom(Z, SL9)_1 = SL9, whose Poincare polynomial is the
+    # product of (1 + t^(2d - 1)) over the degrees d = 2..9
+    hopf = hopf_product(range(2, 10))
+    assert hopf.degree() == 80 and hopf(1) == 2 ** 8      # dim SL9, rank 8
     report = analyze(FreeAbelian(1), reductive(("SL", 9)))
-    assert report.poincare_hom is None
-    assert any("omitted" in c for c in report.caveats)
-    # everything cheap is still present
+    assert report.poincare_hom == hopf
+    assert report.poincare_char == poly([1])
+    assert not any("omitted" in c for c in report.caveats)
     assert report.pi1_hom.is_trivial()
     assert report.verdict.status == "Connected"
 
@@ -147,6 +153,17 @@ def test_cli_poincare_and_pi1(capsys):
     assert payload["pi1_char"] == {"rank": 2, "torsion": []}
 
 
+def test_cli_poincare_sl9(capsys):
+    # |W(SL9)| = 362,880: summed over its 30 cycle types, not its elements
+    code, out, _ = run_cli(capsys, "poincare", "--group", "Z",
+                           "--target", "SL9", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["poincare_hom"] == list(
+        hopf_product(range(2, 10)).coefficients)
+    assert payload["poincare_char"] == [1]
+
+
 def test_cli_connectivity_and_homcount(capsys):
     code, out, _ = run_cli(capsys, "connectivity", "--group", "F(2,3)",
                            "--target", "Sp4", "--json")
@@ -174,7 +191,7 @@ def test_cli_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(line.startswith("PASS") for line in lines)
 
 
