@@ -17,8 +17,7 @@ import argparse
 import json
 import sys
 
-from .errors import (InexactDivision, ParseError, TooLarge, UnsupportedGroup,
-                     UnsupportedQuotient, UnsupportedType)
+from .errors import NilrepError, ParseError
 from .finitehom import (central_image_order_bound, connectivity_verdict,
                         cyclic, dihedral, enumerate_homs, q8)
 from .groups import FreeAbelian, abelianize
@@ -63,8 +62,7 @@ def _group_arg(args):
 
 
 def _cmd_analyze(args) -> int:
-    report = analyze(_group_arg(args), parse_reductive_spec(args.target),
-                     r_max_guard=args.r_guard)
+    report = analyze(_group_arg(args), parse_reductive_spec(args.target))
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     else:
@@ -165,10 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
         return p
 
-    p = add("analyze", _cmd_analyze, "full report for one pair",
-            override=True)
-    p.add_argument("--r-guard", type=int, default=8, metavar="N",
-                   help="skip Poincare polynomials beyond this rank")
+    add("analyze", _cmd_analyze, "full report for one pair", override=True)
     add("poincare", _cmd_poincare, "the two Poincare polynomials",
         override=True)
     add("pi1", _cmd_pi1, "fundamental groups of both spaces", override=True)
@@ -193,8 +188,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _report_error(args, "parse", exc)
         return 2
-    except (TooLarge, UnsupportedType, UnsupportedGroup, UnsupportedQuotient,
-            InexactDivision) as exc:
+    except NilrepError as exc:
         _report_error(args, type(exc).__name__, exc)
         return 3
 

@@ -17,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import divisors, mobius
-from .errors import NilrepError, UnsupportedQuotient
+from .errors import NilrepError, TooLarge, UnsupportedQuotient
 from .snf import cokernel_invariants, smith_normal_form, diagonal_of
+
+POWER_LETTER_CAP = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +92,17 @@ def inverse(w: Word) -> Word:
 
 
 def power(w: Word, n: int) -> Word:
+    """w^n; one letter stays one letter, a longer word may not pass the cap."""
     if n < 0:
         return power(inverse(w), -n)
-    return concat(*([w] * n)) if n else Word()
+    if n == 0:
+        return Word()
+    if len(w.letters) <= 1:
+        return Word(tuple((g, e * n) for g, e in w.letters))
+    if len(w.letters) * n > POWER_LETTER_CAP:
+        raise TooLarge("power of a %d-letter word to exponent %d exceeds "
+                       "%d letters" % (len(w.letters), n, POWER_LETTER_CAP))
+    return concat(*([w] * n))
 
 
 def commutator(a: Word, b: Word) -> Word:

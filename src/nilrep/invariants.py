@@ -391,8 +391,10 @@ def exterior_invariant_dims_oracle(weyl: tuple, r: int) -> list[int]:
         if size <= 40:
             square = [[sum(proj[i][k] * proj[k][j] for k in range(size))
                        for j in range(size)] for i in range(size)]
-            assert square == proj, "group average is not idempotent"
+            if square != proj:
+                raise NilrepError("group average is not idempotent")
         trace = sum(proj[i][i] for i in range(size))
-        assert trace.denominator == 1 and trace >= 0
+        if trace.denominator != 1 or trace < 0:
+            raise NilrepError("projector trace %s is not a dimension" % trace)
         out.append(int(trace))
     return out

@@ -10,6 +10,8 @@ from .invariants import (GradedPoly, poincare_char_variety,
                          poincare_hom_component)
 from .rootdata import (ReductiveSpec, build_root_datum, pi1_G, pi1_G_ab)
 
+R_MAX_GUARD = 8
+
 FIXED_CAVEATS = (
     "All statements describe the connected component of the trivial "
     "representation; other components can look different.",
@@ -87,10 +89,9 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def analyze(g: GroupSpec, spec: ReductiveSpec,
-            r_max_guard: int = 8) -> AnalysisReport:
+def analyze(g: GroupSpec, spec: ReductiveSpec) -> AnalysisReport:
     """Full report for one pair; Poincare polynomials are skipped (with a
-    stated caveat) only when the free rank exceeds r_max_guard.  The
+    stated caveat) only when the free rank exceeds R_MAX_GUARD.  The
     Molien sums run over classes of Weyl elements, so every target that
     ReductiveSpec admits gets its polynomials."""
     ab = abelianize(g)
@@ -99,9 +100,9 @@ def analyze(g: GroupSpec, spec: ReductiveSpec,
     caveats = list(FIXED_CAVEATS)
 
     poincare_hom = poincare_char = None
-    if r > r_max_guard:
+    if r > R_MAX_GUARD:
         caveats.append("Poincare polynomials omitted: free rank %d exceeds "
-                       "the guard %d." % (r, r_max_guard))
+                       "the guard %d." % (r, R_MAX_GUARD))
     else:
         poincare_hom = poincare_hom_component(rd, r)
         poincare_char = poincare_char_variety(rd, r)

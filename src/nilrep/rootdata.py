@@ -228,10 +228,6 @@ def _swap_matrix(n, i, j) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
-def _unit(n, i, scale=1) -> Vector:
-    return tuple(scale if k == i else 0 for k in range(n))
-
-
 def _gl_model(n):
     """GL_n on Z^n: the symmetric group permuting coordinates."""
     if n == 1:
@@ -240,18 +236,6 @@ def _gl_model(n):
                      for k in range(n)) for i in range(n - 1)]
     reflections = [_swap_matrix(n, i, i + 1) for i in range(n - 1)]
     return n, coroots, reflections
-
-
-def _so_odd_model(k):
-    """SO_{2k+1} on Z^k: all signed permutations; short roots give coroots 2e_i."""
-    reflections = [_swap_matrix(k, i, i + 1) for i in range(k - 1)]
-    neg_last = [list(row) for row in _identity(k)]
-    neg_last[k - 1][k - 1] = -1
-    reflections.append(tuple(tuple(r) for r in neg_last))
-    coroots = [tuple((1 if t == i else 0) - (1 if t == i + 1 else 0)
-                     for t in range(k)) for i in range(k - 1)]
-    coroots.append(_unit(k, k - 1, 2))
-    return k, coroots, reflections
 
 
 def _so_even_model(k):
@@ -282,7 +266,9 @@ def _factor_model(f: Factor):
     if fam == "Sp":
         return _simply_connected_model(_cartan_c(n // 2))
     if fam == "SO":
-        return _so_odd_model(n // 2) if n % 2 else _so_even_model(n // 2)
+        if n % 2:  # SO_{2k+1} is the adjoint group of type B_k
+            return _adjoint_model(_cartan_b(n // 2))
+        return _so_even_model(n // 2)
     if fam == "Spin":
         cartan = _cartan_b(n // 2) if n % 2 else _cartan_d(n // 2)
         return _simply_connected_model(cartan)

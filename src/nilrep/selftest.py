@@ -1,7 +1,7 @@
-"""Built-in sanity checks, runnable as `nilrep selftest`.
+"""The acceptance table CHECKS, run by `nilrep selftest` and pytest.
 
-Each check mirrors one of the closed-form facts the package is supposed
-to reproduce exactly; everything here runs in a few seconds.
+Each check is one of the closed-form facts the package must reproduce
+exactly; everything here runs in a few seconds.
 """
 
 from __future__ import annotations

@@ -1,173 +1,11 @@
-"""Acceptance suite: every criterion at its stated (exact) tolerance.
+"""The acceptance table `nilrep.selftest.CHECKS`, one item per check."""
 
-Run with `pytest tests/test_acceptance.py -v -s` to see one line per
-criterion.  All comparisons are exact integer equality; nothing here is
-tolerance-tuned.
-"""
+import pytest
 
-import random
-from itertools import product as iproduct
-
-from nilrep.arith import totient
-from nilrep.finitehom import (central_image_order_bound, connectivity_verdict,
-                              enumerate_homs, q8)
-from nilrep.groups import (AbelianInvariants, FreeAbelian, Heisenberg,
-                           free_nilpotent_lcs_ranks)
-from nilrep.invariants import (exterior_invariant_dims_oracle,
-                               poincare_char_variety, poincare_hom_component,
-                               poly)
-from nilrep.parsing import parse_group_spec, parse_reductive_spec
-from nilrep.report import analyze
-from nilrep.rootdata import build_root_datum, enumerate_weyl
-from nilrep.snf import int_det, mat_mul, smith_normal_form
+from nilrep.selftest import CHECKS
 
 
-def _rd(text):
-    return build_root_datum(parse_reductive_spec(text))
-
-
-def _announce(number, text):
-    print("PASS criterion %d: %s" % (number, text))
-
-
-def test_criterion_1_sphere_sanity():
-    assert poincare_hom_component(_rd("SL2"), 1) == poly([1, 0, 0, 1])
-    _announce(1, "Hom(Z, SL2)_1 has Poincare polynomial 1 + t^3")
-
-
-def test_criterion_2_molien_identity():
-    for text in ("SL2", "SL3", "GL2", "GL3", "Sp4"):
-        assert poincare_hom_component(_rd(text), 0) == poly([1]), text
-    _announce(2, "invariants at r = 0 are exactly the constants for "
-                 "SL2, SL3, GL2, GL3, Sp4")
-
-
-def test_criterion_3_steinberg_check():
-    for n in (2, 3, 4):
-        assert poincare_char_variety(_rd("SL%d" % n), 1) == poly([1])
-    _announce(3, "character variety of Z in SL_n is exactly a point "
-                 "cohomologically, n = 2, 3, 4")
-
-
-def test_criterion_4_oracle_equivalence():
-    for text, r in iproduct(("SL2", "SL3", "GL2"), (1, 2, 3)):
-        rd = _rd(text)
-        if 2 ** (rd.rank * r) > 4096:
-            continue
-        dims = exterior_invariant_dims_oracle(enumerate_weyl(rd), r)
-        molien = poincare_char_variety(rd, r)
-        assert molien.degree() <= len(dims) - 1
-        for d, value in enumerate(dims):
-            assert value == molien.coefficient(d), (text, r, d)
-    _announce(4, "projector oracle equals the Molien coefficients for "
-                 "SL2, SL3, GL2 with r = 1, 2, 3")
-
-
-def test_criterion_5_pi1_pipeline():
-    report = analyze(parse_group_spec("H3"), parse_reductive_spec("GL2"))
-    assert report.rank_h1 == 2
-    assert report.pi1_hom == AbelianInvariants(2, ())
-    assert report.pi1_char == AbelianInvariants(2, ())
-    report = analyze(parse_group_spec("H3"), parse_reductive_spec("SL2"))
-    assert report.pi1_hom == AbelianInvariants(0, ())
-    assert report.pi1_char == AbelianInvariants(0, ())
-    _announce(5, "pi_1 pipeline: (H3, GL2) gives Z^2 twice, (H3, SL2) "
-                 "gives trivial groups, exact divisor chains")
-
-
-def test_criterion_6_counting_oracle():
-    target = q8()
-    pairs = enumerate_homs(FreeAbelian(2), target)
-    assert pairs.total == 40
-    # independent confirmation: double loop over all ordered pairs
-    double_loop = sum(1 for a in range(8) for b in range(8)
-                      if target.mul(a, b) == target.mul(b, a))
-    assert double_loop == 40
-
-    heis = enumerate_homs(Heisenberg(), target)
-    assert (heis.total, heis.surjective) == (64, 24)
-    # independent confirmation: inclusion-exclusion over the three
-    # maximal cyclic subgroups (the non-generating pairs)
-    maximal = [target.closure({g}) for g in (2, 4, 6)]
-    non_generating = 0
-    for mask in range(1, 8):
-        chosen = [m for bit, m in enumerate(maximal) if mask >> bit & 1]
-        meet = set(range(8))
-        for m in chosen:
-            meet &= m
-        non_generating += (-1) ** (len(chosen) + 1) * len(meet) ** 2
-    assert 64 - non_generating == 24
-    _announce(6, "hom counts into the quaternion group: 40 commuting "
-                 "pairs, 64 total and 24 surjective from H3, both "
-                 "independently confirmed")
-
-
-def test_criterion_7_verdicts():
-    cases = [
-        ("H3", "SL2", "Disconnected"),
-        ("H3", "T2", "Connected"),
-        ("F(2,3)", "Sp4", "Disconnected"),
-        ("Z^3", "SL2", "Connected"),
-    ]
-    for group, target, expected in cases:
-        verdict = connectivity_verdict(parse_group_spec(group),
-                                       parse_reductive_spec(target))
-        assert verdict.status == expected, (group, target)
-    witness = connectivity_verdict(parse_group_spec("H3"),
-                                   parse_reductive_spec("SL2")).witness
-    assert witness is not None
-    labels = q8().labels
-    image = q8().closure(witness)
-    assert len(image) == 8 and not q8().is_abelian_subset(image)
-    assert [labels[x] for x in witness] == ["i", "j", "-1"]
-    _announce(7, "verdicts: (H3,SL2) disconnected with quaternion "
-                 "witness, (H3,T2) connected, (F(2,3),Sp4) disconnected, "
-                 "(Z^3,SL2) connected")
-
-
-def test_criterion_8_witt_ranks():
-    assert free_nilpotent_lcs_ranks(2, 5) == [2, 1, 2, 3, 6]
-    # independent confirmation: count Lyndon words by brute force
-    for length in range(1, 6):
-        count = 0
-        for word in iproduct(range(2), repeat=length):
-            rotations = [word[k:] + word[:k] for k in range(1, length)]
-            if all(word < rot for rot in rotations):
-                count += 1
-        assert count == free_nilpotent_lcs_ranks(2, length)[length - 1]
-    for n in range(1, 5):
-        for i in range(1, 7):
-            ranks = free_nilpotent_lcs_ranks(n, i)
-            assert sum(d * ranks[d - 1]
-                       for d in range(1, i + 1) if i % d == 0) == n ** i
-    _announce(8, "Witt ranks (2,5) -> [2,1,2,3,6] against the Lyndon "
-                 "counter, necklace identity for n <= 4, i <= 6")
-
-
-def test_criterion_9_snf_property_suite():
-    rng = random.Random(42)
-    for _ in range(500):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        d, u, v = smith_normal_form(m)
-        assert mat_mul(mat_mul(u, m), v) == d
-        assert int_det(u) in (1, -1)
-        assert int_det(v) in (1, -1)
-        diag = [d[i][i] for i in range(min(rows, cols))]
-        nonzero = [e for e in diag if e]
-        assert all(e >= 0 for e in diag)
-        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
-    _announce(9, "500 random Smith property checks: U*M*V = D, "
-                 "unimodular transforms, ordered divisor chain")
-
-
-def test_criterion_10_order_bound():
-    values = [central_image_order_bound(m) for m in range(1, 7)]
-    assert values[:3] == [1, 4, 64]
-    for m in range(1, 7):
-        assert values[m - 1] == sum(totient(k)
-                                    for k in range(1, m + 1)) ** m
-    assert values == sorted(values)
-    _announce(10, "central-image order bound: formula for m <= 6, "
-                  "monotone, pinned at 1, 4, 64")
+@pytest.mark.parametrize("check", [c for _, c in CHECKS],
+                         ids=[label for label, _ in CHECKS])
+def test_check(check):
+    assert check()

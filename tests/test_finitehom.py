@@ -247,7 +247,8 @@ def test_core_verdicts():
 
 def test_disconnected_verdicts_carry_reasons():
     v = connectivity_verdict(Heisenberg(), reductive(("SL", 2)))
-    assert v.witness is not None and v.reason_code == "finite_nonabelian_quotient"
+    assert v.witness == (I, J, 1) and v.reason_code == "finite_nonabelian_quotient"
+    assert [Q8.labels[x] for x in v.witness] == ["i", "j", "-1"]
     v = connectivity_verdict(Heisenberg(), reductive(("PGL", 2)))
     assert v.witness is None and v.reason_code == "nonabelian_free_family"
     v = connectivity_verdict(FiniteAbelian((3,)), reductive(("T", 1)))

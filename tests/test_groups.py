@@ -2,11 +2,12 @@
 
 import pytest
 
-from nilrep.errors import UnsupportedQuotient
-from nilrep.groups import (AbelianInvariants, DirectProduct, FiniteAbelian,
-                           FreeAbelian, FreeNilpotent, Heisenberg,
-                           Presentation, Presented, Word, abelianize,
-                           commutator, concat, free_nilpotent_lcs_ranks, gen,
+from nilrep.errors import TooLarge, UnsupportedQuotient
+from nilrep.groups import (POWER_LETTER_CAP, AbelianInvariants, DirectProduct,
+                           FiniteAbelian, FreeAbelian, FreeNilpotent,
+                           Heisenberg, Presentation, Presented, Word,
+                           abelianize, commutator, concat,
+                           free_nilpotent_lcs_ranks, gen,
                            heisenberg_presentation, heisenberg_presented,
                            inverse, is_abelian, is_nonabelian_free_family,
                            lower_central_data, power, quotient_by_lcs)
@@ -34,6 +35,17 @@ def test_commutator_expansion():
     assert w.letters == ((0, -1), (1, -1), (0, 1), (1, 1))
     assert w.exponent_sums(2) == [0, 0]
     assert inverse(w) == commutator(gen(1), gen(0))
+
+
+def test_power_of_a_letter_is_one_letter():
+    assert power(gen(0), 10**12).letters == ((0, 10**12),)
+    assert power(gen(1, -2), -3).letters == ((1, 6),)
+    assert power(Word(), 10**12) == Word()
+    w = concat(gen(0), gen(1))
+    assert power(w, 3) == concat(w, w, w)
+    assert len(power(w, -POWER_LETTER_CAP // 2).letters) == POWER_LETTER_CAP
+    with pytest.raises(TooLarge):
+        power(w, POWER_LETTER_CAP // 2 + 1)
 
 
 def test_nested_commutator_has_zero_exponents():

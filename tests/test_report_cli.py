@@ -55,11 +55,12 @@ def test_analyze_f22_torus():
 
 
 def test_analyze_respects_rank_guard():
-    report = analyze(FreeAbelian(9), reductive(("SL", 2)), r_max_guard=8)
+    report = analyze(FreeAbelian(9), reductive(("SL", 2)))
     assert report.poincare_hom is None and report.poincare_char is None
     assert any("omitted" in c for c in report.caveats)
-    report = analyze(FreeAbelian(9), reductive(("SL", 2)), r_max_guard=9)
+    report = analyze(FreeAbelian(8), reductive(("SL", 2)))
     assert report.poincare_hom is not None
+    assert not any("omitted" in c for c in report.caveats)
 
 
 def test_analyze_omits_polynomials_for_huge_weyl_groups():
@@ -213,6 +214,16 @@ def test_cli_exit_codes(capsys):
                            "--target", "SL12", "--json")
     assert code == 3
     assert json.loads(out)["error"]["type"] == "TooLarge"
+    code, out, _ = run_cli(capsys, "analyze", "--group",
+                           "<a,b | [a,b]^1000000>", "--target", "SL2",
+                           "--json")
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "TooLarge"
+    code, out, _ = run_cli(capsys, "analyze", "--group",
+                           "<a | a^1000000000000>", "--target", "SL2",
+                           "--json")
+    assert code == 0
+    assert json.loads(out)["torsion_h1"] == [10**12]
 
 
 @pytest.mark.parametrize("argv", [
