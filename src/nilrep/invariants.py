@@ -10,14 +10,15 @@ a division that is exact because the coinvariant algebra is finite
 dimensional.  Both depend on w only through det(I + t*w), so the Molien
 averages giving the invariant dimensions degree by degree run over the
 classes of Weyl elements with equal det(I + t*w), weighted by class size.
-Those classes need no enumeration of W: a product's Weyl group is the
-product of its factors', so the factors' class lists multiply, and for
-the classical families the conjugacy classes are (signed) cycle types
-with closed-form sizes and characteristic polynomials (Carter,
-"Conjugacy classes in the Weyl group", 1972).  Only G2 and F4 enumerate
-their Weyl groups, as does the projector oracle at the end.  All
-arithmetic is integer or rational and exact; summation order can never
-change a result.
+A product's Weyl group is the product of its factors', acting block-
+diagonally, so (Kuenneth) both Poincare polynomials of a product are the
+products of its factors' polynomials, each averaged over the factor's
+own classes.  Those classes need no enumeration of W: for the classical
+families they are (signed) cycle types with closed-form sizes and
+characteristic polynomials (Carter, "Conjugacy classes in the Weyl
+group", 1972).  Only G2 and F4 enumerate their Weyl groups, as does the
+projector oracle at the end.  All arithmetic is integer or rational and
+exact; summation order can never change a result.
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ def coinvariant_char(w, degrees) -> GradedPoly:
     exact for every genuine (Weyl element, degrees) pair, so a remainder
     means the caller paired a matrix with the wrong datum.
     """
-    return _coinvariant_series(char_coefficients(w), degrees)
+    return _coinvariant_series(char_coefficients(w),
+                               _coinvariant_numerator(degrees))
 
 
 def _exterior_series(cs, r: int) -> GradedPoly:
@@ -214,14 +216,19 @@ def _exterior_series(cs, r: int) -> GradedPoly:
     return poly(cs) ** r
 
 
-def _coinvariant_series(cs, degrees) -> GradedPoly:
-    """prod_i (1 - t^(2*d_i)) / det(I - t^2*w) from the coefficients cs of
-    det(I + t*w), using det(I - t^2*w) = sum_k c_k (-t^2)^k."""
+def _coinvariant_numerator(degrees) -> GradedPoly:
+    """prod_i (1 - t^(2*d_i)), shared by every Weyl element of a datum."""
     num = ONE
     for d in degrees:
         term = [0] * (2 * d + 1)
         term[0], term[2 * d] = 1, -1
         num = num * poly(term)
+    return num
+
+
+def _coinvariant_series(cs, num: GradedPoly) -> GradedPoly:
+    """num / det(I - t^2*w) from the coefficients cs of det(I + t*w),
+    using det(I - t^2*w) = sum_k c_k (-t^2)^k."""
     den = [0] * (2 * len(cs) - 1)
     for k, c in enumerate(cs):
         den[2 * k] = c if k % 2 == 0 else -c
@@ -301,46 +308,38 @@ def _factor_classes(f: Factor) -> Classes:
     return tuple((p.coefficients, size) for p, size in classes.items())
 
 
-def char_poly_classes(rd: RootDatum) -> Classes:
-    """(coefficients c_k of det(I + t*w), multiplicity) for each distinct
-    det(I + t*w) over W, sorted by coefficients.
+# ---------------------------------------------------------------------------
+# Molien averages, multiplied across the factors
 
-    W is the product of the factors' Weyl groups acting block-diagonally,
-    so the factors' lists convolve: polynomials and multiplicities
-    multiply.  det(I - t^2*w) = sum_k c_k (-t^2)^k, so both graded
-    characters are constant on each class.
-    """
+
+def _molien_product(rd: RootDatum, series_of) -> GradedPoly:
+    """prod over the factors f of rd of the Molien average of
+    series_of(f)(cs) over W_f, cs the coefficients of det(I + t*w): W acts
+    block-diagonally, so the average over W is the product of these."""
     if sum(f.rank() for f in rd.factors) != rd.rank:
         raise NilrepError("root datum factors %s do not account for rank %d"
                           % (list(map(str, rd.factors)), rd.rank))
-    classes = Counter({ONE: 1})
+    out = ONE
     for f in rd.factors:
-        merged = Counter()
-        for p, a in classes.items():
-            for cs, b in _factor_classes(f):
-                merged[p * poly(cs)] += a * b
-        classes = merged
-    return tuple(sorted((p.coefficients, k) for p, k in classes.items()))
-
-
-# ---------------------------------------------------------------------------
-# Molien averages over classes of det(I + t*w)
+        series = series_of(f)
+        total = sum((series(cs) * k for cs, k in _factor_classes(f)), ZERO)
+        out = out * total.divide_int(f.weyl_order())
+    return _finalize(out)
 
 
 def poincare_char_variety(rd: RootDatum, r: int) -> GradedPoly:
     """Poincare polynomial of the identity component of the character
     variety of Z^r: the W-invariants of H^*(T^r)."""
-    total = sum((_exterior_series(cs, r) * k
-                 for cs, k in char_poly_classes(rd)), ZERO)
-    return _finalize(total.divide_int(rd.weyl_order()))
+    return _molien_product(rd, lambda f: lambda cs: _exterior_series(cs, r))
 
 
 def poincare_hom_component(rd: RootDatum, r: int) -> GradedPoly:
     """Poincare polynomial of the identity component of the representation
     variety of Z^r: the W-invariants of H^*(G/T x T^r)."""
-    total = sum((_coinvariant_series(cs, rd.degrees) * _exterior_series(cs, r)
-                 * k for cs, k in char_poly_classes(rd)), ZERO)
-    result = _finalize(total.divide_int(rd.weyl_order()))
+    def series_of(f):
+        num = _coinvariant_numerator(f.degrees())
+        return lambda cs: _coinvariant_series(cs, num) * _exterior_series(cs, r)
+    result = _molien_product(rd, series_of)
     if result.degree() > 2 * rd.positive_coroot_count() + r * rd.rank:
         raise NilrepError("invariant series exceeds dim G/T + r * rank")
     return result

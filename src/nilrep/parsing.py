@@ -59,7 +59,11 @@ class _Scanner:
             raise ParseError("expected an integer", self.pos, ("integer",))
         while self.peek().isdigit():
             self.pos += 1
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError("integer has too many digits", start,
+                             ("integer",)) from None
 
     def positive_integer(self) -> int:
         start = self.pos

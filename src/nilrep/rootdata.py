@@ -24,6 +24,10 @@ from .groups import AbelianInvariants
 from .snf import cokernel_invariants, integer_rank
 
 WEYL_ORDER_BOUND = 10**6
+# checked before any degree or lattice is built: a torus passes the Weyl
+# bound at any size, and a huge written subscript would build its degree
+# list first
+RANK_BOUND = 64
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -109,6 +113,10 @@ class ReductiveSpec:
     def __post_init__(self):
         if not self.factors:
             raise ValueError("need at least one factor")
+        rank = sum(f.rank() for f in self.factors)
+        if rank > RANK_BOUND:
+            raise TooLarge("total rank %d exceeds the supported bound %d"
+                           % (rank, RANK_BOUND))
         if self.weyl_order() > WEYL_ORDER_BOUND:
             raise TooLarge("Weyl group order %d exceeds the supported bound"
                            % self.weyl_order())

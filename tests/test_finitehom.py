@@ -234,17 +234,6 @@ def test_central_image_order_bound_monotone():
 # connectivity verdicts
 
 
-def test_core_verdicts():
-    cases = [
-        (Heisenberg(), reductive(("SL", 2)), "Disconnected"),
-        (Heisenberg(), reductive(("T", 2)), "Connected"),
-        (FreeNilpotent(2, 3), reductive(("Sp", 4)), "Disconnected"),
-        (FreeAbelian(3), reductive(("SL", 2)), "Connected"),
-    ]
-    for g, spec, expected in cases:
-        assert connectivity_verdict(g, spec).status == expected
-
-
 def test_disconnected_verdicts_carry_reasons():
     v = connectivity_verdict(Heisenberg(), reductive(("SL", 2)))
     assert v.witness == (I, J, 1) and v.reason_code == "finite_nonabelian_quotient"

@@ -1,22 +1,42 @@
-"""Package-wide checks: no assert in the library, and the demos run."""
+"""Package-wide checks: no assert in the library, only standard-library
+imports, and the demos run."""
 
 import ast
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "nilrep").glob("*.py"))
 
 
 def test_library_has_no_assert_statements():
     # `python -O` strips assert; invariants must raise NilrepError instead
-    sources = sorted((ROOT / "src" / "nilrep").glob("*.py"))
-    found = ["%s:%d" % (path.name, node.lineno) for path in sources
+    found = ["%s:%d" % (path.name, node.lineno) for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
-    assert sources and found == []
+    assert SOURCES and found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # relative imports stay inside the package; every absolute one must
+    # name a standard-library module
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert SOURCES and found == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])

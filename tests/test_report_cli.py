@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from nilrep import selftest
 from nilrep.cli import main
 from nilrep.groups import (AbelianInvariants, FreeAbelian, FreeNilpotent,
                            Heisenberg)
@@ -63,10 +64,10 @@ def test_analyze_respects_rank_guard():
     assert not any("omitted" in c for c in report.caveats)
 
 
-def test_analyze_omits_polynomials_for_huge_weyl_groups():
-    # |W(SL9)| = 9! once put SL9 past the analyze limit; the class sums
-    # now give Hom(Z, SL9)_1 = SL9, whose Poincare polynomial is the
-    # product of (1 + t^(2d - 1)) over the degrees d = 2..9
+def test_analyze_reports_polynomials_for_sl9():
+    # |W(SL9)| = 9!, summed over cycle types: Hom(Z, SL9)_1 = SL9, whose
+    # Poincare polynomial is the product of (1 + t^(2d - 1)) over the
+    # degrees d = 2..9
     hopf = hopf_product(range(2, 10))
     assert hopf.degree() == 80 and hopf(1) == 2 ** 8      # dim SL9, rank 8
     report = analyze(FreeAbelian(1), reductive(("SL", 9)))
@@ -188,12 +189,19 @@ def test_cli_bound(capsys):
     assert json.loads(out)["bound"] == 64
 
 
-def test_cli_selftest(capsys):
+def test_cli_selftest(capsys, monkeypatch):
+    # the checks themselves run in tests/test_acceptance.py; here only how
+    # selftest reports a pass, a failure and a check that raises
+    def broken():
+        raise ZeroDivisionError("boom")
+    monkeypatch.setattr(selftest, "CHECKS", (("passes", lambda: True),
+                                             ("fails", lambda: False),
+                                             ("breaks", broken)))
     code, out, _ = run_cli(capsys, "selftest")
-    assert code == 0
-    lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 11
-    assert all(line.startswith("PASS") for line in lines)
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS: passes", "FAIL: fails",
+        "FAIL: breaks (raised ZeroDivisionError: boom)"]
 
 
 def test_cli_exit_codes(capsys):
@@ -210,10 +218,17 @@ def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "analyze", "--group", "H3",
                            "--target", "Sp5")
     assert code == 3
-    code, out, _ = run_cli(capsys, "analyze", "--group", "H3",
-                           "--target", "SL12", "--json")
-    assert code == 3
-    assert json.loads(out)["error"]["type"] == "TooLarge"
+    # the total rank is bounded before any degree or lattice is built
+    for target in ("SL12", "SL100000000", "T100000"):
+        code, out, _ = run_cli(capsys, "analyze", "--group", "Z",
+                               "--target", target, "--json")
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "TooLarge"
+    code, out, _ = run_cli(capsys, "analyze", "--group", "Z",
+                           "--target", "T64", "--json")
+    assert code == 0
+    assert (json.loads(out)["poincare_char"]
+            == list((poly([1, 1]) ** 64).coefficients))
     code, out, _ = run_cli(capsys, "analyze", "--group",
                            "<a,b | [a,b]^1000000>", "--target", "SL2",
                            "--json")
@@ -234,6 +249,10 @@ def test_cli_exit_codes(capsys):
     ["homcount", "--group", "Z", "--finite", "c0"],
     ["homcount", "--group", "Z", "--finite", "d0"],
     ["bound", "--m", "0"],
+    # more digits than Python converts to int
+    ["analyze", "--group", "Z", "--target", "SL" + "9" * 5000],
+    ["analyze", "--group", "Z^" + "9" * 5000, "--target", "SL2"],
+    ["analyze", "--group", "<a | a^%s>" % ("9" * 5000), "--target", "SL2"],
 ])
 def test_cli_rejects_degenerate_sizes_as_parse_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
