@@ -46,7 +46,13 @@ def _positive(option: str, value: int) -> int:
 def _finite_target(name: str):
     if name == "q8":
         return q8()
-    size = int(name[1:]) if name[1:].isdigit() else 0
+    size = 0
+    if name[1:].isdecimal():
+        try:
+            size = int(name[1:])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError("finite group order has too many digits", 1,
+                             ("integer",)) from None
     if name.startswith("c") and size >= 1:
         return cyclic(size)
     if name.startswith("d") and size >= 1:

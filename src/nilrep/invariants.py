@@ -16,9 +16,11 @@ products of its factors' polynomials, each averaged over the factor's
 own classes.  Those classes need no enumeration of W: for the classical
 families they are (signed) cycle types with closed-form sizes and
 characteristic polynomials (Carter, "Conjugacy classes in the Weyl
-group", 1972).  Only G2 and F4 enumerate their Weyl groups, as does the
-projector oracle at the end.  All arithmetic is integer or rational and
-exact; summation order can never change a result.
+group", 1972), and for G2 and F4 they are literal tables.  No Molien sum
+enumerates a Weyl group; only the referees do (the projector oracle at
+the end, given rootdata.enumerate_weyl, and the tests).  All arithmetic
+is integer or rational and exact; summation order can never change a
+result.
 """
 
 from __future__ import annotations
@@ -31,12 +33,19 @@ from itertools import combinations
 from math import factorial, prod
 
 from .errors import InexactDivision, NilrepError, TooLarge
-from .rootdata import (Factor, ReductiveSpec, RootDatum, build_root_datum,
-                       enumerate_weyl)
+# re-exported: perfbench/spans.py traces the referees' Weyl enumeration
+# as nilrep.invariants.enumerate_weyl
+from .rootdata import Factor, RootDatum, enumerate_weyl  # noqa: F401
 from .snf import int_det
 
 # (coefficients of det(I + t*w), number of Weyl elements w) pairs
 Classes = tuple[tuple[tuple[int, ...], int], ...]
+
+# the largest r * rank whose Poincare polynomials are computed: rank is at
+# most rootdata.RANK_BOUND = 64, so every r <= 8 is inside it.  Measured
+# costs of both polynomials: SL2 at r = 512 about 0.55 s, SL9 at r = 64
+# about 6.8 s.
+OUTPUT_BOUND = 512
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +276,32 @@ def _cycles_poly(parts, sign: int) -> GradedPoly:
     return out
 
 
+# det(I + t*w) over the Weyl groups of G2 (dihedral of order 12) and F4
+# (order 1152), bucketed once from rootdata.enumerate_weyl.  Conjugacy
+# classes with equal characteristic polynomial share a row, so G2's 6
+# classes give 5 rows and F4's 25 give 17 (Carter, "Conjugacy classes in
+# the Weyl group", 1972, lists the classes with their characteristic
+# polynomials).  The reflections form the row (1 + t)^(l-1) (1 - t), one
+# element per positive coroot; tests referee the table against W.
+_EXCEPTIONAL_CLASSES: dict[str, Classes] = {
+    "G2": (
+        ((1, -2, 1), 1), ((1, -1, 1), 2), ((1, 0, -1), 6),
+        ((1, 1, 1), 2), ((1, 2, 1), 1),
+    ),
+    "F4": (
+        ((1, -4, 6, -4, 1), 1), ((1, -2, 0, 2, -1), 24),
+        ((1, -2, 2, -2, 1), 36), ((1, -2, 3, -2, 1), 16),
+        ((1, -1, 0, -1, 1), 64), ((1, -1, 0, 1, -1), 192),
+        ((1, 0, -2, 0, 1), 90), ((1, 0, -1, 0, 1), 96),
+        ((1, 0, 0, 0, -1), 144), ((1, 0, 0, 0, 1), 144),
+        ((1, 0, 2, 0, 1), 12), ((1, 1, 0, -1, -1), 192),
+        ((1, 1, 0, 1, 1), 64), ((1, 2, 0, -2, -1), 24),
+        ((1, 2, 2, 2, 1), 36), ((1, 2, 3, 2, 1), 16),
+        ((1, 4, 6, 4, 1), 1),
+    ),
+}
+
+
 @lru_cache(maxsize=None)
 def _factor_classes(f: Factor) -> Classes:
     """(coefficients of det(I + t*w), multiplicity) over the Weyl group of
@@ -278,9 +313,11 @@ def _factor_classes(f: Factor) -> Classes:
     signed permutations: one class per pair (alpha, beta) of partitions
     of the positive and negative cycle lengths, |alpha| + |beta| = k, of
     size 2^k k!/(z_alpha z_beta); type D keeps the pairs with an even
-    number of negative cycles.  G2 and F4 are enumerated.
+    number of negative cycles.  G2 and F4 read _EXCEPTIONAL_CLASSES.
     """
     fam, n = f.family, f.param
+    if fam in _EXCEPTIONAL_CLASSES:
+        return _EXCEPTIONAL_CLASSES[fam]
     classes = Counter()
     if fam == "T":
         classes[poly([1, 1]) ** n] = 1
@@ -290,9 +327,6 @@ def _factor_classes(f: Factor) -> Classes:
             if fam != "GL":
                 p = p.exact_div(poly([1, 1]))
             classes[p] += factorial(n) // _centralizer_order(lam)
-    elif fam in ("G2", "F4"):
-        for w in enumerate_weyl(build_root_datum(ReductiveSpec((f,)))):
-            classes[poly(char_coefficients(w))] += 1
     else:
         k = n // 2
         type_d = fam != "Sp" and n % 2 == 0
@@ -327,15 +361,26 @@ def _molien_product(rd: RootDatum, series_of) -> GradedPoly:
     return _finalize(out)
 
 
+def _check_output_size(rd: RootDatum, r: int) -> None:
+    if r * rd.rank > OUTPUT_BOUND:
+        raise TooLarge("free rank %d times rank %d exceeds the output bound "
+                       "r * rank <= %d" % (r, rd.rank, OUTPUT_BOUND))
+
+
 def poincare_char_variety(rd: RootDatum, r: int) -> GradedPoly:
     """Poincare polynomial of the identity component of the character
-    variety of Z^r: the W-invariants of H^*(T^r)."""
+    variety of Z^r: the W-invariants of H^*(T^r).  Raises TooLarge past
+    OUTPUT_BOUND."""
+    _check_output_size(rd, r)
     return _molien_product(rd, lambda f: lambda cs: _exterior_series(cs, r))
 
 
 def poincare_hom_component(rd: RootDatum, r: int) -> GradedPoly:
     """Poincare polynomial of the identity component of the representation
-    variety of Z^r: the W-invariants of H^*(G/T x T^r)."""
+    variety of Z^r: the W-invariants of H^*(G/T x T^r).  Raises TooLarge
+    past OUTPUT_BOUND."""
+    _check_output_size(rd, r)
+
     def series_of(f):
         num = _coinvariant_numerator(f.degrees())
         return lambda cs: _coinvariant_series(cs, num) * _exterior_series(cs, r)

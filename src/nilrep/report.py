@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import TooLarge
 from .finitehom import Verdict, connectivity_verdict
 from .groups import AbelianInvariants, GroupSpec, abelianize
 from .invariants import (GradedPoly, poincare_char_variety,
                          poincare_hom_component)
 from .rootdata import (ReductiveSpec, build_root_datum, pi1_G, pi1_G_ab)
-
-R_MAX_GUARD = 8
 
 FIXED_CAVEATS = (
     "All statements describe the connected component of the trivial "
@@ -91,21 +90,20 @@ class AnalysisReport:
 
 def analyze(g: GroupSpec, spec: ReductiveSpec) -> AnalysisReport:
     """Full report for one pair; Poincare polynomials are skipped (with a
-    stated caveat) only when the free rank exceeds R_MAX_GUARD.  The
-    Molien sums run over classes of Weyl elements, so every target that
-    ReductiveSpec admits gets its polynomials."""
+    stated caveat) only when r * rank exceeds invariants.OUTPUT_BOUND.
+    The Molien sums run over classes of Weyl elements, so every target
+    that ReductiveSpec admits gets its polynomials within that bound."""
     ab = abelianize(g)
     r = ab.rank
     rd = build_root_datum(spec)
     caveats = list(FIXED_CAVEATS)
 
     poincare_hom = poincare_char = None
-    if r > R_MAX_GUARD:
-        caveats.append("Poincare polynomials omitted: free rank %d exceeds "
-                       "the guard %d." % (r, R_MAX_GUARD))
-    else:
+    try:
         poincare_hom = poincare_hom_component(rd, r)
         poincare_char = poincare_char_variety(rd, r)
+    except TooLarge as exc:
+        caveats.append("Poincare polynomials omitted: %s." % exc)
 
     return AnalysisReport(
         group=str(g),

@@ -2,13 +2,14 @@
 
 Each catalog factor is realized by the cocharacter lattice of a maximal
 torus (identified with Z^rank), the set of coroots inside it, and the
-simple reflections as integer matrices.  The Weyl group is enumerated by
-closure of the simple reflections; pi_1(G) is the cocharacter lattice
-modulo the coroot lattice, and the dimension of G/[G,G] is the corank of
-the coroot span.  Degrees of the fundamental Weyl invariants come from
-the classical tables, with one degree-1 entry per central torus
-dimension so that coinvariant-algebra characters work uniformly for
-reductive (not just semisimple) groups.
+simple reflections as integer matrices.  The Weyl group can be enumerated
+by closure of the simple reflections (a referee: no pipeline needs its
+elements); pi_1(G) is the cocharacter lattice modulo the coroot lattice,
+and the dimension of G/[G,G] is the corank of the coroot span.  Degrees
+of the fundamental Weyl invariants come from the classical tables, with
+one degree-1 entry per central torus dimension so that coinvariant-
+algebra characters work uniformly for reductive (not just semisimple)
+groups.
 
 Supported families: SL(n>=2), GL(n>=1), PGL(n>=2), Sp(2n), SO(n>=3),
 Spin(n>=3), G2, F4, and tori.  Everything else raises UnsupportedType.
@@ -21,7 +22,7 @@ from math import prod
 
 from .errors import NilrepError, TooLarge, UnsupportedType
 from .groups import AbelianInvariants
-from .snf import cokernel_invariants, integer_rank
+from .snf import cokernel_invariants, identity_matrix, integer_rank, mat_mul
 
 WEYL_ORDER_BOUND = 10**6
 # checked before any degree or lattice is built: a torus passes the Weyl
@@ -151,18 +152,11 @@ def reductive(*factors: tuple[str, int] | Factor | str) -> ReductiveSpec:
 # lattice models
 
 
-def _identity(n) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _frozen(rows) -> Matrix:
+    return tuple(map(tuple, rows))
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b)) if n else ()
-    return tuple(tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt)
-                 for ra in a)
-
-
-def _apply(m: Matrix, v: Vector) -> Vector:
+def _apply(m, v: Vector) -> Vector:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
 
 
@@ -206,10 +200,10 @@ def _simply_connected_model(cartan):
     coroots = [tuple(1 if k == j else 0 for k in range(l)) for j in range(l)]
     reflections = []
     for i in range(l):
-        rows = [list(row) for row in _identity(l)]
+        rows = identity_matrix(l)
         for j in range(l):
             rows[i][j] -= cartan[i][j]
-        reflections.append(tuple(tuple(r) for r in rows))
+        reflections.append(rows)
     return l, coroots, reflections
 
 
@@ -223,17 +217,17 @@ def _adjoint_model(cartan):
     coroots = [tuple(cartan[i][j] for i in range(l)) for j in range(l)]
     reflections = []
     for i in range(l):
-        rows = [list(row) for row in _identity(l)]
+        rows = identity_matrix(l)
         for k in range(l):
             rows[k][i] -= cartan[k][i]
-        reflections.append(tuple(tuple(r) for r in rows))
+        reflections.append(rows)
     return l, coroots, reflections
 
 
-def _swap_matrix(n, i, j) -> Matrix:
-    rows = [list(row) for row in _identity(n)]
+def _swap_matrix(n, i, j) -> list[list[int]]:
+    rows = identity_matrix(n)
     rows[i], rows[j] = rows[j], rows[i]
-    return tuple(tuple(r) for r in rows)
+    return rows
 
 
 def _gl_model(n):
@@ -254,7 +248,7 @@ def _so_even_model(k):
         swap_neg[t][t] = 1
     swap_neg[k - 2][k - 1] = -1
     swap_neg[k - 1][k - 2] = -1
-    reflections.append(tuple(tuple(r) for r in swap_neg))
+    reflections.append(swap_neg)
     coroots = [tuple((1 if t == i else 0) - (1 if t == i + 1 else 0)
                      for t in range(k)) for i in range(k - 1)]
     coroots.append(tuple(1 if t >= k - 2 else 0 for t in range(k)))
@@ -326,10 +320,10 @@ class RootDatum:
     def __post_init__(self):
         if len(self.degrees) != self.rank:
             raise ValueError("need one degree per lattice dimension")
-        ident = _identity(self.rank)
+        ident = identity_matrix(self.rank)
         coroot_set = set(self.coroots)
         for s in self.simple_reflections:
-            if _mat_mul(s, s) != ident:
+            if mat_mul(s, s) != ident:
                 raise ValueError("simple reflections must be involutions")
             if {_apply(s, v) for v in coroot_set} != coroot_set:
                 raise ValueError("reflections must permute the coroots")
@@ -354,11 +348,11 @@ def build_root_datum(spec: ReductiveSpec) -> RootDatum:
         pad = lambda v: (0,) * offset + v + (0,) * (total - offset - rank)
         coroots.extend(pad(v) for v in full)
         for s in simple_refl:
-            rows = [list(row) for row in _identity(total)]
+            rows = identity_matrix(total)
             for i in range(rank):
                 for j in range(rank):
                     rows[offset + i][offset + j] = s[i][j]
-            reflections.append(tuple(tuple(r) for r in rows))
+            reflections.append(_frozen(rows))
         degrees.extend(f.degrees())
         offset += rank
     return RootDatum(total, tuple(sorted(coroots)), tuple(reflections),
@@ -371,14 +365,14 @@ def enumerate_weyl(rd: RootDatum) -> tuple[Matrix, ...]:
     expected = rd.weyl_order()
     if expected > WEYL_ORDER_BOUND:
         raise TooLarge("Weyl order %d exceeds the enumeration bound" % expected)
-    ident = _identity(rd.rank)
+    ident = _frozen(identity_matrix(rd.rank))
     seen = {ident}
     frontier = [ident]
     while frontier:
         fresh = []
         for m in frontier:
             for s in rd.simple_reflections:
-                p = _mat_mul(m, s)
+                p = _frozen(mat_mul(m, s))
                 if p not in seen:
                     seen.add(p)
                     fresh.append(p)

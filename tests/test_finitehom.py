@@ -204,6 +204,11 @@ def test_search_limits():
         enumerate_homs(FreeAbelian(7), Q8)
     with pytest.raises(TooLarge):
         enumerate_homs(FreeNilpotent(4, 2), Q8)   # 10 generators
+    # tables have order^2 entries, so the order is bounded first
+    assert cyclic(256).order == dihedral(128).order == 256
+    for build, n in ((cyclic, 257), (dihedral, 129), (cyclic, 10**8)):
+        with pytest.raises(TooLarge):
+            build(n)
 
 
 def test_abelian_specs_never_produce_witnesses():

@@ -6,12 +6,16 @@ from itertools import combinations
 
 import pytest
 
+from nilrep import invariants, rootdata
+from nilrep.cli import main
 from nilrep.errors import InexactDivision, NilrepError, TooLarge
+from nilrep.groups import FreeAbelian
 from nilrep.invariants import (GradedPoly, _factor_classes, _finalize,
                                char_coefficients, coinvariant_char,
                                exterior_char, exterior_invariant_dims_oracle,
                                poincare_char_variety, poincare_hom_component,
                                poly)
+from nilrep.report import analyze
 from nilrep.rootdata import (Factor, RootDatum, build_root_datum,
                              enumerate_weyl, reductive)
 from nilrep.selftest import hopf_product
@@ -209,6 +213,37 @@ def test_class_sums_beyond_enumeration_range():
             factors
         assert (poincare_char_variety(rd, 1)
                 == poly([1, 1]) ** rd.degrees.count(1)), factors
+
+
+def test_exceptional_tables_without_enumeration():
+    # facts that need no enumeration: the rows count every element of W,
+    # the reflections (1 + t)^(l-1) (1 - t) are one per positive coroot,
+    # and -1 in W makes each table closed under t -> -t
+    for name in ("G2", "F4"):
+        f = Factor(name)
+        table = dict(_factor_classes(f))
+        assert sum(table.values()) == f.weyl_order()
+        l = f.rank()
+        reflection = poly([1, 1]) ** (l - 1) * poly([1, -1])
+        assert (table[reflection.coefficients]
+                == rd_of(name).positive_coroot_count()
+                == {"G2": 6, "F4": 24}[name])
+        for cs, k in table.items():
+            flipped = tuple(c * (-1) ** d for d, c in enumerate(cs))
+            assert table[flipped] == k, (name, cs)
+
+
+def test_molien_path_enumerates_no_weyl_group(monkeypatch, capsys):
+    def refuse(rd):
+        raise AssertionError("Weyl group enumerated")
+    monkeypatch.setattr(invariants, "enumerate_weyl", refuse)
+    monkeypatch.setattr(rootdata, "enumerate_weyl", refuse)
+    _factor_classes.cache_clear()
+    for r in (1, 2, 3):
+        report = analyze(FreeAbelian(r), reductive("G2", "F4"))
+        assert report.poincare_hom is not None, r
+    assert main(["poincare", "--group", "Z^2", "--target", "G2 x F4"]) == 0
+    assert "poincare_hom" in capsys.readouterr().out
 
 
 def test_hand_built_datum_without_factors_is_refused():

@@ -56,10 +56,15 @@ def test_analyze_f22_torus():
 
 
 def test_analyze_respects_rank_guard():
-    report = analyze(FreeAbelian(9), reductive(("SL", 2)))
+    # one bound on the output size r * rank, 512: T64 is past it at r = 9
+    # and on it at r = 8, and SL2 reports at r = 9
+    report = analyze(FreeAbelian(9), reductive(("T", 64)))
     assert report.poincare_hom is None and report.poincare_char is None
-    assert any("omitted" in c for c in report.caveats)
-    report = analyze(FreeAbelian(8), reductive(("SL", 2)))
+    assert any("omitted" in c and "512" in c for c in report.caveats)
+    report = analyze(FreeAbelian(8), reductive(("T", 64)))
+    assert report.poincare_char == poly([1, 1]) ** 512
+    assert not any("omitted" in c for c in report.caveats)
+    report = analyze(FreeAbelian(9), reductive(("SL", 2)))
     assert report.poincare_hom is not None
     assert not any("omitted" in c for c in report.caveats)
 
@@ -239,6 +244,14 @@ def test_cli_exit_codes(capsys):
                            "--json")
     assert code == 0
     assert json.loads(out)["torsion_h1"] == [10**12]
+    # output and table sizes are bounded before any work
+    for argv in (["poincare", "--r-override", "3000", "--target", "SL2"],
+                 ["poincare", "--group", "Z^9", "--target", "T64"],
+                 ["homcount", "--group", "Z", "--finite", "c100000000"],
+                 ["homcount", "--group", "Z", "--finite", "d129"]):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 3, argv
+        assert json.loads(out)["error"]["type"] == "TooLarge"
 
 
 @pytest.mark.parametrize("argv", [
@@ -253,6 +266,7 @@ def test_cli_exit_codes(capsys):
     ["analyze", "--group", "Z", "--target", "SL" + "9" * 5000],
     ["analyze", "--group", "Z^" + "9" * 5000, "--target", "SL2"],
     ["analyze", "--group", "<a | a^%s>" % ("9" * 5000), "--target", "SL2"],
+    ["homcount", "--group", "Z", "--finite", "c" + "9" * 5000],
 ])
 def test_cli_rejects_degenerate_sizes_as_parse_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
