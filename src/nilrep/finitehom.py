@@ -318,7 +318,8 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
             image = target.closure(images)
             if len(image) == target.order:
                 counts["surjective"] += 1
-            if found[0] is None and not target.is_abelian_subset(image):
+            # commuting generators generate an abelian group
+            if found[0] is None and not target.is_abelian_subset(images):
                 found[0] = tuple(images)
             return
         for candidate in range(target.order):

@@ -33,6 +33,7 @@ from itertools import combinations
 from math import factorial, prod
 
 from .errors import InexactDivision, NilrepError, TooLarge
+from .groups import OUTPUT_BOUND
 # re-exported: perfbench/spans.py traces the referees' Weyl enumeration
 # as nilrep.invariants.enumerate_weyl
 from .rootdata import Factor, RootDatum, enumerate_weyl  # noqa: F401
@@ -40,12 +41,6 @@ from .snf import int_det
 
 # (coefficients of det(I + t*w), number of Weyl elements w) pairs
 Classes = tuple[tuple[tuple[int, ...], int], ...]
-
-# the largest r * rank whose Poincare polynomials are computed: rank is at
-# most rootdata.RANK_BOUND = 64, so every r <= 8 is inside it.  Measured
-# costs of both polynomials: SL2 at r = 512 about 0.55 s, SL9 at r = 64
-# about 6.8 s.
-OUTPUT_BOUND = 512
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +345,6 @@ def _molien_product(rd: RootDatum, series_of) -> GradedPoly:
     """prod over the factors f of rd of the Molien average of
     series_of(f)(cs) over W_f, cs the coefficients of det(I + t*w): W acts
     block-diagonally, so the average over W is the product of these."""
-    if sum(f.rank() for f in rd.factors) != rd.rank:
-        raise NilrepError("root datum factors %s do not account for rank %d"
-                          % (list(map(str, rd.factors)), rd.rank))
     out = ONE
     for f in rd.factors:
         series = series_of(f)

@@ -2,14 +2,14 @@
 
 Each catalog factor is realized by the cocharacter lattice of a maximal
 torus (identified with Z^rank), the set of coroots inside it, and the
-simple reflections as integer matrices.  The Weyl group can be enumerated
-by closure of the simple reflections (a referee: no pipeline needs its
-elements); pi_1(G) is the cocharacter lattice modulo the coroot lattice,
-and the dimension of G/[G,G] is the corank of the coroot span.  Degrees
-of the fundamental Weyl invariants come from the classical tables, with
-one degree-1 entry per central torus dimension so that coinvariant-
-algebra characters work uniformly for reductive (not just semisimple)
-groups.
+simple reflections as integer matrices; a product is one such block per
+factor, and every fact here is computed block by block.  pi_1(G) is the
+cocharacter lattice modulo the coroot lattice, and the dimension of
+G/[G,G] is the corank of the coroot span.  Only the referees enumerate
+the Weyl group.  Degrees of the fundamental Weyl invariants come from the
+classical tables, with one degree-1 entry per central torus dimension so
+that coinvariant-algebra characters work uniformly for reductive (not
+just semisimple) groups.
 
 Supported families: SL(n>=2), GL(n>=1), PGL(n>=2), Sp(2n), SO(n>=3),
 Spin(n>=3), G2, F4, and tori.  Everything else raises UnsupportedType.
@@ -18,12 +18,15 @@ Spin(n>=3), G2, F4, and tori.  Everything else raises UnsupportedType.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
 
 from .errors import NilrepError, TooLarge, UnsupportedType
 from .groups import AbelianInvariants
 from .snf import cokernel_invariants, identity_matrix, integer_rank, mat_mul
 
+# per factor, not per product: a factor's Molien class list grows with
+# the partition numbers (SL30: 5,604 rows); RANK_BOUND alone admits SL65
 WEYL_ORDER_BOUND = 10**6
 # checked before any degree or lattice is built: a torus passes the Weyl
 # bound at any size, and a huge written subscript would build its degree
@@ -68,9 +71,7 @@ class Factor:
             return n - 1
         if fam in ("GL", "T"):
             return n
-        if fam == "Sp":
-            return n // 2
-        if fam in ("SO", "Spin"):
+        if fam in ("Sp", "SO", "Spin"):
             return n // 2
         return {"G2": 2, "F4": 4}[fam]
 
@@ -118,12 +119,10 @@ class ReductiveSpec:
         if rank > RANK_BOUND:
             raise TooLarge("total rank %d exceeds the supported bound %d"
                            % (rank, RANK_BOUND))
-        if self.weyl_order() > WEYL_ORDER_BOUND:
-            raise TooLarge("Weyl group order %d exceeds the supported bound"
-                           % self.weyl_order())
-
-    def weyl_order(self) -> int:
-        return prod(f.weyl_order() for f in self.factors)
+        for f in self.factors:
+            if f.weyl_order() > WEYL_ORDER_BOUND:
+                raise TooLarge("Weyl group order %d exceeds the supported "
+                               "bound" % f.weyl_order())
 
     def is_torus(self) -> bool:
         return all(f.is_torus() for f in self.factors)
@@ -204,7 +203,7 @@ def _simply_connected_model(cartan):
         for j in range(l):
             rows[i][j] -= cartan[i][j]
         reflections.append(rows)
-    return l, coroots, reflections
+    return coroots, reflections
 
 
 def _adjoint_model(cartan):
@@ -221,7 +220,7 @@ def _adjoint_model(cartan):
         for k in range(l):
             rows[k][i] -= cartan[k][i]
         reflections.append(rows)
-    return l, coroots, reflections
+    return coroots, reflections
 
 
 def _swap_matrix(n, i, j) -> list[list[int]]:
@@ -232,12 +231,10 @@ def _swap_matrix(n, i, j) -> list[list[int]]:
 
 def _gl_model(n):
     """GL_n on Z^n: the symmetric group permuting coordinates."""
-    if n == 1:
-        return 1, [], []
     coroots = [tuple((1 if k == i else 0) - (1 if k == i + 1 else 0)
                      for k in range(n)) for i in range(n - 1)]
     reflections = [_swap_matrix(n, i, i + 1) for i in range(n - 1)]
-    return n, coroots, reflections
+    return coroots, reflections
 
 
 def _so_even_model(k):
@@ -252,13 +249,14 @@ def _so_even_model(k):
     coroots = [tuple((1 if t == i else 0) - (1 if t == i + 1 else 0)
                      for t in range(k)) for i in range(k - 1)]
     coroots.append(tuple(1 if t >= k - 2 else 0 for t in range(k)))
-    return k, coroots, reflections
+    return coroots, reflections
 
 
 def _factor_model(f: Factor):
+    """(simple coroots, simple reflections) in the factor's own lattice."""
     fam, n = f.family, f.param
     if fam == "T":
-        return n, [], []
+        return [], []
     if fam == "GL":
         return _gl_model(n)
     if fam == "SL":
@@ -281,18 +279,19 @@ def _factor_model(f: Factor):
     raise UnsupportedType("unknown family %r" % fam)
 
 
-def _coroot_closure(simple_coroots, reflections) -> tuple[Vector, ...]:
-    """Full coroot system: the orbit of the simple coroots under W."""
-    seen = set(simple_coroots)
-    frontier = list(simple_coroots)
+def _orbit(start, reflections, act) -> tuple:
+    """The breadth-first closure of start under x -> act(s, x) for the
+    simple reflections s, sorted for determinism."""
+    seen = set(start)
+    frontier = list(start)
     while frontier:
         fresh = []
-        for v in frontier:
+        for x in frontier:
             for s in reflections:
-                w = _apply(s, v)
-                if w not in seen:
-                    seen.add(w)
-                    fresh.append(w)
+                y = act(s, x)
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
         frontier = fresh
     return tuple(sorted(seen))
 
@@ -302,106 +301,104 @@ def _coroot_closure(simple_coroots, reflections) -> tuple[Vector, ...]:
 
 
 @dataclass(frozen=True)
-class RootDatum:
-    """Cocharacter lattice Z^rank with coroots and simple reflections.
+class Block:
+    """One factor's cocharacter lattice Z^rank: its full (positive and
+    negative) coroot system, which the factor's Weyl group permutes, and
+    its simple reflections as integer matrices."""
 
-    coroots holds the full (positive and negative) coroot system, so the
-    Weyl group permutes it; degrees multiply to the Weyl order and there
-    is one per lattice dimension.  factors names the catalog factors the
-    datum was assembled from, in block order (empty for a hand-built one).
-    """
-
-    rank: int
     coroots: tuple[Vector, ...]
     simple_reflections: tuple[Matrix, ...]
-    degrees: tuple[int, ...]
-    factors: tuple[Factor, ...] = ()
+
+
+@dataclass(frozen=True)
+class RootDatum:
+    """A product of catalog factors, one lattice block per factor.
+
+    blocks[i] lives in the rank of factors[i]; the whole lattice is their
+    direct sum, on which W = prod W_i acts block-diagonally, so rank,
+    degrees and the Weyl order are read off the factors.
+    """
+
+    factors: tuple[Factor, ...]
+    blocks: tuple[Block, ...]
 
     def __post_init__(self):
-        if len(self.degrees) != self.rank:
-            raise ValueError("need one degree per lattice dimension")
-        ident = identity_matrix(self.rank)
-        coroot_set = set(self.coroots)
-        for s in self.simple_reflections:
-            if mat_mul(s, s) != ident:
-                raise ValueError("simple reflections must be involutions")
-            if {_apply(s, v) for v in coroot_set} != coroot_set:
-                raise ValueError("reflections must permute the coroots")
+        for f, b in zip(self.factors, self.blocks, strict=True):
+            ident = identity_matrix(f.rank())
+            for s in b.simple_reflections:
+                if mat_mul(s, s) != ident:
+                    raise ValueError("simple reflections must be involutions")
+                if {_apply(s, v) for v in b.coroots} != set(b.coroots):
+                    raise ValueError("reflections must permute the coroots")
+
+    @property
+    def rank(self) -> int:
+        return sum(f.rank() for f in self.factors)
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(sorted(d for f in self.factors for d in f.degrees()))
 
     def weyl_order(self) -> int:
-        return prod(self.degrees)
+        return prod(f.weyl_order() for f in self.factors)
 
     def positive_coroot_count(self) -> int:
-        return len(self.coroots) // 2
+        return sum(len(b.coroots) for b in self.blocks) // 2
 
 
 def build_root_datum(spec: ReductiveSpec) -> RootDatum:
-    """Block-diagonal assembly of the factor lattice models."""
-    total = sum(f.rank() for f in spec.factors)
-    coroots: list[Vector] = []
-    reflections: list[Matrix] = []
-    degrees: list[int] = []
-    offset = 0
+    """One block per factor, in the factor's own lattice model."""
+    blocks = []
     for f in spec.factors:
-        rank, simple_coroots, simple_refl = _factor_model(f)
-        full = _coroot_closure(simple_coroots, simple_refl)
-        pad = lambda v: (0,) * offset + v + (0,) * (total - offset - rank)
-        coroots.extend(pad(v) for v in full)
-        for s in simple_refl:
-            rows = identity_matrix(total)
-            for i in range(rank):
-                for j in range(rank):
-                    rows[offset + i][offset + j] = s[i][j]
-            reflections.append(_frozen(rows))
-        degrees.extend(f.degrees())
-        offset += rank
-    return RootDatum(total, tuple(sorted(coroots)), tuple(reflections),
-                     tuple(sorted(degrees)), spec.factors)
+        simple_coroots, simple_refl = _factor_model(f)
+        # the full coroot system is the orbit of the simple coroots
+        blocks.append(Block(_orbit(simple_coroots, simple_refl, _apply),
+                            tuple(map(_frozen, simple_refl))))
+    return RootDatum(spec.factors, tuple(blocks))
 
 
 def enumerate_weyl(rd: RootDatum) -> tuple[Matrix, ...]:
-    """All Weyl elements as integer matrices, sorted for determinism: the
-    breadth-first closure of the simple reflections under multiplication."""
+    """All Weyl elements as integer matrices on the whole lattice: the
+    closure of the simple reflections, each padded to a block-diagonal
+    matrix of the full rank."""
     expected = rd.weyl_order()
     if expected > WEYL_ORDER_BOUND:
         raise TooLarge("Weyl order %d exceeds the enumeration bound" % expected)
-    ident = _frozen(identity_matrix(rd.rank))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for m in frontier:
-            for s in rd.simple_reflections:
-                p = _frozen(mat_mul(m, s))
-                if p not in seen:
-                    seen.add(p)
-                    fresh.append(p)
-        frontier = fresh
-    if len(seen) != expected:
+    total, reflections, offset = rd.rank, [], 0
+    for f, b in zip(rd.factors, rd.blocks):
+        for s in b.simple_reflections:
+            rows = identity_matrix(total)
+            for i, row in enumerate(s):
+                rows[offset + i][offset:offset + len(row)] = row
+            reflections.append(_frozen(rows))
+        offset += f.rank()
+    weyl = _orbit([_frozen(identity_matrix(total))], reflections,
+                  lambda s, m: _frozen(mat_mul(m, s)))
+    if len(weyl) != expected:
         raise NilrepError("Weyl closure produced %d elements, expected %d"
-                          % (len(seen), expected))
-    return tuple(sorted(seen))
+                          % (len(weyl), expected))
+    return weyl
 
 
 # ---------------------------------------------------------------------------
 # fundamental groups
 
 
-def _coroot_matrix(rd: RootDatum) -> list[list[int]]:
-    return [[v[i] for v in rd.coroots] for i in range(rd.rank)]
+def _coroot_matrices(rd: RootDatum):
+    """Each block's coroots as the columns of a rank x |coroots| matrix."""
+    return [[[v[i] for v in b.coroots] for i in range(f.rank())]
+            for f, b in zip(rd.factors, rd.blocks)]
 
 
 def pi1_G(rd: RootDatum) -> AbelianInvariants:
-    """pi_1 of the group: cocharacter lattice modulo the coroot lattice."""
-    if not rd.coroots:
-        return AbelianInvariants(rd.rank)
-    rank, torsion = cokernel_invariants(_coroot_matrix(rd))
-    return AbelianInvariants(rank, torsion)
+    """pi_1 of the group: cocharacter lattice modulo the coroot lattice,
+    the direct sum of the blocks' cokernels."""
+    return reduce(AbelianInvariants.direct_sum,
+                  (AbelianInvariants(*cokernel_invariants(m))
+                   for m in _coroot_matrices(rd)), AbelianInvariants(0))
 
 
 def pi1_G_ab(rd: RootDatum) -> int:
-    """dim G/[G,G], the corank of the coroot span; pi_1 of that torus is
-    Z^result."""
-    if not rd.coroots:
-        return rd.rank
-    return rd.rank - integer_rank(_coroot_matrix(rd))
+    """dim G/[G,G], the corank of the coroot span summed over the blocks;
+    pi_1 of that torus is Z^result."""
+    return sum(len(m) - integer_rank(m) for m in _coroot_matrices(rd))

@@ -16,8 +16,8 @@ from nilrep.invariants import (GradedPoly, _factor_classes, _finalize,
                                poincare_char_variety, poincare_hom_component,
                                poly)
 from nilrep.report import analyze
-from nilrep.rootdata import (Factor, RootDatum, build_root_datum,
-                             enumerate_weyl, reductive)
+from nilrep.rootdata import (Factor, build_root_datum, enumerate_weyl,
+                             reductive)
 from nilrep.selftest import hopf_product
 from nilrep.snf import int_det
 
@@ -244,13 +244,6 @@ def test_molien_path_enumerates_no_weyl_group(monkeypatch, capsys):
         assert report.poincare_hom is not None, r
     assert main(["poincare", "--group", "Z^2", "--target", "G2 x F4"]) == 0
     assert "poincare_hom" in capsys.readouterr().out
-
-
-def test_hand_built_datum_without_factors_is_refused():
-    # an SL2 lattice built by hand carries no factors to read classes from
-    rd = RootDatum(1, ((-1,), (1,)), (((-1,),),), (2,))
-    with pytest.raises(NilrepError):
-        poincare_hom_component(rd, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Package-wide checks: no assert in the library, only standard-library
-imports, and the demos run."""
+imports, every binding the benchmark traces exists, and the demos run."""
 
 import ast
+import importlib
 import runpy
 import sys
 from pathlib import Path
@@ -37,6 +38,15 @@ def test_library_imports_only_the_standard_library():
                       for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert SOURCES and found == []
+
+
+def test_every_traced_binding_resolves():
+    # perfbench/spans.py skips a binding that is gone, and the per-layer
+    # metric it feeds then silently reads 0
+    bindings = runpy.run_path(str(ROOT / "perfbench" / "spans.py"))["BINDINGS"]
+    missing = ["%s.%s" % (module, attr) for module, attr, _, _ in bindings
+               if not hasattr(importlib.import_module(module), attr)]
+    assert bindings and missing == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])

@@ -9,10 +9,11 @@ from nilrep import selftest
 from nilrep.cli import main
 from nilrep.groups import (AbelianInvariants, FreeAbelian, FreeNilpotent,
                            Heisenberg)
-from nilrep.invariants import poly
+from nilrep.invariants import (poincare_char_variety, poincare_hom_component,
+                               poly)
 from nilrep.parsing import parse_group_spec, parse_reductive_spec
 from nilrep.report import analyze
-from nilrep.rootdata import reductive
+from nilrep.rootdata import build_root_datum, reductive
 from nilrep.selftest import hopf_product
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
@@ -244,14 +245,44 @@ def test_cli_exit_codes(capsys):
                            "--json")
     assert code == 0
     assert json.loads(out)["torsion_h1"] == [10**12]
-    # output and table sizes are bounded before any work
+    # output and table sizes are bounded before any work; pi_1(PGL2)^r
+    # would write a torsion chain of r entries
     for argv in (["poincare", "--r-override", "3000", "--target", "SL2"],
+                 ["pi1", "--r-override", "1000000000", "--target", "PGL2"],
+                 ["analyze", "--r-override", "1000000000", "--target",
+                  "PGL2"],
                  ["poincare", "--group", "Z^9", "--target", "T64"],
                  ["homcount", "--group", "Z", "--finite", "c100000000"],
                  ["homcount", "--group", "Z", "--finite", "d129"]):
         code, out, _ = run_cli(capsys, *argv, "--json")
         assert code == 3, argv
         assert json.loads(out)["error"]["type"] == "TooLarge"
+    for cmd in ("pi1", "analyze"):
+        code, out, _ = run_cli(capsys, cmd, "--r-override", "1000000000",
+                               "--target", "SL2", "--json")
+        assert code == 0, cmd
+        assert json.loads(out)["pi1_hom"] == {"rank": 0, "torsion": []}
+
+
+@pytest.mark.parametrize("group, target", [
+    ("Z^2", "SL5 x SL5 x SL5"), ("Z^2", "SL9 x SL9"), ("Z^2", "GL8 x GL8"),
+    ("Z^2", "Spin15 x SL2"), ("Z^8", " x ".join(["SL9"] * 8)),
+])
+def test_cli_products_past_the_total_weyl_order(capsys, group, target):
+    # the Weyl order bound applies per factor, and a product's Poincare
+    # polynomials are the products of its factors'
+    code, out, _ = run_cli(capsys, "analyze", "--group", group, "--target",
+                           target, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    r = payload["rank_h1"]
+    hom = char = poly([1])
+    for factor in target.split(" x "):
+        rd = build_root_datum(parse_reductive_spec(factor))
+        hom = hom * poincare_hom_component(rd, r)
+        char = char * poincare_char_variety(rd, r)
+    assert payload["poincare_hom"] == list(hom.coefficients)
+    assert payload["poincare_char"] == list(char.coefficients)
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,9 +4,10 @@ import pytest
 
 from nilrep.errors import NilrepError, TooLarge, UnsupportedType
 from nilrep.groups import AbelianInvariants
-from nilrep.rootdata import (Factor, ReductiveSpec, RootDatum,
+from nilrep.rootdata import (Block, Factor, ReductiveSpec, RootDatum,
                              build_root_datum, enumerate_weyl, pi1_G,
                              pi1_G_ab, reductive)
+from nilrep.snf import cokernel_invariants, integer_rank
 
 
 SMALL_SPECS = [
@@ -25,6 +26,16 @@ SMALL_SPECS = [
 ]
 
 
+def dense_coroots(rd):
+    """Every block's coroots, padded with zeros into the full rank."""
+    out, offset = [], 0
+    for f, b in zip(rd.factors, rd.blocks):
+        out += [(0,) * offset + v + (0,) * (rd.rank - offset - f.rank())
+                for v in b.coroots]
+        offset += f.rank()
+    return out
+
+
 def test_factor_validation():
     with pytest.raises(UnsupportedType):
         Factor("SL", 1)
@@ -37,28 +48,36 @@ def test_factor_validation():
 
 
 def test_weyl_order_bound_enforced():
+    # the bound applies to each factor: one refused factor refuses the
+    # product, and a product of admitted factors is admitted whatever its
+    # total Weyl order
     with pytest.raises(TooLarge):
         ReductiveSpec((Factor("SL", 12),))
+    with pytest.raises(TooLarge, match="479001600"):
+        reductive(("SL", 2), ("SL", 12), ("T", 1))
+    assert build_root_datum(reductive(("SL", 9), ("SL", 9))).weyl_order() \
+        == 362880 ** 2
 
 
 def test_sl2_datum():
     rd = build_root_datum(reductive(("SL", 2)))
     assert rd.rank == 1
-    assert set(rd.coroots) == {(1,), (-1,)}
+    assert set(rd.blocks[0].coroots) == {(1,), (-1,)}
     assert rd.degrees == (2,)
     assert len(enumerate_weyl(rd)) == 2
 
 
 def test_torus_datum():
     rd = build_root_datum(reductive(("T", 3)))
-    assert rd.rank == 3 and rd.coroots == () and rd.degrees == (1, 1, 1)
+    assert rd.rank == 3 and rd.blocks[0].coroots == ()
+    assert rd.degrees == (1, 1, 1)
     assert len(enumerate_weyl(rd)) == 1
 
 
 def test_gl2_datum():
     rd = build_root_datum(reductive(("GL", 2)))
     assert rd.rank == 2
-    assert set(rd.coroots) == {(1, -1), (-1, 1)}
+    assert set(rd.blocks[0].coroots) == {(1, -1), (-1, 1)}
     assert rd.degrees == (1, 2)
 
 
@@ -71,10 +90,24 @@ def test_weyl_sizes_match_degree_products():
 
 
 def test_weyl_closure_size_mismatch_is_an_error():
-    # a valid SL2 lattice with a degree that claims |W| = 3
-    rd = RootDatum(1, ((-1,), (1,)), (((-1,),),), (3,))
-    with pytest.raises(NilrepError, match="2 elements, expected 3"):
+    # a valid SL2 block under a rank-1 torus factor, which claims |W| = 1
+    sl2 = Block(((-1,), (1,)), (((-1,),),))
+    rd = RootDatum((Factor("SL", 2), Factor("T", 1)), (sl2, sl2))
+    with pytest.raises(NilrepError, match="4 elements, expected 2"):
         enumerate_weyl(rd)
+
+
+def test_blocks_are_checked_one_by_one():
+    sl2 = Block(((-1,), (1,)), (((-1,),),))
+    with pytest.raises(ValueError, match="involutions"):
+        RootDatum((Factor("SL", 2),), (Block(((-1,), (1,)), (((2,),),)),))
+    with pytest.raises(ValueError, match="permute"):
+        RootDatum((Factor("SL", 2),), (Block(((1,),), (((-1,),),)),))
+    # a reflection of another factor's rank is no involution of this one
+    with pytest.raises(ValueError, match="involutions"):
+        RootDatum((Factor("SL", 3),), (sl2,))
+    with pytest.raises(ValueError):
+        RootDatum((Factor("SL", 2), Factor("SL", 2)), (sl2,))
 
 
 def test_weyl_elements_permute_coroots():
@@ -82,7 +115,7 @@ def test_weyl_elements_permute_coroots():
         rd = build_root_datum(spec)
         if rd.weyl_order() > 10**4:
             continue
-        coroots = set(rd.coroots)
+        coroots = set(dense_coroots(rd))
         for w in enumerate_weyl(rd):
             image = {tuple(sum(row[k] * v[k] for k in range(rd.rank))
                            for row in w) for v in coroots}
@@ -121,17 +154,26 @@ def test_pi1_classical_values():
 
 
 def test_pi1_of_products_is_direct_sum():
+    # referee: the cokernel of the dense block-diagonal coroot matrix of
+    # the whole lattice, one Smith normal form for the product
     cases = [
         ((("SL", 2),), (("PGL", 2),)),
         ((("GL", 2),), (("PGL", 3),)),
         ((("SO", 3),), (("SO", 4),)),
         ((("T", 1),), (("PGL", 2),)),
+        ((("PGL", 4),), (("PGL", 6), ("SO", 5))),
+        ((("PGL", 9),), (("PGL", 9),)),
+        ((("GL", 3), ("T", 2)), (("SO", 8), "G2")),
     ]
     for left, right in cases:
         a = pi1_G(build_root_datum(reductive(*left)))
         b = pi1_G(build_root_datum(reductive(*right)))
-        ab = pi1_G(build_root_datum(reductive(*(left + right))))
-        assert ab == a.direct_sum(b)
+        rd = build_root_datum(reductive(*(left + right)))
+        coroots = dense_coroots(rd)
+        dense = [[v[i] for v in coroots] for i in range(rd.rank)]
+        assert pi1_G(rd) == AbelianInvariants(*cokernel_invariants(dense))
+        assert pi1_G(rd) == a.direct_sum(b)
+        assert pi1_G_ab(rd) == rd.rank - integer_rank(dense)
 
 
 def test_pi1_G_ab_coranks():
@@ -152,4 +194,6 @@ def test_coroot_counts():
     }
     for (fam, param), count in expected.items():
         spec = reductive(fam if param == 0 else (fam, param))
-        assert len(build_root_datum(spec).coroots) == count
+        rd = build_root_datum(spec)
+        assert len(rd.blocks[0].coroots) == count
+        assert rd.positive_coroot_count() * 2 == count
