@@ -13,14 +13,17 @@ classes of Weyl elements with equal det(I + t*w), weighted by class size.
 A product's Weyl group is the product of its factors', acting block-
 diagonally, so (Kuenneth) both Poincare polynomials of a product are the
 products of its factors' polynomials, each averaged over the factor's
-own classes.  Those classes need no enumeration of W: for the classical
-families they are (signed) cycle types with closed-form sizes and
-characteristic polynomials (Carter, "Conjugacy classes in the Weyl
-group", 1972), and for G2 and F4 they are literal tables.  No Molien sum
-enumerates a Weyl group; only the referees do (the projector oracle at
-the end, given rootdata.enumerate_weyl, and the tests).  All arithmetic
-is integer or rational and exact; summation order can never change a
-result.
+own classes.  A factor's classes and the coinvariant quotient of each
+class depend on the factor alone, not on r, so each catalog factor is
+reduced once per process; a Molien sum then only raises each class's
+det(I + t*w) to the r-th power.  Those classes need no enumeration of
+W: for the classical families they are (signed) cycle types with
+closed-form sizes and characteristic polynomials (Carter, "Conjugacy
+classes in the Weyl group", 1972), and for G2 and F4 they are literal
+tables.  No Molien sum enumerates a Weyl group; only the referees do
+(the projector oracle at the end, given rootdata.enumerate_weyl, and the
+tests).  All arithmetic is integer or rational and exact; summation
+order can never change a result.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
 from math import factorial, prod
 
@@ -297,7 +300,7 @@ _EXCEPTIONAL_CLASSES: dict[str, Classes] = {
 }
 
 
-@lru_cache(maxsize=None)
+@cache
 def _factor_classes(f: Factor) -> Classes:
     """(coefficients of det(I + t*w), multiplicity) over the Weyl group of
     one catalog factor, in no particular order.
@@ -337,18 +340,25 @@ def _factor_classes(f: Factor) -> Classes:
     return tuple((p.coefficients, size) for p, size in classes.items())
 
 
+@cache
+def _factor_quotients(f: Factor) -> tuple[GradedPoly, ...]:
+    """The coinvariant quotient prod_i (1 - t^(2*d_i)) / det(I - t^2*w) of
+    each row of _factor_classes(f), in the same order."""
+    num = _coinvariant_numerator(f.degrees())
+    return tuple(_coinvariant_series(cs, num) for cs, _ in _factor_classes(f))
+
+
 # ---------------------------------------------------------------------------
 # Molien averages, multiplied across the factors
 
 
-def _molien_product(rd: RootDatum, series_of) -> GradedPoly:
-    """prod over the factors f of rd of the Molien average of
-    series_of(f)(cs) over W_f, cs the coefficients of det(I + t*w): W acts
+def _molien_product(rd: RootDatum, terms_of) -> GradedPoly:
+    """prod over the factors f of rd of the Molien average over W_f, where
+    terms_of(f) yields (series, multiplicity) for each class of W_f: W acts
     block-diagonally, so the average over W is the product of these."""
     out = ONE
     for f in rd.factors:
-        series = series_of(f)
-        total = sum((series(cs) * k for cs, k in _factor_classes(f)), ZERO)
+        total = sum((series * k for series, k in terms_of(f)), ZERO)
         out = out * total.divide_int(f.weyl_order())
     return _finalize(out)
 
@@ -364,7 +374,8 @@ def poincare_char_variety(rd: RootDatum, r: int) -> GradedPoly:
     variety of Z^r: the W-invariants of H^*(T^r).  Raises TooLarge past
     OUTPUT_BOUND."""
     _check_output_size(rd, r)
-    return _molien_product(rd, lambda f: lambda cs: _exterior_series(cs, r))
+    return _molien_product(rd, lambda f: ((_exterior_series(cs, r), k)
+                                          for cs, k in _factor_classes(f)))
 
 
 def poincare_hom_component(rd: RootDatum, r: int) -> GradedPoly:
@@ -372,11 +383,9 @@ def poincare_hom_component(rd: RootDatum, r: int) -> GradedPoly:
     variety of Z^r: the W-invariants of H^*(G/T x T^r).  Raises TooLarge
     past OUTPUT_BOUND."""
     _check_output_size(rd, r)
-
-    def series_of(f):
-        num = _coinvariant_numerator(f.degrees())
-        return lambda cs: _coinvariant_series(cs, num) * _exterior_series(cs, r)
-    result = _molien_product(rd, series_of)
+    result = _molien_product(rd, lambda f: (
+        (quotient * _exterior_series(cs, r), k) for (cs, k), quotient
+        in zip(_factor_classes(f), _factor_quotients(f))))
     if result.degree() > 2 * rd.positive_coroot_count() + r * rd.rank:
         raise NilrepError("invariant series exceeds dim G/T + r * rank")
     return result

@@ -5,11 +5,14 @@ torus (identified with Z^rank), the set of coroots inside it, and the
 simple reflections as integer matrices; a product is one such block per
 factor, and every fact here is computed block by block.  pi_1(G) is the
 cocharacter lattice modulo the coroot lattice, and the dimension of
-G/[G,G] is the corank of the coroot span.  Only the referees enumerate
-the Weyl group.  Degrees of the fundamental Weyl invariants come from the
-classical tables, with one degree-1 entry per central torus dimension so
-that coinvariant-algebra characters work uniformly for reductive (not
-just semisimple) groups.
+G/[G,G] is the corank of the coroot span.  A block depends on its factor
+alone, so each catalog factor's block is built, checked and reduced (its
+cokernel and corank) once per process and shared by every product that
+contains the factor.  Only the referees enumerate the Weyl group.
+Degrees of the fundamental Weyl invariants come from the classical
+tables, with one degree-1 entry per central torus dimension so that
+coinvariant-algebra characters work uniformly for reductive (not just
+semisimple) groups.
 
 Supported families: SL(n>=2), GL(n>=1), PGL(n>=2), Sp(2n), SO(n>=3),
 Spin(n>=3), G2, F4, and tori.  Everything else raises UnsupportedType.
@@ -18,7 +21,7 @@ Spin(n>=3), G2, F4, and tori.  Everything else raises UnsupportedType.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, cached_property, reduce
 from math import prod
 
 from .errors import NilrepError, TooLarge, UnsupportedType
@@ -304,10 +307,34 @@ def _orbit(start, reflections, act) -> tuple:
 class Block:
     """One factor's cocharacter lattice Z^rank: its full (positive and
     negative) coroot system, which the factor's Weyl group permutes, and
-    its simple reflections as integer matrices."""
+    its simple reflections as integer matrices.  Checked when built: each
+    simple reflection is an involution of Z^rank permuting the coroots."""
 
+    rank: int
     coroots: tuple[Vector, ...]
     simple_reflections: tuple[Matrix, ...]
+
+    def __post_init__(self):
+        ident = identity_matrix(self.rank)
+        for s in self.simple_reflections:
+            if mat_mul(s, s) != ident:
+                raise ValueError("simple reflections must be involutions")
+            if {_apply(s, v) for v in self.coroots} != set(self.coroots):
+                raise ValueError("reflections must permute the coroots")
+
+    def _coroot_matrix(self):
+        return [[v[i] for v in self.coroots] for i in range(self.rank)]
+
+    @cached_property
+    def cokernel(self) -> AbelianInvariants:
+        """Z^rank modulo the coroot lattice: this block's share of pi_1."""
+        return AbelianInvariants(*cokernel_invariants(self._coroot_matrix()))
+
+    @cached_property
+    def corank(self) -> int:
+        """The corank of the coroot span: this block's share of
+        dim G/[G,G]."""
+        return self.rank - integer_rank(self._coroot_matrix())
 
 
 @dataclass(frozen=True)
@@ -324,12 +351,9 @@ class RootDatum:
 
     def __post_init__(self):
         for f, b in zip(self.factors, self.blocks, strict=True):
-            ident = identity_matrix(f.rank())
-            for s in b.simple_reflections:
-                if mat_mul(s, s) != ident:
-                    raise ValueError("simple reflections must be involutions")
-                if {_apply(s, v) for v in b.coroots} != set(b.coroots):
-                    raise ValueError("reflections must permute the coroots")
+            if b.rank != f.rank():
+                raise ValueError("block of rank %d for %s of rank %d"
+                                 % (b.rank, f, f.rank()))
 
     @property
     def rank(self) -> int:
@@ -346,15 +370,21 @@ class RootDatum:
         return sum(len(b.coroots) for b in self.blocks) // 2
 
 
+@cache
+def _factor_block(f: Factor) -> Block:
+    """The factor's block in its own lattice model, built and checked once
+    per process; the catalog bounds (RANK_BOUND, WEYL_ORDER_BOUND) bound
+    the number of blocks."""
+    simple_coroots, simple_refl = _factor_model(f)
+    # the full coroot system is the orbit of the simple coroots
+    return Block(f.rank(), _orbit(simple_coroots, simple_refl, _apply),
+                 tuple(map(_frozen, simple_refl)))
+
+
 def build_root_datum(spec: ReductiveSpec) -> RootDatum:
-    """One block per factor, in the factor's own lattice model."""
-    blocks = []
-    for f in spec.factors:
-        simple_coroots, simple_refl = _factor_model(f)
-        # the full coroot system is the orbit of the simple coroots
-        blocks.append(Block(_orbit(simple_coroots, simple_refl, _apply),
-                            tuple(map(_frozen, simple_refl))))
-    return RootDatum(spec.factors, tuple(blocks))
+    """One block per factor, shared with every other datum that has the
+    same factor."""
+    return RootDatum(spec.factors, tuple(map(_factor_block, spec.factors)))
 
 
 def enumerate_weyl(rd: RootDatum) -> tuple[Matrix, ...]:
@@ -365,13 +395,13 @@ def enumerate_weyl(rd: RootDatum) -> tuple[Matrix, ...]:
     if expected > WEYL_ORDER_BOUND:
         raise TooLarge("Weyl order %d exceeds the enumeration bound" % expected)
     total, reflections, offset = rd.rank, [], 0
-    for f, b in zip(rd.factors, rd.blocks):
+    for b in rd.blocks:
         for s in b.simple_reflections:
             rows = identity_matrix(total)
             for i, row in enumerate(s):
                 rows[offset + i][offset:offset + len(row)] = row
             reflections.append(_frozen(rows))
-        offset += f.rank()
+        offset += b.rank
     weyl = _orbit([_frozen(identity_matrix(total))], reflections,
                   lambda s, m: _frozen(mat_mul(m, s)))
     if len(weyl) != expected:
@@ -384,21 +414,14 @@ def enumerate_weyl(rd: RootDatum) -> tuple[Matrix, ...]:
 # fundamental groups
 
 
-def _coroot_matrices(rd: RootDatum):
-    """Each block's coroots as the columns of a rank x |coroots| matrix."""
-    return [[[v[i] for v in b.coroots] for i in range(f.rank())]
-            for f, b in zip(rd.factors, rd.blocks)]
-
-
 def pi1_G(rd: RootDatum) -> AbelianInvariants:
     """pi_1 of the group: cocharacter lattice modulo the coroot lattice,
     the direct sum of the blocks' cokernels."""
     return reduce(AbelianInvariants.direct_sum,
-                  (AbelianInvariants(*cokernel_invariants(m))
-                   for m in _coroot_matrices(rd)), AbelianInvariants(0))
+                  (b.cokernel for b in rd.blocks), AbelianInvariants(0))
 
 
 def pi1_G_ab(rd: RootDatum) -> int:
     """dim G/[G,G], the corank of the coroot span summed over the blocks;
     pi_1 of that torus is Z^result."""
-    return sum(len(m) - integer_rank(m) for m in _coroot_matrices(rd))
+    return sum(b.corank for b in rd.blocks)

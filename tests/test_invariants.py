@@ -10,7 +10,8 @@ from nilrep import invariants, rootdata
 from nilrep.cli import main
 from nilrep.errors import InexactDivision, NilrepError, TooLarge
 from nilrep.groups import FreeAbelian
-from nilrep.invariants import (GradedPoly, _factor_classes, _finalize,
+from nilrep.invariants import (GradedPoly, _factor_classes,
+                               _factor_quotients, _finalize,
                                char_coefficients, coinvariant_char,
                                exterior_char, exterior_invariant_dims_oracle,
                                poincare_char_variety, poincare_hom_component,
@@ -238,12 +239,45 @@ def test_molien_path_enumerates_no_weyl_group(monkeypatch, capsys):
         raise AssertionError("Weyl group enumerated")
     monkeypatch.setattr(invariants, "enumerate_weyl", refuse)
     monkeypatch.setattr(rootdata, "enumerate_weyl", refuse)
+    # a cold Molien path: no class list, quotient or block cached yet
     _factor_classes.cache_clear()
+    _factor_quotients.cache_clear()
+    rootdata._factor_block.cache_clear()
     for r in (1, 2, 3):
         report = analyze(FreeAbelian(r), reductive("G2", "F4"))
         assert report.poincare_hom is not None, r
     assert main(["poincare", "--group", "Z^2", "--target", "G2 x F4"]) == 0
     assert "poincare_hom" in capsys.readouterr().out
+
+
+def test_coinvariant_quotients_are_reduced_once_per_factor(monkeypatch):
+    # the quotients do not depend on r: after the first polynomial of a
+    # factor, no later one divides again, whatever r or product it is in
+    calls = []
+    divide = invariants._coinvariant_series
+
+    def counted(cs, num):
+        calls.append(cs)
+        return divide(cs, num)
+    monkeypatch.setattr(invariants, "_coinvariant_series", counted)
+    _factor_quotients.cache_clear()
+    poincare_hom_component(rd_of(("SO", 8)), 1)
+    assert len(calls) == len(_factor_classes(Factor("SO", 8)))
+    for r in (0, 2, 3):
+        poincare_hom_component(rd_of(("SO", 8)), r)
+        poincare_hom_component(rd_of(("SO", 8), ("SO", 8)), r)
+    assert len(calls) == len(_factor_classes(Factor("SO", 8)))
+    # cached values are tuples of ints and frozen polynomials
+    for f in (Factor("SO", 8), Factor("F4"), Factor("T", 2)):
+        classes, quotients = _factor_classes(f), _factor_quotients(f)
+        assert type(classes) is tuple and type(quotients) is tuple
+        assert len(classes) == len(quotients)
+        for (cs, k), q in zip(classes, quotients):
+            assert type(cs) is tuple and all(type(c) is int for c in cs)
+            assert type(k) is int
+            assert type(q) is GradedPoly and type(q.coefficients) is tuple
+    with pytest.raises(AttributeError):
+        quotients[0].coefficients = ()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,124 @@
+"""Property tests against independent implementations and the grammars.
+
+hypothesis and sympy are test-only dependencies; the library itself
+stays standard-library only.  Every property runs derandomized with a
+bounded number of examples, so the suite is reproducible and quick.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+
+from nilrep.errors import NilrepError  # noqa: E402
+from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,  # noqa: E402
+                           FreeNilpotent, Heisenberg, Presentation,
+                           Presented, free_reduce)
+from nilrep.parsing import parse_group_spec, parse_reductive_spec  # noqa: E402
+from nilrep.rootdata import Factor, ReductiveSpec  # noqa: E402
+from nilrep.snf import (cokernel_invariants, diagonal_of,  # noqa: E402
+                        smith_normal_form)
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None,
+                    database=None)
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form against sympy
+
+
+@st.composite
+def integer_matrices(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    entry = st.integers(-12, 12)
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@PROPERTY
+@given(integer_matrices())
+def test_snf_invariant_factors_match_sympy(m):
+    expected = [abs(int(e)) for e in
+                invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)]
+    d, _, _ = smith_normal_form(m)
+    diag = diagonal_of(d)
+    assert diag == expected
+    nonzero = [e for e in expected if e]
+    assert cokernel_invariants(m) == (len(m) - len(nonzero),
+                                      tuple(e for e in nonzero if e >= 2))
+
+
+# ---------------------------------------------------------------------------
+# parse(str(x)) == x
+
+
+def _words(generators):
+    letter = st.tuples(st.integers(0, generators - 1),
+                       st.integers(-40, 40).filter(bool))
+    return (st.lists(letter, min_size=1, max_size=6)
+            .map(free_reduce).filter(lambda w: w.letters))
+
+
+@st.composite
+def presented_groups(draw):
+    n = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from("abcdeuvwxyz"), min_size=n,
+                          max_size=n, unique=True))
+    relators = draw(st.lists(_words(n), min_size=1, max_size=3))
+    return Presented(Presentation(n, tuple(relators), names=tuple(names)))
+
+
+# the atoms parse_group_spec returns; products of them are flat
+GROUP_ATOMS = st.one_of(
+    st.just(Heisenberg()),
+    st.builds(FreeNilpotent, st.integers(1, 9), st.integers(1, 9)),
+    st.builds(FreeAbelian, st.integers(1, 10**6)),
+    st.builds(lambda d: FiniteAbelian((d,)), st.integers(2, 10**6)),
+    st.just(FiniteAbelian(())),
+    presented_groups(),
+)
+GROUP_SPECS = st.one_of(
+    GROUP_ATOMS,
+    st.lists(GROUP_ATOMS, min_size=2, max_size=4).map(
+        lambda atoms: DirectProduct(tuple(atoms))),
+)
+
+
+@PROPERTY
+@given(GROUP_SPECS)
+def test_group_spec_round_trips(g):
+    assert parse_group_spec(str(g)) == g
+
+
+def _factor(pair):
+    family, param = pair
+    try:
+        return Factor(family, param)
+    except NilrepError:
+        return None
+
+
+FACTORS = st.tuples(
+    st.sampled_from(("SL", "GL", "PGL", "Sp", "SO", "Spin", "T", "G2", "F4")),
+    st.integers(0, 12),
+).map(_factor).filter(lambda f: f is not None)
+
+
+def _spec(factors):
+    try:
+        return ReductiveSpec(tuple(factors))
+    except NilrepError:
+        return None
+
+
+REDUCTIVE_SPECS = (st.lists(FACTORS, min_size=1, max_size=5)
+                   .map(_spec).filter(lambda s: s is not None))
+
+
+@PROPERTY
+@given(REDUCTIVE_SPECS)
+def test_reductive_spec_round_trips(spec):
+    assert parse_reductive_spec(str(spec)) == spec

@@ -1,7 +1,10 @@
 """Root datum catalog: Weyl enumeration, coroot systems, pi_1 cokernels."""
 
+import dataclasses
+
 import pytest
 
+from nilrep import rootdata
 from nilrep.errors import NilrepError, TooLarge, UnsupportedType
 from nilrep.groups import AbelianInvariants
 from nilrep.rootdata import (Block, Factor, ReductiveSpec, RootDatum,
@@ -91,23 +94,80 @@ def test_weyl_sizes_match_degree_products():
 
 def test_weyl_closure_size_mismatch_is_an_error():
     # a valid SL2 block under a rank-1 torus factor, which claims |W| = 1
-    sl2 = Block(((-1,), (1,)), (((-1,),),))
+    sl2 = Block(1, ((-1,), (1,)), (((-1,),),))
     rd = RootDatum((Factor("SL", 2), Factor("T", 1)), (sl2, sl2))
     with pytest.raises(NilrepError, match="4 elements, expected 2"):
         enumerate_weyl(rd)
 
 
 def test_blocks_are_checked_one_by_one():
-    sl2 = Block(((-1,), (1,)), (((-1,),),))
+    sl2 = Block(1, ((-1,), (1,)), (((-1,),),))
     with pytest.raises(ValueError, match="involutions"):
-        RootDatum((Factor("SL", 2),), (Block(((-1,), (1,)), (((2,),),)),))
+        RootDatum((Factor("SL", 2),), (Block(1, ((-1,), (1,)), (((2,),),)),))
     with pytest.raises(ValueError, match="permute"):
-        RootDatum((Factor("SL", 2),), (Block(((1,),), (((-1,),),)),))
-    # a reflection of another factor's rank is no involution of this one
-    with pytest.raises(ValueError, match="involutions"):
+        RootDatum((Factor("SL", 2),), (Block(1, ((1,),), (((-1,),),)),))
+    # a block of another factor's rank does not fit this one
+    with pytest.raises(ValueError, match="rank 1 for SL3 of rank 2"):
         RootDatum((Factor("SL", 3),), (sl2,))
     with pytest.raises(ValueError):
         RootDatum((Factor("SL", 2), Factor("SL", 2)), (sl2,))
+    # a reflection of another rank is no involution of this block
+    with pytest.raises(ValueError, match="involutions"):
+        Block(2, (), (((-1,),),))
+
+
+def test_each_factor_has_one_block_per_process():
+    sl3 = Factor("SL", 3)
+    block = build_root_datum(reductive(sl3)).blocks[0]
+    for spec in (reductive(sl3, ("SL", 4)), reductive(sl3, sl3, "G2")):
+        rd = build_root_datum(spec)
+        assert all(b is block for f, b in zip(rd.factors, rd.blocks)
+                   if f == sl3), str(spec)
+
+
+def test_blocks_are_built_and_checked_once_per_factor(monkeypatch):
+    calls = {"apply": 0, "check": 0}
+    apply, check = rootdata._apply, Block.__post_init__
+
+    def counted_apply(m, v):
+        calls["apply"] += 1
+        return apply(m, v)
+
+    def counted_check(self):
+        calls["check"] += 1
+        check(self)
+    monkeypatch.setattr(rootdata, "_apply", counted_apply)
+    monkeypatch.setattr(Block, "__post_init__", counted_check)
+    rootdata._factor_block.cache_clear()
+    spec = reductive(("SL", 3), ("SL", 3), "G2")
+    build_root_datum(spec)
+    first = dict(calls)
+    assert first["check"] == 2 and first["apply"] > 0
+    build_root_datum(spec)
+    build_root_datum(reductive("G2", ("SL", 3)))
+    assert calls == first
+
+
+def _assert_immutable(value):
+    if isinstance(value, tuple):
+        for item in value:
+            _assert_immutable(item)
+    elif dataclasses.is_dataclass(value):
+        assert type(value).__dataclass_params__.frozen, type(value)
+        for field in dataclasses.fields(value):
+            _assert_immutable(getattr(value, field.name))
+    else:
+        assert isinstance(value, (int, str)), type(value)
+
+
+def test_cached_block_values_are_immutable():
+    for spec in SMALL_SPECS:
+        for b in build_root_datum(spec).blocks:
+            _assert_immutable(b)
+            _assert_immutable(b.cokernel)
+            _assert_immutable(b.corank)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.coroots = ()
 
 
 def test_weyl_elements_permute_coroots():
@@ -153,9 +213,23 @@ def test_pi1_classical_values():
     assert pi1_G(build_root_datum(reductive(("T", 2)))) == AbelianInvariants(2)
 
 
+def uncached_dense_coroots(spec):
+    """The coroots of every factor, built afresh from the factor models
+    without the block cache and padded with zeros into the full rank."""
+    out, offset, total = [], 0, sum(f.rank() for f in spec.factors)
+    for f in spec.factors:
+        simple_coroots, simple_refl = rootdata._factor_model(f)
+        for v in rootdata._orbit(simple_coroots, simple_refl,
+                                 rootdata._apply):
+            out.append((0,) * offset + v + (0,) * (total - offset - f.rank()))
+        offset += f.rank()
+    return out
+
+
 def test_pi1_of_products_is_direct_sum():
     # referee: the cokernel of the dense block-diagonal coroot matrix of
-    # the whole lattice, one Smith normal form for the product
+    # the whole lattice, one Smith normal form for the product, assembled
+    # here without the cached blocks
     cases = [
         ((("SL", 2),), (("PGL", 2),)),
         ((("GL", 2),), (("PGL", 3),)),
@@ -168,8 +242,9 @@ def test_pi1_of_products_is_direct_sum():
     for left, right in cases:
         a = pi1_G(build_root_datum(reductive(*left)))
         b = pi1_G(build_root_datum(reductive(*right)))
-        rd = build_root_datum(reductive(*(left + right)))
-        coroots = dense_coroots(rd)
+        spec = reductive(*(left + right))
+        rd = build_root_datum(spec)
+        coroots = uncached_dense_coroots(spec)
         dense = [[v[i] for v in coroots] for i in range(rd.rank)]
         assert pi1_G(rd) == AbelianInvariants(*cokernel_invariants(dense))
         assert pi1_G(rd) == a.direct_sum(b)
