@@ -20,7 +20,7 @@ import sys
 from .errors import NilrepError, ParseError
 from .finitehom import (central_image_order_bound, connectivity_verdict,
                         cyclic, dihedral, enumerate_homs, q8)
-from .groups import FreeAbelian, abelianize
+from .groups import AbelianInvariants, FreeAbelian, abelianize
 from .invariants import poincare_char_variety, poincare_hom_component
 from .parsing import parse_group_spec, parse_reductive_spec
 from .report import analyze
@@ -104,7 +104,7 @@ def _cmd_pi1(args) -> int:
     else:
         print("pi_1 of Hom(%s, %s)_1: %s" % (g, spec, hom))
         print("pi_1 of the character variety: %s"
-              % ("Z^%d" % char_rank if char_rank else "1"))
+              % AbelianInvariants(char_rank))
     return 0
 
 

@@ -30,7 +30,13 @@ from .groups import (DirectProduct, FiniteAbelian, FreeAbelian, FreeNilpotent,
 from .rootdata import ReductiveSpec
 
 GENERATOR_LIMIT = 6
-SEARCH_LIMIT = 10**8
+# the largest search GENERATOR_LIMIT admits into Q8; Z^3 into c100 (10^6
+# leaves) took 73 s
+SEARCH_LIMIT = 8**6
+# the largest m that central_image_order_bound accepts: the bound has
+# 2,510 digits at m = 512, and past about 700 it has more digits than
+# Python converts to a string
+ORDER_BOUND_M_LIMIT = 512
 # largest order of a cyclic or dihedral table: the table has order^2
 # entries (order 300 took 2.1 s to build and search, order 600 16 s)
 FINITE_ORDER_BOUND = 256
@@ -351,6 +357,9 @@ def central_image_order_bound(m: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > ORDER_BOUND_M_LIMIT:
+        raise TooLarge("m = %d exceeds the supported bound %d"
+                       % (m, ORDER_BOUND_M_LIMIT))
     return sum(totient(k) for k in range(1, m + 1)) ** m
 
 

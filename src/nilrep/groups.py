@@ -227,13 +227,12 @@ class DirectProduct(GroupSpec):
 class Presented(GroupSpec):
     """A finitely presented group, nilpotent by the caller's assertion.
 
-    Nilpotency of a presentation is undecidable, so declared_class is
-    taken on trust; everything computed here (abelianization, finite
-    images) is valid regardless.
+    Nilpotency of a presentation is undecidable, so it is taken on trust;
+    everything computed here (abelianization, finite images) is valid
+    regardless.
     """
 
     presentation: Presentation
-    declared_class: int | None = None
 
     def __str__(self):
         p = self.presentation
@@ -426,8 +425,8 @@ def quotient_by_lcs(g: GroupSpec, i: int) -> GroupSpec:
 def is_abelian(g: GroupSpec) -> bool:
     """Whether the description certifies an abelian group.
 
-    Presented groups count only with declared_class == 1; without that
-    declaration we make no claim (False here means "not certified").
+    For a presented group we make no claim (False here means "not
+    certified").
     """
     if isinstance(g, (FreeAbelian, FiniteAbelian)):
         return True
@@ -437,8 +436,6 @@ def is_abelian(g: GroupSpec) -> bool:
         return False
     if isinstance(g, DirectProduct):
         return all(is_abelian(f) for f in g.factors)
-    if isinstance(g, Presented):
-        return g.declared_class == 1
     return False
 
 
@@ -461,7 +458,7 @@ def heisenberg_presentation() -> Presentation:
 
 
 def heisenberg_presented() -> Presented:
-    return Presented(heisenberg_presentation(), declared_class=2)
+    return Presented(heisenberg_presentation())
 
 
 def free_abelian_presentation(n: int) -> Presentation:

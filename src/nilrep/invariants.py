@@ -17,12 +17,13 @@ own classes.  A factor's classes and the coinvariant quotient of each
 class depend on the factor alone, not on r, so each catalog factor is
 reduced once per process; a Molien sum then only raises each class's
 det(I + t*w) to the r-th power.  Those classes need no enumeration of
-W: for the classical families they are (signed) cycle types with
-closed-form sizes and characteristic polynomials (Carter, "Conjugacy
-classes in the Weyl group", 1972), and for G2 and F4 they are literal
-tables.  No Molien sum enumerates a Weyl group; only the referees do
-(the projector oracle at the end, given rootdata.enumerate_weyl, and the
-tests).  All arithmetic is integer or rational and exact; summation
+W and depend on the factor only through its Cartan type: for types A-D
+they are (signed) cycle types with closed-form sizes and characteristic
+polynomials (Carter, "Conjugacy classes in the Weyl group", 1972), for
+G2 and F4 they are literal tables, and a central torus multiplies each
+by (1 + t) per dimension.  No Molien sum enumerates a Weyl group; only
+the referees do (the projector oracle at the end, given
+rootdata.enumerate_weyl, and the tests).  All arithmetic is integer or rational and exact; summation
 order can never change a result.
 """
 
@@ -305,39 +306,39 @@ def _factor_classes(f: Factor) -> Classes:
     """(coefficients of det(I + t*w), multiplicity) over the Weyl group of
     one catalog factor, in no particular order.
 
-    Type A: one class per partition of n, of size n!/z_lambda; the
-    reflection lattice of SL_n and PGL_n drops one trivial summand (1 + t)
-    from the permutation lattice of GL_n.  Types B/C/D act on Z^k by
-    signed permutations: one class per pair (alpha, beta) of partitions
-    of the positive and negative cycle lengths, |alpha| + |beta| = k, of
-    size 2^k k!/(z_alpha z_beta); type D keeps the pairs with an even
-    number of negative cycles.  G2 and F4 read _EXCEPTIONAL_CLASSES.
+    The rows come from the factor's Cartan type.  Type A_l: one class per
+    partition of l + 1, of size (l + 1)!/z_lambda; the reflection lattice
+    drops one trivial summand (1 + t) from the permutation lattice of
+    S_(l+1).  Types B/C/D act on Z^l by signed permutations: one class per
+    pair (alpha, beta) of partitions of the positive and negative cycle
+    lengths, |alpha| + |beta| = l, of size 2^l l!/(z_alpha z_beta); type
+    D keeps the pairs with an even number of negative cycles.  G2 and F4
+    read _EXCEPTIONAL_CLASSES.  W fixes the central torus, so every class
+    gains a factor (1 + t) per central dimension.
     """
-    fam, n = f.family, f.param
-    if fam in _EXCEPTIONAL_CLASSES:
-        return _EXCEPTIONAL_CLASSES[fam]
+    kind, l, central = f.cartan_type()
     classes = Counter()
-    if fam == "T":
-        classes[poly([1, 1]) ** n] = 1
-    elif fam in ("GL", "SL", "PGL"):
-        for lam in _partitions(n):
-            p = _cycles_poly(lam, 1)
-            if fam != "GL":
-                p = p.exact_div(poly([1, 1]))
-            classes[p] += factorial(n) // _centralizer_order(lam)
+    if kind is None:
+        classes[ONE] = 1
+    elif kind in _EXCEPTIONAL_CLASSES:
+        classes.update({poly(cs): k for cs, k in _EXCEPTIONAL_CLASSES[kind]})
+    elif kind == "A":
+        for lam in _partitions(l + 1):
+            p = _cycles_poly(lam, 1).exact_div(poly([1, 1]))
+            classes[p] += factorial(l + 1) // _centralizer_order(lam)
     else:
-        k = n // 2
-        type_d = fam != "Sp" and n % 2 == 0
-        for a in range(k + 1):
+        for a in range(l + 1):
             for alpha in _partitions(a):
-                for beta in _partitions(k - a):
-                    if type_d and len(beta) % 2:
+                for beta in _partitions(l - a):
+                    if kind == "D" and len(beta) % 2:
                         continue
                     p = _cycles_poly(alpha, 1) * _cycles_poly(beta, -1)
-                    classes[p] += (2 ** k * factorial(k)
+                    classes[p] += (2 ** l * factorial(l)
                                    // (_centralizer_order(alpha, 2)
                                        * _centralizer_order(beta, 2)))
-    return tuple((p.coefficients, size) for p, size in classes.items())
+    torus = poly([1, 1]) ** central
+    return tuple(((p * torus).coefficients, size)
+                 for p, size in classes.items())
 
 
 @cache

@@ -3,16 +3,19 @@
 Each catalog factor is realized by the cocharacter lattice of a maximal
 torus (identified with Z^rank), the set of coroots inside it, and the
 simple reflections as integer matrices; a product is one such block per
-factor, and every fact here is computed block by block.  pi_1(G) is the
-cocharacter lattice modulo the coroot lattice, and the dimension of
-G/[G,G] is the corank of the coroot span.  A block depends on its factor
-alone, so each catalog factor's block is built, checked and reduced (its
-cokernel and corank) once per process and shared by every product that
-contains the factor.  Only the referees enumerate the Weyl group.
-Degrees of the fundamental Weyl invariants come from the classical
-tables, with one degree-1 entry per central torus dimension so that
-coinvariant-algebra characters work uniformly for reductive (not just
-semisimple) groups.
+factor, and every fact here is computed block by block.  A factor enters
+only through its Cartan type, semisimple rank and central-torus
+dimension (Factor.cartan_type).  Its degrees are the type's, with one
+degree-1 entry per central torus dimension so that coinvariant-algebra
+characters work uniformly for reductive (not just semisimple) groups;
+its simple reflections are s(v) = v - <alpha, v> alpha^vee for simple
+roots and coroots read off the type's Cartan matrix (_factor_model).
+pi_1(G) is the cocharacter lattice modulo the coroot lattice, and the
+dimension of G/[G,G] is the corank of the coroot span.  A block depends
+on its factor alone, so each catalog factor's block is built, checked
+and reduced (its cokernel and corank) once per process and shared by
+every product that contains the factor.  Only the referees enumerate
+the Weyl group.
 
 Supported families: SL(n>=2), GL(n>=1), PGL(n>=2), Sp(2n), SO(n>=3),
 Spin(n>=3), G2, F4, and tori.  Everything else raises UnsupportedType.
@@ -38,7 +41,6 @@ RANK_BOUND = 64
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
-
 
 # ---------------------------------------------------------------------------
 # factor catalog
@@ -68,45 +70,50 @@ class Factor:
         if not ok[fam]:
             raise UnsupportedType("unsupported size %s%d" % (fam, n))
 
-    def rank(self) -> int:
+    def cartan_type(self) -> tuple[str | None, int, int]:
+        """(Dynkin type, semisimple rank, central-torus dimension); a
+        torus has no type."""
         fam, n = self.family, self.param
-        if fam in ("SL", "PGL"):
-            return n - 1
-        if fam in ("GL", "T"):
-            return n
-        if fam in ("Sp", "SO", "Spin"):
-            return n // 2
-        return {"G2": 2, "F4": 4}[fam]
+        if fam == "T":
+            return None, 0, n
+        if fam in ("SL", "PGL", "GL"):
+            return "A", n - 1, int(fam == "GL")
+        if fam == "Sp":
+            return "C", n // 2, 0
+        if fam in ("SO", "Spin"):
+            return "B" if n % 2 else "D", n // 2, 0
+        return fam, {"G2": 2, "F4": 4}[fam], 0
+
+    def rank(self) -> int:
+        _, l, central = self.cartan_type()
+        return l + central
 
     def degrees(self) -> tuple[int, ...]:
-        fam, n = self.family, self.param
-        if fam in ("SL", "PGL"):
-            return tuple(range(2, n + 1))
-        if fam == "GL":
-            return tuple(range(1, n + 1))
-        if fam == "T":
-            return (1,) * n
-        if fam == "Sp":
-            return tuple(range(2, n + 1, 2))
-        if fam in ("SO", "Spin"):
-            k = n // 2
-            if n % 2 == 1:
-                return tuple(range(2, 2 * k + 1, 2))
-            return tuple(range(2, 2 * (k - 1) + 1, 2)) + (k,)
-        if fam == "G2":
-            return (2, 6)
-        return (2, 6, 8, 12)
+        kind, l, central = self.cartan_type()
+        return (1,) * central + _type_degrees(kind, l)
 
     def weyl_order(self) -> int:
         return prod(self.degrees())
 
     def is_torus(self) -> bool:
-        return self.family == "T" or (self.family == "GL" and self.param == 1)
+        return self.cartan_type()[1] == 0
 
     def __str__(self):
         if self.family in ("G2", "F4"):
             return self.family
         return "%s%d" % (self.family, self.param)
+
+
+def _type_degrees(kind: str | None, l: int) -> tuple[int, ...]:
+    """Degrees of the fundamental invariants of the Weyl group of a simple
+    type of rank l (Bourbaki, plates I-IX); none without a type."""
+    if kind == "A":
+        return tuple(range(2, l + 2))
+    if kind in ("B", "C"):
+        return tuple(range(2, 2 * l + 1, 2))
+    if kind == "D":
+        return tuple(range(2, 2 * l - 1, 2)) + (l,)
+    return {None: (), "G2": (2, 6), "F4": (2, 6, 8, 12)}[kind]
 
 
 @dataclass(frozen=True)
@@ -162,124 +169,64 @@ def _apply(m, v: Vector) -> Vector:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
 
 
-def _cartan_a(l):
-    a = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
-    for i in range(l - 1):
+def _cartan(kind: str, l: int) -> list[list[int]]:
+    """Cartan matrix a[i][j] = <alpha_i, alpha_j^vee> of the given type and
+    rank, simple roots numbered as in Bourbaki, Lie Groups and Lie
+    Algebras, ch. VI, plates I-IX."""
+    if kind == "G2":
+        return [[2, -1], [-3, 2]]
+    if kind == "F4":
+        return [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+    a = [[2 * (i == j) for j in range(l)] for i in range(l)]
+    # a chain alpha_1 - ... - alpha_l; D_l branches alpha_l off alpha_(l-2)
+    for i in range(l - 2 if kind == "D" else l - 1):
         a[i][i + 1] = a[i + 1][i] = -1
-    return a
-
-def _cartan_b(l):
-    a = _cartan_a(l)
-    if l >= 2:
+    if kind == "D" and l >= 3:
+        a[l - 3][l - 1] = a[l - 1][l - 3] = -1
+    if kind == "B" and l >= 2:
         a[l - 2][l - 1] = -2
-    return a
-
-def _cartan_c(l):
-    a = _cartan_a(l)
-    if l >= 2:
+    if kind == "C" and l >= 2:
         a[l - 1][l - 2] = -2
     return a
 
-def _cartan_d(l):
-    a = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
-    for i in range(l - 2):
-        a[i][i + 1] = a[i + 1][i] = -1
-    if l >= 3:
-        a[l - 3][l - 1] = a[l - 1][l - 3] = -1
-    return a
 
-_CARTAN_G2 = [[2, -1], [-3, 2]]
-_CARTAN_F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
-
-
-def _simply_connected_model(cartan):
-    """Lattice = coroot lattice in the basis of simple coroots.
-
-    With pairing a[i][j] = <alpha_i, alpha_j^vee>, the reflection s_i
-    sends e_j to e_j - a[i][j] e_i.
-    """
-    l = len(cartan)
-    coroots = [tuple(1 if k == j else 0 for k in range(l)) for j in range(l)]
-    reflections = []
-    for i in range(l):
-        rows = identity_matrix(l)
-        for j in range(l):
-            rows[i][j] -= cartan[i][j]
-        reflections.append(rows)
-    return coroots, reflections
-
-
-def _adjoint_model(cartan):
-    """Lattice = coweight lattice in the basis of fundamental coweights.
-
-    Coroot j has coordinates (a[0][j], ..., a[l-1][j]); s_i fixes every
-    basis coweight except the i-th, which it moves by -coroot_i.
-    """
-    l = len(cartan)
-    coroots = [tuple(cartan[i][j] for i in range(l)) for j in range(l)]
-    reflections = []
-    for i in range(l):
-        rows = identity_matrix(l)
-        for k in range(l):
-            rows[k][i] -= cartan[k][i]
-        reflections.append(rows)
-    return coroots, reflections
-
-
-def _swap_matrix(n, i, j) -> list[list[int]]:
-    rows = identity_matrix(n)
-    rows[i], rows[j] = rows[j], rows[i]
-    return rows
-
-
-def _gl_model(n):
-    """GL_n on Z^n: the symmetric group permuting coordinates."""
-    coroots = [tuple((1 if k == i else 0) - (1 if k == i + 1 else 0)
-                     for k in range(n)) for i in range(n - 1)]
-    reflections = [_swap_matrix(n, i, i + 1) for i in range(n - 1)]
-    return coroots, reflections
-
-
-def _so_even_model(k):
-    """SO_{2k} on Z^k: signed permutations with an even number of signs."""
-    reflections = [_swap_matrix(k, i, i + 1) for i in range(k - 1)]
-    swap_neg = [[0] * k for _ in range(k)]
-    for t in range(k - 2):
-        swap_neg[t][t] = 1
-    swap_neg[k - 2][k - 1] = -1
-    swap_neg[k - 1][k - 2] = -1
-    reflections.append(swap_neg)
-    coroots = [tuple((1 if t == i else 0) - (1 if t == i + 1 else 0)
-                     for t in range(k)) for i in range(k - 1)]
-    coroots.append(tuple(1 if t >= k - 2 else 0 for t in range(k)))
-    return coroots, reflections
+def _chain(n: int, count: int) -> list[Vector]:
+    """e_i - e_(i+1) in Z^n for i < count."""
+    return [tuple((k == i) - (k == i + 1) for k in range(n))
+            for i in range(count)]
 
 
 def _factor_model(f: Factor):
-    """(simple coroots, simple reflections) in the factor's own lattice."""
-    fam, n = f.family, f.param
-    if fam == "T":
+    """(simple coroots, simple reflections) in the factor's own lattice.
+
+    Each simple reflection is s(v) = v - <alpha, v> alpha^vee for a simple
+    root alpha (a functional) and its coroot alpha^vee.  The simply
+    connected groups (SL, Sp, Spin, G2, F4) live on the coroot lattice:
+    the coroots are unit vectors and the roots the rows of the Cartan
+    matrix.  The adjoint groups (PGL, odd SO) live on the coweight
+    lattice: the roots are unit functionals and the coroots the columns of
+    the Cartan matrix.  GL_n on Z^n and SO_2k on Z^k have roots equal to
+    their coroots, e_i - e_(i+1), and e_(k-1) + e_k for SO_2k.
+    """
+    kind, l, central = f.cartan_type()
+    if kind is None:
         return [], []
-    if fam == "GL":
-        return _gl_model(n)
-    if fam == "SL":
-        return _simply_connected_model(_cartan_a(n - 1))
-    if fam == "PGL":
-        return _adjoint_model(_cartan_a(n - 1))
-    if fam == "Sp":
-        return _simply_connected_model(_cartan_c(n // 2))
-    if fam == "SO":
-        if n % 2:  # SO_{2k+1} is the adjoint group of type B_k
-            return _adjoint_model(_cartan_b(n // 2))
-        return _so_even_model(n // 2)
-    if fam == "Spin":
-        cartan = _cartan_b(n // 2) if n % 2 else _cartan_d(n // 2)
-        return _simply_connected_model(cartan)
-    if fam == "G2":
-        return _simply_connected_model(_CARTAN_G2)
-    if fam == "F4":
-        return _simply_connected_model(_CARTAN_F4)
-    raise UnsupportedType("unknown family %r" % fam)
+    if f.family == "GL" or (f.family == "SO" and kind == "D"):
+        roots = _chain(l + central, l if f.family == "GL" else l - 1)
+        if kind == "D":
+            roots.append(tuple(int(k >= l - 2) for k in range(l)))
+        coroots = roots
+    else:
+        a = _cartan(kind, l)
+        units = list(_frozen(identity_matrix(l)))
+        if f.family in ("PGL", "SO"):
+            roots, coroots = units, list(zip(*a))
+        else:
+            roots, coroots = list(_frozen(a)), units
+    reflections = [[[(k == j) - v[k] * alpha[j] for j in range(len(alpha))]
+                    for k in range(len(v))]
+                   for alpha, v in zip(roots, coroots)]
+    return coroots, reflections
 
 
 def _orbit(start, reflections, act) -> tuple:

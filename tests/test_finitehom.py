@@ -204,6 +204,8 @@ def test_search_limits():
         enumerate_homs(FreeAbelian(7), Q8)
     with pytest.raises(TooLarge):
         enumerate_homs(FreeNilpotent(4, 2), Q8)   # 10 generators
+    with pytest.raises(TooLarge):
+        enumerate_homs(FreeAbelian(3), cyclic(256))   # 256^3 leaves
     # tables have order^2 entries, so the order is bounded first
     assert cyclic(256).order == dihedral(128).order == 256
     for build, n in ((cyclic, 257), (dihedral, 129), (cyclic, 10**8)):

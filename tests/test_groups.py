@@ -7,8 +7,7 @@ from nilrep.groups import (POWER_LETTER_CAP, AbelianInvariants, DirectProduct,
                            FiniteAbelian, FreeAbelian, FreeNilpotent,
                            Heisenberg, Presentation, Presented, Word,
                            abelianize, commutator, concat,
-                           free_nilpotent_lcs_ranks, gen,
-                           heisenberg_presentation, heisenberg_presented,
+                           free_nilpotent_lcs_ranks, gen, heisenberg_presented,
                            inverse, is_abelian, is_nonabelian_free_family,
                            lower_central_data, power, quotient_by_lcs)
 
@@ -177,7 +176,6 @@ def test_family_predicates():
     assert is_abelian(FreeNilpotent(1, 5))
     assert not is_abelian(Heisenberg())
     assert not is_abelian(heisenberg_presented())
-    assert is_abelian(Presented(heisenberg_presentation(), declared_class=1))
     assert is_nonabelian_free_family(Heisenberg())
     assert is_nonabelian_free_family(FreeNilpotent(2, 2))
     assert not is_nonabelian_free_family(FreeNilpotent(2, 1))

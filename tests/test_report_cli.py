@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from nilrep import selftest
+from nilrep import finitehom, selftest
+from nilrep.arith import totient
 from nilrep.cli import main
 from nilrep.groups import (AbelianInvariants, FreeAbelian, FreeNilpotent,
                            Heisenberg)
@@ -159,6 +160,11 @@ def test_cli_poincare_and_pi1(capsys):
     payload = json.loads(out)
     assert payload["pi1_hom"] == {"rank": 2, "torsion": []}
     assert payload["pi1_char"] == {"rank": 2, "torsion": []}
+    # the text output formats both groups as analyze does
+    code, out, _ = run_cli(capsys, "pi1", "--group", "Z", "--target", "GL2")
+    assert code == 0
+    assert out.splitlines() == ["pi_1 of Hom(Z^1, GL2)_1: Z",
+                                "pi_1 of the character variety: Z"]
 
 
 def test_cli_poincare_sl9(capsys):
@@ -189,10 +195,23 @@ def test_cli_connectivity_and_homcount(capsys):
     assert json.loads(out)["total"] == 40
 
 
-def test_cli_bound(capsys):
+def test_cli_bound(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "bound", "--m", "3", "--json")
     assert code == 0
     assert json.loads(out)["bound"] == 64
+    limit = finitehom.ORDER_BOUND_M_LIMIT
+    code, out, _ = run_cli(capsys, "bound", "--m", str(limit))
+    assert code == 0
+    assert out.splitlines()[1] == "bound: %d" % (
+        sum(totient(k) for k in range(1, limit + 1)) ** limit)
+    # m is bounded before any totient is computed
+    def no_totient(k):
+        raise AssertionError("totient(%d) computed" % k)
+    monkeypatch.setattr(finitehom, "totient", no_totient)
+    for m in (limit + 1, 10**8):
+        code, out, _ = run_cli(capsys, "bound", "--m", str(m), "--json")
+        assert code == 3, m
+        assert json.loads(out)["error"]["type"] == "TooLarge"
 
 
 def test_cli_selftest(capsys, monkeypatch):

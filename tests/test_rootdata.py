@@ -29,6 +29,22 @@ SMALL_SPECS = [
 ]
 
 
+# every catalog factor up to rank 12, past the Weyl order bound too
+CATALOG = ([Factor("SL", n) for n in range(2, 14)]
+           + [Factor("GL", n) for n in range(1, 13)]
+           + [Factor("PGL", n) for n in range(2, 14)]
+           + [Factor("Sp", n) for n in range(2, 25, 2)]
+           + [Factor("SO", n) for n in range(3, 26)]
+           + [Factor("Spin", n) for n in range(3, 26)]
+           + [Factor("G2"), Factor("F4")]
+           + [Factor("T", n) for n in range(1, 13)])
+
+
+def single_factor_datum(f):
+    """The datum of one factor, without the ReductiveSpec bounds."""
+    return RootDatum((f,), (rootdata._factor_block(f),))
+
+
 def dense_coroots(rd):
     """Every block's coroots, padded with zeros into the full rank."""
     out, offset = [], 0
@@ -195,22 +211,22 @@ def test_weyl_group_closed_under_product_and_inverse():
             assert prod in elements
 
 
+def classical_pi1(f):
+    """pi_1 from the classical table, which does not read the models."""
+    if f.family == "GL":
+        return AbelianInvariants(1)
+    if f.family == "T":
+        return AbelianInvariants(f.param)
+    if f.family == "PGL":
+        return AbelianInvariants(0, (f.param,))
+    if f.family == "SO":
+        return AbelianInvariants(0, (2,))
+    return AbelianInvariants(0)  # SL, Sp, Spin, G2, F4
+
+
 def test_pi1_classical_values():
-    for n in (2, 3, 4):
-        assert pi1_G(build_root_datum(reductive(("SL", n)))).is_trivial()
-        pgl = pi1_G(build_root_datum(reductive(("PGL", n))))
-        assert pgl == AbelianInvariants(0, (n,))
-    for n in (1, 2, 3):
-        gl = pi1_G(build_root_datum(reductive(("GL", n))))
-        assert gl == AbelianInvariants(1)
-    for n in (3, 4, 5, 6, 7):
-        assert pi1_G(build_root_datum(reductive(("SO", n)))) \
-            == AbelianInvariants(0, (2,))
-        assert pi1_G(build_root_datum(reductive(("Spin", n)))).is_trivial()
-    for spec in (reductive(("Sp", 4)), reductive(("Sp", 6)),
-                 reductive("G2"), reductive("F4")):
-        assert pi1_G(build_root_datum(spec)).is_trivial()
-    assert pi1_G(build_root_datum(reductive(("T", 2)))) == AbelianInvariants(2)
+    for f in CATALOG:
+        assert pi1_G(single_factor_datum(f)) == classical_pi1(f), str(f)
 
 
 def uncached_dense_coroots(spec):
@@ -272,3 +288,10 @@ def test_coroot_counts():
         rd = build_root_datum(spec)
         assert len(rd.blocks[0].coroots) == count
         assert rd.positive_coroot_count() * 2 == count
+    # the number of roots is 2 * sum(d - 1) over the degrees of the
+    # semisimple part; a central degree 1 adds none
+    for f in CATALOG:
+        rd = single_factor_datum(f)
+        count = 2 * sum(d - 1 for d in f.degrees())
+        assert len(rd.blocks[0].coroots) == count, str(f)
+        assert rd.positive_coroot_count() * 2 == count, str(f)
