@@ -20,13 +20,11 @@ from itertools import product
 from .arith import totient
 from .errors import (NilrepError, TooLarge, UnsupportedGroup,
                      UnsupportedQuotient)
-from .groups import (DirectProduct, FiniteAbelian, FreeAbelian, FreeNilpotent,
-                     GroupSpec, Heisenberg, Presentation, Presented, Word,
-                     abelianize, finite_abelian_presentation,
-                     free_abelian_presentation,
-                     free_nilpotent_class2_presentation,
-                     heisenberg_presentation, is_abelian,
-                     is_nonabelian_free_family, merge_presentations)
+from .groups import (DirectProduct, FiniteAbelian, FreeNilpotent, GroupSpec,
+                     Presentation, Presented, Word, abelianize,
+                     finite_abelian_presentation, is_abelian,
+                     is_nonabelian_free_family, merge_presentations,
+                     quotient_by_lcs)
 from .rootdata import ReductiveSpec
 
 GENERATOR_LIMIT = 6
@@ -250,38 +248,67 @@ class HomSearchResult:
 
 
 def presentation_for_homs(g, target: FiniteGroup) -> Presentation:
-    """A finite presentation suitable for counting maps into target.
+    """A finite presentation with the same maps into target as g.
 
-    Free nilpotent groups of class >= 3 have no finite presentation in
-    this catalog; when the target's nilpotency class is at most 2 the
-    class-2 quotient receives exactly the same homomorphisms, so that
-    presentation is used.  Otherwise UnsupportedGroup is raised.
+    A map into a target of nilpotency class k kills the (k + 1)-st
+    lower-central term, so each free nilpotent factor is searched on
+    its quotient by that term: Z^n for an abelian target, the class-2
+    quotient for Q8.  The catalog presents classes 1 and 2; a factor
+    left at class >= 3 (or any class >= 3 into a target that is not
+    nilpotent) raises UnsupportedGroup.  The generator count is read
+    from the specs and checked against the search limits before any
+    relator is written.
     """
     if isinstance(g, Presentation):
+        g = Presented(g)
+    g = _searched(g, target.nilpotency_class())
+    gens = _generator_count(g)
+    if gens > GENERATOR_LIMIT:
+        raise TooLarge("presentation has %d generators (limit %d)"
+                       % (gens, GENERATOR_LIMIT))
+    if target.order ** gens > SEARCH_LIMIT:
+        raise TooLarge("search space %d^%d exceeds the limit"
+                       % (target.order, gens))
+    return _presentation(g)
+
+
+def _searched(g, k):
+    """g with each free nilpotent factor replaced by its quotient by the
+    (k + 1)-st lower-central term; k is None for a target that is not
+    nilpotent."""
+    if isinstance(g, DirectProduct):
+        return DirectProduct(tuple(_searched(f, k) for f in g.factors))
+    if not isinstance(g, FreeNilpotent):
         return g
+    searched = g if k is None else quotient_by_lcs(g, k + 1)
+    if searched.c > 2:
+        raise UnsupportedGroup(
+            "no finite presentation of %s is available at the class of the "
+            "target group" % g)
+    return searched
+
+
+def _generator_count(g) -> int:
+    """Generators of _presentation(g), from the specs alone."""
+    if isinstance(g, Presented):
+        return g.presentation.generator_count
+    if isinstance(g, FiniteAbelian):
+        return max(len(g.divisors), 1)
+    if isinstance(g, DirectProduct):
+        return sum(_generator_count(f) for f in g.factors)
+    if isinstance(g, FreeNilpotent):
+        return g.n * (g.n + 1) // 2 if g.c == 2 else g.n
+    raise TypeError("not a group spec or presentation: %r" % (g,))
+
+
+def _presentation(g) -> Presentation:
     if isinstance(g, Presented):
         return g.presentation
-    if isinstance(g, Heisenberg):
-        return heisenberg_presentation()
-    if isinstance(g, FreeAbelian):
-        return free_abelian_presentation(g.n)
     if isinstance(g, FiniteAbelian):
         return finite_abelian_presentation(g.divisors)
-    if isinstance(g, FreeNilpotent):
-        if g.c == 1:
-            return free_abelian_presentation(g.n)
-        if g.c == 2:
-            return free_nilpotent_class2_presentation(g.n)
-        target_class = target.nilpotency_class()
-        if target_class is None or target_class > 2:
-            raise UnsupportedGroup(
-                "no finite presentation of %s is available at the class "
-                "of the target group" % g)
-        return free_nilpotent_class2_presentation(g.n)
     if isinstance(g, DirectProduct):
-        return merge_presentations(
-            presentation_for_homs(f, target) for f in g.factors)
-    raise TypeError("not a group spec or presentation: %r" % (g,))
+        return merge_presentations(_presentation(f) for f in g.factors)
+    return g.presentation()
 
 
 def _evaluate(word: Word, images, target: FiniteGroup) -> int:
@@ -300,12 +327,6 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     """
     pres = presentation_for_homs(g, target)
     gens = pres.generator_count
-    if gens > GENERATOR_LIMIT:
-        raise TooLarge("presentation has %d generators (limit %d)"
-                       % (gens, GENERATOR_LIMIT))
-    if target.order ** gens > SEARCH_LIMIT:
-        raise TooLarge("search space %d^%d exceeds the limit"
-                       % (target.order, gens))
     by_depth: list[list[Word]] = [[] for _ in range(gens)]
     for w in pres.relators:
         top = w.max_generator()

@@ -1,12 +1,12 @@
 """Finitely generated nilpotent groups and their abelian invariants.
 
-A group is described either by a catalog entry (free abelian, free
-nilpotent, Heisenberg, finite abelian, direct products of these) or by a
-finite presentation.  The computations offered here are the ones that are
-decidable at this level of generality: abelianization via Smith normal
-form of the relator exponent matrix, ranks of lower-central layers of
-free nilpotent groups, and quotients by lower-central terms for catalog
-groups.
+A group is described either by a catalog entry (free nilpotent, with
+the Heisenberg and free abelian groups as named members, finite abelian,
+direct products of these) or by a finite presentation.  The computations
+offered here are the ones that are decidable at this level of
+generality: abelianization via Smith normal form of the relator exponent
+matrix, ranks of lower-central layers of free nilpotent groups, and
+quotients by lower-central terms for catalog groups.
 
 >>> abelianize(heisenberg_presented())
 AbelianInvariants(rank=2, torsion=())
@@ -14,7 +14,7 @@ AbelianInvariants(rank=2, torsion=())
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arith import divisors, mobius
 from .errors import NilrepError, TooLarge, UnsupportedQuotient
@@ -106,7 +106,12 @@ def power(w: Word, n: int) -> Word:
 
 
 def commutator(a: Word, b: Word) -> Word:
-    """[a, b] = a^-1 b^-1 a b, expanded and reduced."""
+    """[a, b] = a^-1 b^-1 a b, expanded and reduced; nesting doubles the
+    length, so the written-out word may not pass the cap either."""
+    letters = 2 * (len(a.letters) + len(b.letters))
+    if letters > POWER_LETTER_CAP:
+        raise TooLarge("commutator of %d letters exceeds %d letters"
+                       % (letters, POWER_LETTER_CAP))
     return concat(inverse(a), inverse(b), a, b)
 
 
@@ -163,7 +168,11 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class FreeNilpotent(GroupSpec):
-    """Free nilpotent group on n generators of class c."""
+    """Free nilpotent group on n generators of class c.
+
+    The catalog's free groups are all of this family: Heisenberg is
+    F(2, 2) and FreeAbelian(n) is F(n, 1), each with its own spelling.
+    """
 
     n: int
     c: int
@@ -175,22 +184,39 @@ class FreeNilpotent(GroupSpec):
     def __str__(self):
         return "F(%d,%d)" % (self.n, self.c)
 
+    def presentation(self) -> Presentation:
+        """Finite presentation of class 1 (Z^n) or 2 (F(n, 2))."""
+        if self.c > 2:
+            raise ValueError("the catalog presents classes 1 and 2 only")
+        if self.c == 1:
+            return free_abelian_presentation(self.n)
+        return free_nilpotent_class2_presentation(self.n)
 
-@dataclass(frozen=True)
-class Heisenberg(GroupSpec):
-    """The integral Heisenberg group on two generators."""
+
+class Heisenberg(FreeNilpotent):
+    """The integral Heisenberg group H3 = F(2, 2)."""
+
+    def __init__(self):
+        super().__init__(2, 2)
+
+    def __repr__(self):
+        return "Heisenberg()"
 
     def __str__(self):
         return "H3"
 
+    def presentation(self) -> Presentation:
+        return replace(super().presentation(), names=("x", "y", "z"))
 
-@dataclass(frozen=True)
-class FreeAbelian(GroupSpec):
-    n: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need n >= 1")
+class FreeAbelian(FreeNilpotent):
+    """The free abelian group Z^n = F(n, 1)."""
+
+    def __init__(self, n: int):
+        super().__init__(n, 1)
+
+    def __repr__(self):
+        return "FreeAbelian(n=%d)" % self.n
 
     def __str__(self):
         return "Z^%d" % self.n
@@ -257,6 +283,9 @@ def _check_chain(chain):
 # polynomials (every r <= 8 fits rootdata.RANK_BOUND = 64), r * len(torsion)
 # for pi_1(G)^r.  Both polynomials: SL2, r = 512: 0.55 s; SL9, r = 64: 6.8 s
 OUTPUT_BOUND = 512
+# every invariant factor must print: Python writes an int of at most
+# 4,300 digits as text (the default of sys.get_int_max_str_digits())
+TORSION_BOUND = 10**4300
 
 
 @dataclass(frozen=True)
@@ -270,6 +299,9 @@ class AbelianInvariants:
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
         _check_chain(self.torsion)
+        if self.torsion and self.torsion[-1] >= TORSION_BOUND:
+            raise TooLarge("an invariant factor of %d bits has more than "
+                           "4300 digits" % self.torsion[-1].bit_length())
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -319,10 +351,6 @@ def abelianize(g: GroupSpec) -> AbelianInvariants:
     come out right automatically.
     """
     if isinstance(g, FreeNilpotent):
-        return AbelianInvariants(g.n)
-    if isinstance(g, Heisenberg):
-        return AbelianInvariants(2)
-    if isinstance(g, FreeAbelian):
         return AbelianInvariants(g.n)
     if isinstance(g, FiniteAbelian):
         return AbelianInvariants(0, g.divisors)
@@ -377,10 +405,8 @@ class LowerCentralData:
 
 def lower_central_data(g: GroupSpec) -> LowerCentralData:
     """Lower-central layer data; catalog groups only."""
-    if isinstance(g, (FreeAbelian, FiniteAbelian)):
+    if isinstance(g, FiniteAbelian):
         return LowerCentralData((abelianize(g),))
-    if isinstance(g, Heisenberg):
-        return LowerCentralData((AbelianInvariants(2), AbelianInvariants(1)))
     if isinstance(g, FreeNilpotent):
         ranks = free_nilpotent_lcs_ranks(g.n, g.c)
         while len(ranks) > 1 and ranks[-1] == 0:
@@ -405,17 +431,18 @@ def lower_central_data(g: GroupSpec) -> LowerCentralData:
 def quotient_by_lcs(g: GroupSpec, i: int) -> GroupSpec:
     """The quotient by the i-th lower-central term, for catalog groups.
 
-    Abelian groups are unchanged, free nilpotent groups drop to class
-    i - 1, and the Heisenberg group abelianizes at i = 2.
+    A group of class below i, finite abelian groups included, is
+    returned as it is; a free nilpotent group drops to class i - 1,
+    which is Z^n at i = 2.
     """
     if i < 2:
         raise ValueError("need i >= 2")
-    if isinstance(g, (FreeAbelian, FiniteAbelian)):
+    if isinstance(g, FiniteAbelian):
         return g
-    if isinstance(g, Heisenberg):
-        return FreeAbelian(2) if i == 2 else g
     if isinstance(g, FreeNilpotent):
-        return FreeNilpotent(g.n, min(g.c, i - 1))
+        if g.c < i:
+            return g
+        return FreeAbelian(g.n) if i == 2 else FreeNilpotent(g.n, i - 1)
     if isinstance(g, DirectProduct):
         return DirectProduct(tuple(quotient_by_lcs(f, i) for f in g.factors))
     raise UnsupportedQuotient(
@@ -428,21 +455,17 @@ def is_abelian(g: GroupSpec) -> bool:
     For a presented group we make no claim (False here means "not
     certified").
     """
-    if isinstance(g, (FreeAbelian, FiniteAbelian)):
+    if isinstance(g, FiniteAbelian):
         return True
     if isinstance(g, FreeNilpotent):
         return g.c == 1 or g.n == 1
-    if isinstance(g, Heisenberg):
-        return False
     if isinstance(g, DirectProduct):
         return all(is_abelian(f) for f in g.factors)
     return False
 
 
 def is_nonabelian_free_family(g: GroupSpec) -> bool:
-    """Non-abelian free nilpotent groups and the Heisenberg group."""
-    if isinstance(g, Heisenberg):
-        return True
+    """Non-abelian free nilpotent groups, the Heisenberg group among them."""
     return isinstance(g, FreeNilpotent) and g.n >= 2 and g.c >= 2
 
 
@@ -451,10 +474,7 @@ def is_nonabelian_free_family(g: GroupSpec) -> bool:
 
 
 def heisenberg_presentation() -> Presentation:
-    x, y, z = gen(0), gen(1), gen(2)
-    relators = (concat(commutator(x, y), inverse(z)),
-                commutator(x, z), commutator(y, z))
-    return Presentation(3, relators, names=("x", "y", "z"))
+    return Heisenberg().presentation()
 
 
 def heisenberg_presented() -> Presented:
@@ -470,14 +490,11 @@ def free_abelian_presentation(n: int) -> Presentation:
 
 def finite_abelian_presentation(chain) -> Presentation:
     _check_chain(chain)
-    n = len(chain)
-    if n == 0:
+    if not chain:
         return Presentation(1, (gen(0),), names=("x1",))
-    relators = [power(gen(i), d) for i, d in enumerate(chain)]
-    relators += [commutator(gen(i), gen(j))
-                 for i in range(n) for j in range(i + 1, n)]
-    names = tuple("x%d" % (i + 1) for i in range(n))
-    return Presentation(n, tuple(relators), names=names)
+    free = free_abelian_presentation(len(chain))
+    powers = tuple(power(gen(i), d) for i, d in enumerate(chain))
+    return replace(free, relators=powers + free.relators)
 
 
 def free_nilpotent_class2_presentation(n: int) -> Presentation:

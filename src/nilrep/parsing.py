@@ -25,6 +25,12 @@ from .groups import (DirectProduct, FiniteAbelian, FreeAbelian, FreeNilpotent,
                      commutator, concat, gen, power)
 from .rootdata import Factor, ReductiveSpec
 
+# deepest bracket nesting in a word.  Each level can double the word, so
+# about 16 levels already reach groups.POWER_LETTER_CAP; the bound keeps
+# the recursive descent far below the interpreter's recursion limit
+# (1,000 frames by default)
+NESTING_BOUND = 64
+
 
 class _Scanner:
     def __init__(self, text: str):
@@ -167,17 +173,20 @@ def _presentation(s: _Scanner) -> Presented:
                                   names=tuple(names)))
 
 
-def _word(s: _Scanner, index: dict[str, int]) -> Word:
+def _word(s: _Scanner, index: dict[str, int], depth: int = 0) -> Word:
     parts = []
     while True:
         s.skip_ws()
         ch = s.peek()
         if ch == "[":
+            if depth == NESTING_BOUND:
+                raise ParseError("commutator brackets nested deeper than %d"
+                                 % NESTING_BOUND, s.pos)
             s.expect("[")
-            a = _word(s, index)
+            a = _word(s, index, depth + 1)
             s.skip_ws()
             s.expect(",")
-            b = _word(s, index)
+            b = _word(s, index, depth + 1)
             s.skip_ws()
             s.expect("]")
             base = commutator(a, b)

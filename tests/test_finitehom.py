@@ -2,6 +2,7 @@
 
 import pytest
 
+from nilrep import finitehom, groups
 from nilrep.arith import totient
 from nilrep.errors import TooLarge, UnsupportedGroup
 from nilrep.finitehom import (FiniteGroup, central_image_order_bound,
@@ -9,7 +10,9 @@ from nilrep.finitehom import (FiniteGroup, central_image_order_bound,
                               enumerate_homs, q8, surjection_witness)
 from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,
                            FreeNilpotent, Heisenberg, Presentation, Presented,
-                           gen, power)
+                           free_abelian_presentation,
+                           free_nilpotent_class2_presentation, gen,
+                           merge_presentations, power)
 from nilrep.rootdata import reductive
 
 
@@ -177,6 +180,50 @@ def test_free_nilpotent_class_three_routes_through_class_two():
     # a non-nilpotent target cannot take this route
     with pytest.raises(UnsupportedGroup):
         enumerate_homs(FreeNilpotent(2, 3), dihedral(3))
+    # an abelian target sees Z^4, not the ten generators of F(4, 2)
+    result = enumerate_homs(FreeNilpotent(4, 2), cyclic(2))
+    assert (result.total, result.surjective) == (16, 15)
+
+
+@pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6), cyclic(4),
+                                    dihedral(3)], ids=lambda t: t.name)
+def test_quotient_rule_matches_presented_groups(target):
+    # a Presented group is searched as written, so it referees the rule
+    # that searches a catalog group on its quotient by the target's class
+    cases = [
+        (Heisenberg(), free_nilpotent_class2_presentation(2)),
+        (FreeNilpotent(3, 2), free_nilpotent_class2_presentation(3)),
+        (DirectProduct((FreeNilpotent(2, 2), FreeAbelian(1))),
+         merge_presentations([free_nilpotent_class2_presentation(2),
+                              free_abelian_presentation(1)])),
+        (FreeAbelian(3), free_abelian_presentation(3)),
+    ]
+    for g, pres in cases:
+        catalog = enumerate_homs(g, target)
+        presented = enumerate_homs(Presented(pres), target)
+        assert (catalog.total, catalog.surjective) \
+            == (presented.total, presented.surjective), (g, target.name)
+
+
+def test_presentations_are_sized_before_they_are_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a presentation past the limits was built")
+
+    for name in ("free_abelian_presentation",
+                 "free_nilpotent_class2_presentation"):
+        monkeypatch.setattr(groups, name, refuse)
+    for name in ("finite_abelian_presentation", "merge_presentations"):
+        monkeypatch.setattr(finitehom, name, refuse)
+    for g, target in ((FreeNilpotent(100, 2), Q8), (FreeAbelian(3000), Q8),
+                      (FreeNilpotent(4, 2), Q8),
+                      (DirectProduct((Heisenberg(), FreeAbelian(4000))), Q8),
+                      (FiniteAbelian((2,) * 7), Q8),
+                      (FreeAbelian(3), cyclic(256))):
+        with pytest.raises(TooLarge):
+            enumerate_homs(g, target)
+    # the verdict that needed no search is unchanged
+    v = connectivity_verdict(FreeNilpotent(200, 2), reductive(("SL", 2)))
+    assert v.reason_code == "nonabelian_free_family"
 
 
 def test_finite_abelian_and_product_targets():

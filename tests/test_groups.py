@@ -7,7 +7,9 @@ from nilrep.groups import (POWER_LETTER_CAP, AbelianInvariants, DirectProduct,
                            FiniteAbelian, FreeAbelian, FreeNilpotent,
                            Heisenberg, Presentation, Presented, Word,
                            abelianize, commutator, concat,
-                           free_nilpotent_lcs_ranks, gen, heisenberg_presented,
+                           free_nilpotent_class2_presentation,
+                           free_nilpotent_lcs_ranks, gen,
+                           heisenberg_presentation, heisenberg_presented,
                            inverse, is_abelian, is_nonabelian_free_family,
                            lower_central_data, power, quotient_by_lcs)
 
@@ -34,6 +36,11 @@ def test_commutator_expansion():
     assert w.letters == ((0, -1), (1, -1), (0, 1), (1, 1))
     assert w.exponent_sums(2) == [0, 0]
     assert inverse(w) == commutator(gen(1), gen(0))
+    # the written-out commutator has 2(|a| + |b|) letters, capped like powers
+    half = power(concat(gen(0), gen(1)), POWER_LETTER_CAP // 4)
+    assert len(commutator(half, Word()).letters) == 0
+    with pytest.raises(TooLarge):
+        commutator(half, gen(2))
 
 
 def test_power_of_a_letter_is_one_letter():
@@ -158,7 +165,7 @@ def test_quotient_by_lcs():
     assert quotient_by_lcs(FreeAbelian(5), 7) == FreeAbelian(5)
     g = DirectProduct((FreeNilpotent(3, 3), FiniteAbelian((2,))))
     assert quotient_by_lcs(g, 2) == DirectProduct(
-        (FreeNilpotent(3, 1), FiniteAbelian((2,))))
+        (FreeAbelian(3), FiniteAbelian((2,))))
     with pytest.raises(UnsupportedQuotient):
         quotient_by_lcs(heisenberg_presented(), 2)
 
@@ -169,6 +176,21 @@ def test_abelianization_factors_through_quotients():
     for g in specs:
         for i in range(2, 6):
             assert abelianize(quotient_by_lcs(g, i)) == abelianize(g)
+
+
+def test_heisenberg_and_free_abelian_are_named_free_nilpotent_groups():
+    assert isinstance(Heisenberg(), FreeNilpotent)
+    assert (Heisenberg().n, Heisenberg().c) == (2, 2)
+    assert (FreeAbelian(5).n, FreeAbelian(5).c) == (5, 1)
+    # each keeps its spelling, and equality stays class-sensitive
+    assert (str(Heisenberg()), repr(Heisenberg())) == ("H3", "Heisenberg()")
+    assert (str(FreeAbelian(5)), repr(FreeAbelian(5))) == ("Z^5",
+                                                           "FreeAbelian(n=5)")
+    assert Heisenberg() != FreeNilpotent(2, 2)
+    assert FreeAbelian(2) != FreeNilpotent(2, 1)
+    # H3's presentation is F(2, 2)'s under the names x, y, z
+    h, f = heisenberg_presentation(), free_nilpotent_class2_presentation(2)
+    assert h.relators == f.relators and h.names == ("x", "y", "z")
 
 
 def test_family_predicates():

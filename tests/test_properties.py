@@ -16,7 +16,7 @@ from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from nilrep.errors import NilrepError  # noqa: E402
 from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,  # noqa: E402
                            FreeNilpotent, Heisenberg, Presentation,
-                           Presented, free_reduce)
+                           Presented, abelianize, free_reduce)
 from nilrep.parsing import parse_group_spec, parse_reductive_spec  # noqa: E402
 from nilrep.rootdata import Factor, ReductiveSpec  # noqa: E402
 from nilrep.snf import (cokernel_invariants, diagonal_of,  # noqa: E402
@@ -122,3 +122,48 @@ REDUCTIVE_SPECS = (st.lists(FACTORS, min_size=1, max_size=5)
 @given(REDUCTIVE_SPECS)
 def test_reductive_spec_round_trips(spec):
     assert parse_reductive_spec(str(spec)) == spec
+
+
+# ---------------------------------------------------------------------------
+# text built from the DSL alphabets: structured errors only
+
+_SIZES = st.sampled_from(("0", "1", "2", "7", "12", "4001", "9" * 25))
+_DSL_WORDS = st.recursive(
+    st.sampled_from(("a", "b", "a1")),
+    lambda w: st.one_of(st.tuples(w, w).map("[%s,%s]".__mod__),
+                        st.tuples(w, _SIZES).map("%s^%s".__mod__),
+                        st.tuples(w, _SIZES).map("%s^-%s".__mod__),
+                        st.tuples(w, w).map("".join)),
+    max_leaves=8)
+_DSL_ATOMS = st.one_of(
+    st.sampled_from(("H3", "Z", "G2", "F4")),
+    _SIZES.map("Z^%s".__mod__), _SIZES.map("Z/%s".__mod__),
+    st.tuples(_SIZES, _SIZES).map("F(%s,%s)".__mod__),
+    st.lists(_DSL_WORDS, min_size=1, max_size=3).map(
+        lambda words: "<a,b,a1 | %s>" % ", ".join(words)),
+    st.tuples(st.sampled_from(("SL", "GL", "PGL", "Sp", "SO", "Spin", "T")),
+              _SIZES).map("".join),
+)
+# well-formed text of both grammars with at most one token spliced in,
+# so that most inputs get deep into the parsers before anything breaks;
+# "\u00b2" (superscript two) passes str.isdigit() but not int()
+_DSL_TOKENS = ("", "H3", "F(", "Z^", "Z/", " x ", "x", " ", ",", "(", ")",
+               "<", ">", "|", "[", "]", "^", "-", "a", "0", "9" * 25, "SL",
+               "T", "\u00b2")
+DSL_TEXT = st.tuples(
+    st.lists(_DSL_ATOMS, min_size=1, max_size=4).map(" x ".join),
+    st.integers(0, 60), st.sampled_from(_DSL_TOKENS),
+).map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:])
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(DSL_TEXT)
+def test_dsl_text_raises_only_nilrep_errors(text):
+    try:
+        abelianize(parse_group_spec(text))
+    except NilrepError:
+        pass
+    try:
+        parse_reductive_spec(text)
+    except NilrepError:
+        pass

@@ -281,6 +281,25 @@ def test_cli_exit_codes(capsys):
                                "--target", "SL2", "--json")
         assert code == 0, cmd
         assert json.loads(out)["pi1_hom"] == {"rank": 0, "torsion": []}
+    # nested commutators double in length: capped in letters, and the
+    # bracket depth is bounded before the parser's recursion runs deep
+    for depth, expected in ((20, (3, "TooLarge")), (1200, (2, "parse"))):
+        group = "<a,b | %sa,b]%s>" % ("[" * depth, ",b]" * (depth - 1))
+        code, out, _ = run_cli(capsys, "pi1", "--group", group, "--target",
+                               "SL2", "--json")
+        assert (code, json.loads(out)["error"]["type"]) == expected, depth
+    # coprime 4,001-digit orders merge into an 8,001-digit invariant
+    # factor, past what Python writes as text
+    d1, d2 = 10**4000 + 1, 10**4000 + 3
+    for group in ("Z/%d x Z/%d" % (d1, d2),
+                  "<a,b | a^%d, b^%d, [a,b]>" % (d1, d2)):
+        code, _, err = run_cli(capsys, "analyze", "--group", group,
+                               "--target", "SL2")
+        assert code == 3 and "TooLarge" in err
+        code, out, _ = run_cli(capsys, "analyze", "--group", group,
+                               "--target", "SL2", "--json")
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "TooLarge"
 
 
 @pytest.mark.parametrize("group, target", [
