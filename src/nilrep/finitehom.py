@@ -15,6 +15,7 @@ component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .arith import totient
@@ -161,10 +162,12 @@ def _gauss_mat_mul(a, b):
                        for j in range(2)) for i in range(2))
 
 
+@cache
 def q8() -> FiniteGroup:
     """The quaternion group of order 8, generated inside SL_2(C) by
     diag(i, -i) and the rotation [[0, 1], [-1, 0]], multiplied exactly
-    over the Gaussian integers."""
+    over the Gaussian integers.  Built and checked once per process; every
+    caller shares the one table."""
     gen_i = (((0, 1), (0, 0)), ((0, 0), (0, -1)))
     gen_j = (((0, 0), (1, 0)), ((-1, 0), (0, 0)))
     one = (((1, 0), (0, 0)), ((0, 0), (1, 0)))

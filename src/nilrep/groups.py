@@ -8,7 +8,7 @@ generality: abelianization via Smith normal form of the relator exponent
 matrix, ranks of lower-central layers of free nilpotent groups, and
 quotients by lower-central terms for catalog groups.
 
->>> abelianize(heisenberg_presented())
+>>> abelianize(Presented(heisenberg_presentation()))
 AbelianInvariants(rank=2, torsion=())
 """
 
@@ -475,10 +475,6 @@ def is_nonabelian_free_family(g: GroupSpec) -> bool:
 
 def heisenberg_presentation() -> Presentation:
     return Heisenberg().presentation()
-
-
-def heisenberg_presented() -> Presented:
-    return Presented(heisenberg_presentation())
 
 
 def free_abelian_presentation(n: int) -> Presentation:

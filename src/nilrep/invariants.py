@@ -21,9 +21,20 @@ W and depend on the factor only through its Cartan type: for types A-D
 they are (signed) cycle types with closed-form sizes and characteristic
 polynomials (Carter, "Conjugacy classes in the Weyl group", 1972), for
 G2 and F4 they are literal tables, and a central torus multiplies each
-by (1 + t) per dimension.  No Molien sum enumerates a Weyl group; only
-the referees do (the projector oracle at the end, given
-rootdata.enumerate_weyl, and the tests).  All arithmetic is integer or rational and exact; summation
+by (1 + t) per dimension.
+
+A factor's Molien sum, sum over classes of k * q * det(I + t*w)^r with
+k the class size and q its coinvariant quotient (1 for the character
+variety), is taken over the integers: t -> 2^shift is a ring map Z[t] -> Z, so each
+class costs one integer power and one product.  No coefficient of the
+sum exceeds B = sum k * |q|_1 * |det(I + t*w)|_1^r (|.|_1 the sum of the
+absolute values of the coefficients) in absolute value, so with
+2^(shift-1) > B the balanced base-2^shift digits of the integer sum are
+its coefficients.
+
+No Molien sum enumerates a Weyl group; only the referees do (the
+projector oracle at the end, given rootdata.enumerate_weyl, and the
+tests).  All arithmetic is integer or rational and exact; summation
 order can never change a result.
 """
 
@@ -203,7 +214,9 @@ def char_coefficients(w) -> list[int]:
 
 def exterior_char(w, r: int) -> GradedPoly:
     """Graded trace of w on the cohomology of T^r: det(I + t*w)^r."""
-    return _exterior_series(char_coefficients(w), r)
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    return poly(char_coefficients(w)) ** r
 
 
 def coinvariant_char(w, degrees) -> GradedPoly:
@@ -215,13 +228,6 @@ def coinvariant_char(w, degrees) -> GradedPoly:
     """
     return _coinvariant_series(char_coefficients(w),
                                _coinvariant_numerator(degrees))
-
-
-def _exterior_series(cs, r: int) -> GradedPoly:
-    """det(I + t*w)^r from the coefficients cs of det(I + t*w)."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    return poly(cs) ** r
 
 
 def _coinvariant_numerator(degrees) -> GradedPoly:
@@ -353,13 +359,50 @@ def _factor_quotients(f: Factor) -> tuple[GradedPoly, ...]:
 # Molien averages, multiplied across the factors
 
 
-def _molien_product(rd: RootDatum, terms_of) -> GradedPoly:
+def _pack(coefficients, shift: int) -> int:
+    """The value at t = 2^shift of sum_i coefficients[i] * t^i."""
+    value = 0
+    for c in reversed(coefficients):
+        value = (value << shift) + c
+    return value
+
+
+def _unpack(value: int, shift: int) -> GradedPoly:
+    """The polynomial whose value at t = 2^shift is value and whose
+    coefficients lie in [-2^(shift-1), 2^(shift-1)): the balanced
+    base-2^shift digits of value, lowest first."""
+    mask, half = (1 << shift) - 1, 1 << (shift - 1)
+    digits = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << shift
+        digits.append(digit)
+        value = (value - digit) >> shift
+    return poly(digits)
+
+
+def _molien_sum(rows, r: int) -> GradedPoly:
+    """sum of k * q * (sum_i cs_i t^i)^r over the rows (k, q, cs), q and cs
+    coefficient tuples, summed at t = 2^shift with 2^(shift-1) above the
+    bound B = sum k * |q|_1 * |cs|_1^r on every coefficient."""
+    bound = sum(k * sum(map(abs, q)) * sum(map(abs, cs)) ** r
+                for k, q, cs in rows)
+    shift = bound.bit_length() + 1
+    return _unpack(sum(k * _pack(q, shift) * _pack(cs, shift) ** r
+                       for k, q, cs in rows), shift)
+
+
+def _molien_product(rd: RootDatum, r: int, rows_of) -> GradedPoly:
     """prod over the factors f of rd of the Molien average over W_f, where
-    terms_of(f) yields (series, multiplicity) for each class of W_f: W acts
-    block-diagonally, so the average over W is the product of these."""
+    rows_of(f) yields (multiplicity, q, cs) for each class of W_f and the
+    class contributes q * (sum_i cs_i t^i)^r: W acts block-diagonally, so
+    the average over W is the product of these."""
+    if r < 0:
+        raise ValueError("r must be non-negative")
     out = ONE
     for f in rd.factors:
-        total = sum((series * k for series, k in terms_of(f)), ZERO)
+        total = _molien_sum(tuple(rows_of(f)), r)
         out = out * total.divide_int(f.weyl_order())
     return _finalize(out)
 
@@ -375,8 +418,8 @@ def poincare_char_variety(rd: RootDatum, r: int) -> GradedPoly:
     variety of Z^r: the W-invariants of H^*(T^r).  Raises TooLarge past
     OUTPUT_BOUND."""
     _check_output_size(rd, r)
-    return _molien_product(rd, lambda f: ((_exterior_series(cs, r), k)
-                                          for cs, k in _factor_classes(f)))
+    return _molien_product(rd, r, lambda f: (
+        (k, ONE.coefficients, cs) for cs, k in _factor_classes(f)))
 
 
 def poincare_hom_component(rd: RootDatum, r: int) -> GradedPoly:
@@ -384,8 +427,8 @@ def poincare_hom_component(rd: RootDatum, r: int) -> GradedPoly:
     variety of Z^r: the W-invariants of H^*(G/T x T^r).  Raises TooLarge
     past OUTPUT_BOUND."""
     _check_output_size(rd, r)
-    result = _molien_product(rd, lambda f: (
-        (quotient * _exterior_series(cs, r), k) for (cs, k), quotient
+    result = _molien_product(rd, r, lambda f: (
+        (k, quotient.coefficients, cs) for (cs, k), quotient
         in zip(_factor_classes(f), _factor_quotients(f))))
     if result.degree() > 2 * rd.positive_coroot_count() + r * rd.rank:
         raise NilrepError("invariant series exceeds dim G/T + r * rank")

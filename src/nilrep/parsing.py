@@ -19,10 +19,11 @@ str() on the parsed objects renders back into these grammars.
 
 from __future__ import annotations
 
-from .errors import ParseError
-from .groups import (DirectProduct, FiniteAbelian, FreeAbelian, FreeNilpotent,
-                     GroupSpec, Heisenberg, Presentation, Presented, Word,
-                     commutator, concat, gen, power)
+from .errors import ParseError, TooLarge
+from .groups import (POWER_LETTER_CAP, DirectProduct, FiniteAbelian,
+                     FreeAbelian, FreeNilpotent, GroupSpec, Heisenberg,
+                     Presentation, Presented, Word, commutator, concat, gen,
+                     power)
 from .rootdata import Factor, ReductiveSpec
 
 # deepest bracket nesting in a word.  Each level can double the word, so
@@ -30,12 +31,19 @@ from .rootdata import Factor, ReductiveSpec
 # the recursive descent far below the interpreter's recursion limit
 # (1,000 frames by default)
 NESTING_BOUND = 64
+# letters of all the words one group input writes, checked as each word
+# is written.  Every item counts, at every bracket depth, so a bracket
+# counts once for itself and once through its entries: twice the
+# single-word cap leaves room for one word at the cap, and a presentation
+# cannot repeat or juxtapose capped words without bound
+LETTER_BUDGET = 2 * POWER_LETTER_CAP
 
 
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.letters = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -86,6 +94,14 @@ class _Scanner:
         while self.peek().isalnum() or self.peek() == "_":
             self.pos += 1
         return self.text[start:self.pos]
+
+    def written(self, word: Word) -> Word:
+        """word, counted against LETTER_BUDGET for the whole input."""
+        self.letters += len(word.letters)
+        if self.letters > LETTER_BUDGET:
+            raise TooLarge("the words of this group input pass %d letters"
+                           % LETTER_BUDGET)
+        return word
 
     def separator_x(self) -> bool:
         """A standalone product separator 'x' between factors."""
@@ -205,7 +221,7 @@ def _word(s: _Scanner, index: dict[str, int], depth: int = 0) -> Word:
             break
         if s.try_literal("^"):
             base = power(base, s.integer(signed=True))
-        parts.append(base)
+        parts.append(s.written(base))
     if not parts:
         raise ParseError("expected a word", s.pos,
                          ("generator", "[word,word]"))

@@ -11,7 +11,9 @@ characters work uniformly for reductive (not just semisimple) groups;
 its simple reflections are s(v) = v - <alpha, v> alpha^vee for simple
 roots and coroots read off the type's Cartan matrix (_factor_model).
 pi_1(G) is the cocharacter lattice modulo the coroot lattice, and the
-dimension of G/[G,G] is the corank of the coroot span.  A block depends
+dimension of G/[G,G] is the corank of the coroot span; the simple
+coroots span that lattice, so both come from a Smith normal form of the
+rank x l matrix of simple coroots, not of all coroots.  A block depends
 on its factor alone, so each catalog factor's block is built, checked
 and reduced (its cokernel and corank) once per process and shared by
 every product that contains the factor.  Only the referees enumerate
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from math import prod
+from operator import mul
 
 from .errors import NilrepError, TooLarge, UnsupportedType
 from .groups import AbelianInvariants
@@ -166,7 +169,7 @@ def _frozen(rows) -> Matrix:
 
 
 def _apply(m, v: Vector) -> Vector:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _cartan(kind: str, l: int) -> list[list[int]]:
@@ -253,35 +256,46 @@ def _orbit(start, reflections, act) -> tuple:
 @dataclass(frozen=True)
 class Block:
     """One factor's cocharacter lattice Z^rank: its full (positive and
-    negative) coroot system, which the factor's Weyl group permutes, and
-    its simple reflections as integer matrices.  Checked when built: each
-    simple reflection is an involution of Z^rank permuting the coroots."""
+    negative) coroot system, which the factor's Weyl group permutes, its
+    simple reflections as integer matrices, and the simple coroots the
+    system was built from.  Checked when built: each simple reflection is
+    an involution of Z^rank permuting the coroots, and each simple coroot
+    is a coroot."""
 
     rank: int
     coroots: tuple[Vector, ...]
     simple_reflections: tuple[Matrix, ...]
+    simple_coroots: tuple[Vector, ...]
 
     def __post_init__(self):
         ident = identity_matrix(self.rank)
+        coroots = set(self.coroots)
         for s in self.simple_reflections:
             if mat_mul(s, s) != ident:
                 raise ValueError("simple reflections must be involutions")
-            if {_apply(s, v) for v in self.coroots} != set(self.coroots):
+            if {_apply(s, v) for v in self.coroots} != coroots:
                 raise ValueError("reflections must permute the coroots")
+        if not coroots.issuperset(self.simple_coroots):
+            raise ValueError("simple coroots must be coroots")
 
-    def _coroot_matrix(self):
-        return [[v[i] for v in self.coroots] for i in range(self.rank)]
+    def _simple_coroot_matrix(self):
+        # the simple coroots are a base of the coroot system, so every
+        # coroot is an integer combination of them (Bourbaki, Lie Groups
+        # and Lie Algebras, ch. VI, section 1) and these l columns span
+        # the coroot lattice
+        return [[v[i] for v in self.simple_coroots] for i in range(self.rank)]
 
     @cached_property
     def cokernel(self) -> AbelianInvariants:
         """Z^rank modulo the coroot lattice: this block's share of pi_1."""
-        return AbelianInvariants(*cokernel_invariants(self._coroot_matrix()))
+        return AbelianInvariants(
+            *cokernel_invariants(self._simple_coroot_matrix()))
 
     @cached_property
     def corank(self) -> int:
         """The corank of the coroot span: this block's share of
         dim G/[G,G]."""
-        return self.rank - integer_rank(self._coroot_matrix())
+        return self.rank - integer_rank(self._simple_coroot_matrix())
 
 
 @dataclass(frozen=True)
@@ -325,7 +339,7 @@ def _factor_block(f: Factor) -> Block:
     simple_coroots, simple_refl = _factor_model(f)
     # the full coroot system is the orbit of the simple coroots
     return Block(f.rank(), _orbit(simple_coroots, simple_refl, _apply),
-                 tuple(map(_frozen, simple_refl)))
+                 tuple(map(_frozen, simple_refl)), tuple(simple_coroots))
 
 
 def build_root_datum(spec: ReductiveSpec) -> RootDatum:

@@ -37,6 +37,13 @@ def test_q8_defining_relations():
     assert Q8.labels[Q8.mul(J, I)] == "-k"
 
 
+def test_q8_is_built_once_per_process():
+    assert q8() is q8() is Q8
+    fresh = q8.__wrapped__()
+    assert fresh is not Q8
+    assert (fresh.table, fresh.labels) == (Q8.table, Q8.labels)
+
+
 def test_q8_structure():
     commutators = {Q8.commutator(a, b) for a in range(8) for b in range(8)}
     assert Q8.closure(commutators) == frozenset({0, 1})

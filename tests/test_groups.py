@@ -9,9 +9,9 @@ from nilrep.groups import (POWER_LETTER_CAP, AbelianInvariants, DirectProduct,
                            abelianize, commutator, concat,
                            free_nilpotent_class2_presentation,
                            free_nilpotent_lcs_ranks, gen,
-                           heisenberg_presentation, heisenberg_presented,
-                           inverse, is_abelian, is_nonabelian_free_family,
-                           lower_central_data, power, quotient_by_lcs)
+                           heisenberg_presentation, inverse, is_abelian,
+                           is_nonabelian_free_family, lower_central_data,
+                           power, quotient_by_lcs)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,8 @@ def test_nested_commutator_has_zero_exponents():
 
 
 def test_heisenberg_abelianization_via_snf():
-    assert abelianize(heisenberg_presented()) == AbelianInvariants(2)
+    assert (abelianize(Presented(heisenberg_presentation()))
+            == AbelianInvariants(2))
     assert abelianize(Heisenberg()) == AbelianInvariants(2)
 
 
@@ -155,7 +156,7 @@ def test_lower_central_data():
     prod = lower_central_data(DirectProduct((Heisenberg(), FreeAbelian(2))))
     assert [a.rank for a in prod.per_layer] == [4, 1]
     with pytest.raises(UnsupportedQuotient):
-        lower_central_data(heisenberg_presented())
+        lower_central_data(Presented(heisenberg_presentation()))
 
 
 def test_quotient_by_lcs():
@@ -167,7 +168,7 @@ def test_quotient_by_lcs():
     assert quotient_by_lcs(g, 2) == DirectProduct(
         (FreeAbelian(3), FiniteAbelian((2,))))
     with pytest.raises(UnsupportedQuotient):
-        quotient_by_lcs(heisenberg_presented(), 2)
+        quotient_by_lcs(Presented(heisenberg_presentation()), 2)
 
 
 def test_abelianization_factors_through_quotients():
@@ -197,7 +198,7 @@ def test_family_predicates():
     assert is_abelian(FreeAbelian(3))
     assert is_abelian(FreeNilpotent(1, 5))
     assert not is_abelian(Heisenberg())
-    assert not is_abelian(heisenberg_presented())
+    assert not is_abelian(Presented(heisenberg_presentation()))
     assert is_nonabelian_free_family(Heisenberg())
     assert is_nonabelian_free_family(FreeNilpotent(2, 2))
     assert not is_nonabelian_free_family(FreeNilpotent(2, 1))

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
 from nilrep.errors import NilrepError  # noqa: E402
+from nilrep.invariants import _pack, _unpack, poly  # noqa: E402
 from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,  # noqa: E402
                            FreeNilpotent, Heisenberg, Presentation,
                            Presented, abelianize, free_reduce)
@@ -49,6 +50,31 @@ def test_snf_invariant_factors_match_sympy(m):
     nonzero = [e for e in expected if e]
     assert cokernel_invariants(m) == (len(m) - len(nonzero),
                                       tuple(e for e in nonzero if e >= 2))
+
+
+# ---------------------------------------------------------------------------
+# Molien sums packed into integers at t = 2^shift
+
+
+@st.composite
+def packable_polys(draw):
+    """(coefficients, shift) with every coefficient a balanced
+    base-2^shift digit, the edges -2^(shift-1) and +-(2^(shift-1) - 1)
+    drawn often."""
+    shift = draw(st.integers(1, 80))
+    half = 1 << (shift - 1)
+    digit = st.one_of(st.sampled_from((half - 1, 1 - half, -half)),
+                      st.integers(-half, half - 1))
+    return draw(st.lists(digit, max_size=12)), shift
+
+
+@PROPERTY
+@given(packable_polys())
+def test_unpack_inverts_pack(case):
+    coefficients, shift = case
+    p = poly(coefficients)
+    assert _unpack(_pack(p.coefficients, shift), shift) == p
+    assert _pack(p.coefficients, shift) == p(2 ** shift)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The analyze report, its JSON schema, and the command-line surface."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,24 @@ def test_cli_exit_codes(capsys):
         assert code == 3 and "TooLarge" in err
         code, out, _ = run_cli(capsys, "analyze", "--group", group,
                                "--target", "SL2", "--json")
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "TooLarge"
+
+
+def test_cli_letter_budget_covers_the_whole_presentation(capsys):
+    # a depth-15 nested commutator has 65,537 letters, inside the cap on
+    # one word; repeated or juxtaposed, its copies pass the budget of the
+    # whole input, and the parse stops at the copy that does
+    w = "[" * 15 + "a,b]" + ",b]" * 14
+    code, _, _ = run_cli(capsys, "pi1", "--group", "<a,b | %s>" % w,
+                         "--target", "SL2", "--json")
+    assert code == 0
+    for relators in (", ".join([w] * 40), "%s %s" % (w, w)):
+        group = "<a,b | %s>" % relators
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "pi1", "--group", group, "--target",
+                               "SL2", "--json")
+        assert time.perf_counter() - start < 1.0
         assert code == 3
         assert json.loads(out)["error"]["type"] == "TooLarge"
 

@@ -110,18 +110,22 @@ def test_weyl_sizes_match_degree_products():
 
 def test_weyl_closure_size_mismatch_is_an_error():
     # a valid SL2 block under a rank-1 torus factor, which claims |W| = 1
-    sl2 = Block(1, ((-1,), (1,)), (((-1,),),))
+    sl2 = Block(1, ((-1,), (1,)), (((-1,),),), ((1,),))
     rd = RootDatum((Factor("SL", 2), Factor("T", 1)), (sl2, sl2))
     with pytest.raises(NilrepError, match="4 elements, expected 2"):
         enumerate_weyl(rd)
 
 
 def test_blocks_are_checked_one_by_one():
-    sl2 = Block(1, ((-1,), (1,)), (((-1,),),))
+    sl2 = Block(1, ((-1,), (1,)), (((-1,),),), ((1,),))
     with pytest.raises(ValueError, match="involutions"):
-        RootDatum((Factor("SL", 2),), (Block(1, ((-1,), (1,)), (((2,),),)),))
+        RootDatum((Factor("SL", 2),),
+                  (Block(1, ((-1,), (1,)), (((2,),),), ((1,),)),))
     with pytest.raises(ValueError, match="permute"):
-        RootDatum((Factor("SL", 2),), (Block(1, ((1,),), (((-1,),),)),))
+        RootDatum((Factor("SL", 2),), (Block(1, ((1,),), (((-1,),),), ()),))
+    # the simple coroots span the coroot lattice, so they must be coroots
+    with pytest.raises(ValueError, match="simple coroots"):
+        Block(1, ((-1,), (1,)), (((-1,),),), ((2,),))
     # a block of another factor's rank does not fit this one
     with pytest.raises(ValueError, match="rank 1 for SL3 of rank 2"):
         RootDatum((Factor("SL", 3),), (sl2,))
@@ -129,7 +133,7 @@ def test_blocks_are_checked_one_by_one():
         RootDatum((Factor("SL", 2), Factor("SL", 2)), (sl2,))
     # a reflection of another rank is no involution of this block
     with pytest.raises(ValueError, match="involutions"):
-        Block(2, (), (((-1,),),))
+        Block(2, (), (((-1,),),), ())
 
 
 def test_each_factor_has_one_block_per_process():
