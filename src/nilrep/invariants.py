@@ -7,9 +7,11 @@ algebra model of G/T (generators in degree 2) it is
     prod_i (1 - t^(2*d_i)) / det(I - t^2 * w),
 
 a division that is exact because the coinvariant algebra is finite
-dimensional.  Both depend on w only through det(I + t*w), so the Molien
-averages giving the invariant dimensions degree by degree run over the
-classes of Weyl elements with equal det(I + t*w), weighted by class size.
+dimensional.  Numerator and denominator are series in u = t^2, so the
+quotient is divided in u and then spread onto the even degrees.  Both
+traces depend on w only through det(I + t*w), so the Molien averages
+giving the invariant dimensions degree by degree run over the classes
+of Weyl elements with equal det(I + t*w), weighted by class size.
 A product's Weyl group is the product of its factors', acting block-
 diagonally, so (Kuenneth) both Poincare polynomials of a product are the
 products of its factors' polynomials, each averaged over the factor's
@@ -231,22 +233,23 @@ def coinvariant_char(w, degrees) -> GradedPoly:
 
 
 def _coinvariant_numerator(degrees) -> GradedPoly:
-    """prod_i (1 - t^(2*d_i)), shared by every Weyl element of a datum."""
+    """prod_i (1 - u^(d_i)) in u = t^2, shared by every Weyl element of a
+    datum."""
     num = ONE
     for d in degrees:
-        term = [0] * (2 * d + 1)
-        term[0], term[2 * d] = 1, -1
-        num = num * poly(term)
+        num = num * poly([1] + [0] * (d - 1) + [-1])
     return num
 
 
 def _coinvariant_series(cs, num: GradedPoly) -> GradedPoly:
-    """num / det(I - t^2*w) from the coefficients cs of det(I + t*w),
-    using det(I - t^2*w) = sum_k c_k (-t^2)^k."""
-    den = [0] * (2 * len(cs) - 1)
-    for k, c in enumerate(cs):
-        den[2 * k] = c if k % 2 == 0 else -c
-    return num.exact_div(poly(den))
+    """num / det(I - u*w) in u = t^2, spread onto the even degrees of t,
+    from the coefficients cs of det(I + t*w) and num in u: both are series
+    in t^2, and det(I - u*w) = sum_k c_k (-u)^k."""
+    q = num.exact_div(poly([c if k % 2 == 0 else -c
+                            for k, c in enumerate(cs)])).coefficients
+    spread = [0] * (2 * len(q) - 1)
+    spread[::2] = q
+    return poly(spread)
 
 
 # ---------------------------------------------------------------------------

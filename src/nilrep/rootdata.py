@@ -9,7 +9,9 @@ dimension (Factor.cartan_type).  Its degrees are the type's, with one
 degree-1 entry per central torus dimension so that coinvariant-algebra
 characters work uniformly for reductive (not just semisimple) groups;
 its simple reflections are s(v) = v - <alpha, v> alpha^vee for simple
-roots and coroots read off the type's Cartan matrix (_factor_model).
+roots and coroots read off the type's Cartan matrix (_factor_block).
+Each changes only the coordinates where its alpha^vee is not 0 and is
+applied through those rows alone, once per coroot as the orbit is built.
 pi_1(G) is the cocharacter lattice modulo the coroot lattice, and the
 dimension of G/[G,G] is the corank of the coroot span; the simple
 coroots span that lattice, so both come from a Smith normal form of the
@@ -25,7 +27,7 @@ Spin(n>=3), G2, F4, and tori.  Everything else raises UnsupportedType.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from math import prod
 from operator import mul
@@ -168,8 +170,19 @@ def _frozen(rows) -> Matrix:
     return tuple(map(tuple, rows))
 
 
-def _apply(m, v: Vector) -> Vector:
-    return tuple(sum(map(mul, row, v)) for row in m)
+def _moved_rows(m: Matrix) -> tuple[tuple[int, Vector], ...]:
+    """(k, row k) for each row k of m unlike the identity's; for a
+    reflection, the k where alpha^vee is not 0."""
+    return tuple((k, row) for k, row in enumerate(m)
+                 if any(c != (j == k) for j, c in enumerate(row)))
+
+
+def _apply(moved, v: Vector) -> Vector:
+    """m v for the matrix m with these moved rows (_moved_rows)."""
+    out = list(v)
+    for k, row in moved:
+        out[k] = sum(map(mul, row, v))
+    return tuple(out)
 
 
 def _cartan(kind: str, l: int) -> list[list[int]]:
@@ -199,39 +212,6 @@ def _chain(n: int, count: int) -> list[Vector]:
             for i in range(count)]
 
 
-def _factor_model(f: Factor):
-    """(simple coroots, simple reflections) in the factor's own lattice.
-
-    Each simple reflection is s(v) = v - <alpha, v> alpha^vee for a simple
-    root alpha (a functional) and its coroot alpha^vee.  The simply
-    connected groups (SL, Sp, Spin, G2, F4) live on the coroot lattice:
-    the coroots are unit vectors and the roots the rows of the Cartan
-    matrix.  The adjoint groups (PGL, odd SO) live on the coweight
-    lattice: the roots are unit functionals and the coroots the columns of
-    the Cartan matrix.  GL_n on Z^n and SO_2k on Z^k have roots equal to
-    their coroots, e_i - e_(i+1), and e_(k-1) + e_k for SO_2k.
-    """
-    kind, l, central = f.cartan_type()
-    if kind is None:
-        return [], []
-    if f.family == "GL" or (f.family == "SO" and kind == "D"):
-        roots = _chain(l + central, l if f.family == "GL" else l - 1)
-        if kind == "D":
-            roots.append(tuple(int(k >= l - 2) for k in range(l)))
-        coroots = roots
-    else:
-        a = _cartan(kind, l)
-        units = list(_frozen(identity_matrix(l)))
-        if f.family in ("PGL", "SO"):
-            roots, coroots = units, list(zip(*a))
-        else:
-            roots, coroots = list(_frozen(a)), units
-    reflections = [[[(k == j) - v[k] * alpha[j] for j in range(len(alpha))]
-                    for k in range(len(v))]
-                   for alpha, v in zip(roots, coroots)]
-    return coroots, reflections
-
-
 def _orbit(start, reflections, act) -> tuple:
     """The breadth-first closure of start under x -> act(s, x) for the
     simple reflections s, sorted for determinism."""
@@ -255,28 +235,29 @@ def _orbit(start, reflections, act) -> tuple:
 
 @dataclass(frozen=True)
 class Block:
-    """One factor's cocharacter lattice Z^rank: its full (positive and
-    negative) coroot system, which the factor's Weyl group permutes, its
-    simple reflections as integer matrices, and the simple coroots the
-    system was built from.  Checked when built: each simple reflection is
-    an involution of Z^rank permuting the coroots, and each simple coroot
-    is a coroot."""
+    """One factor's cocharacter lattice Z^rank: its simple reflections as
+    integer matrices, its simple coroots, and the full (positive and
+    negative) coroot system, built here as their orbit under the simple
+    reflections.  Checked when built: each simple reflection is an
+    involution of Z^rank, hence a bijection that maps the finite orbit
+    into itself, so the Weyl group permutes the coroots."""
 
     rank: int
-    coroots: tuple[Vector, ...]
     simple_reflections: tuple[Matrix, ...]
     simple_coroots: tuple[Vector, ...]
+    coroots: tuple[Vector, ...] = field(init=False)
 
     def __post_init__(self):
-        ident = identity_matrix(self.rank)
-        coroots = set(self.coroots)
-        for s in self.simple_reflections:
-            if mat_mul(s, s) != ident:
+        units = _frozen(identity_matrix(self.rank))
+        moved = tuple(map(_moved_rows, self.simple_reflections))
+        for s, rows in zip(self.simple_reflections, moved):
+            if ({len(s), *map(len, s)} != {self.rank}
+                    or any(_apply(rows, _apply(rows, e)) != e for e in units)):
                 raise ValueError("simple reflections must be involutions")
-            if {_apply(s, v) for v in self.coroots} != coroots:
-                raise ValueError("reflections must permute the coroots")
-        if not coroots.issuperset(self.simple_coroots):
-            raise ValueError("simple coroots must be coroots")
+        if any(len(v) != self.rank for v in self.simple_coroots):
+            raise ValueError("simple coroots must lie in Z^%d" % self.rank)
+        object.__setattr__(self, "coroots",
+                           _orbit(self.simple_coroots, moved, _apply))
 
     def _simple_coroot_matrix(self):
         # the simple coroots are a base of the coroot system, so every
@@ -315,6 +296,10 @@ class RootDatum:
             if b.rank != f.rank():
                 raise ValueError("block of rank %d for %s of rank %d"
                                  % (b.rank, f, f.rank()))
+            # the roots number 2 * sum(d - 1) over the degrees
+            if len(b.coroots) != 2 * sum(d - 1 for d in f.degrees()):
+                raise ValueError("block with %d coroots for %s"
+                                 % (len(b.coroots), f))
 
     @property
     def rank(self) -> int:
@@ -335,11 +320,37 @@ class RootDatum:
 def _factor_block(f: Factor) -> Block:
     """The factor's block in its own lattice model, built and checked once
     per process; the catalog bounds (RANK_BOUND, WEYL_ORDER_BOUND) bound
-    the number of blocks."""
-    simple_coroots, simple_refl = _factor_model(f)
-    # the full coroot system is the orbit of the simple coroots
-    return Block(f.rank(), _orbit(simple_coroots, simple_refl, _apply),
-                 tuple(map(_frozen, simple_refl)), tuple(simple_coroots))
+    the number of blocks.
+
+    Each simple reflection is s(v) = v - <alpha, v> alpha^vee for a simple
+    root alpha (a functional) and its coroot alpha^vee.  The simply
+    connected groups (SL, Sp, Spin, G2, F4) live on the coroot lattice:
+    the coroots are unit vectors and the roots the rows of the Cartan
+    matrix.  The adjoint groups (PGL, odd SO) live on the coweight
+    lattice: the roots are unit functionals and the coroots the columns of
+    the Cartan matrix.  GL_n on Z^n and SO_2k on Z^k have roots equal to
+    their coroots, e_i - e_(i+1), and e_(k-1) + e_k for SO_2k.
+    """
+    kind, l, central = f.cartan_type()
+    if kind is None:
+        roots = coroots = []
+    elif f.family == "GL" or (f.family == "SO" and kind == "D"):
+        roots = _chain(l + central, l if f.family == "GL" else l - 1)
+        if kind == "D":
+            roots.append(tuple(int(k >= l - 2) for k in range(l)))
+        coroots = roots
+    else:
+        a = _cartan(kind, l)
+        units = list(_frozen(identity_matrix(l)))
+        if f.family in ("PGL", "SO"):
+            roots, coroots = units, list(zip(*a))
+        else:
+            roots, coroots = list(_frozen(a)), units
+    reflections = tuple(_frozen([[(k == j) - v[k] * alpha[j]
+                                  for j in range(len(alpha))]
+                                 for k in range(len(v))])
+                        for alpha, v in zip(roots, coroots))
+    return Block(f.rank(), reflections, tuple(coroots))
 
 
 def build_root_datum(spec: ReductiveSpec) -> RootDatum:

@@ -256,6 +256,29 @@ def test_packed_molien_sums_match_dense_sums():
     assert max(hom.coefficients).bit_length() > 300
 
 
+def t_domain_coinvariant_series(cs, degrees):
+    """prod (1 - t^(2d)) / det(I - t^2*w) divided as series in t, from the
+    coefficients cs of det(I + t*w): the referee of the division in
+    u = t^2."""
+    num = poly([1])
+    for d in degrees:
+        num = num * poly([1] + [0] * (2 * d - 1) + [-1])
+    den = [0] * (2 * len(cs) - 1)
+    for k, c in enumerate(cs):
+        den[2 * k] = c if k % 2 == 0 else -c
+    return num.exact_div(poly(den))
+
+
+def test_quotients_in_u_match_t_domain_division():
+    for f in PACKED_REFEREE_FACTORS:
+        assert _factor_quotients(f) == tuple(
+            t_domain_coinvariant_series(cs, f.degrees())
+            for cs, _ in _factor_classes(f)), str(f)
+    # spread onto t^2: no odd degree
+    for q in _factor_quotients(Factor("F4")):
+        assert not any(q.coefficients[1::2])
+
+
 def test_exceptional_tables_without_enumeration():
     # facts that need no enumeration: the rows count every element of W,
     # the reflections (1 + t)^(l-1) (1 - t) are one per positive coroot,

@@ -5,6 +5,8 @@ stays standard-library only.  Every property runs derandomized with a
 bounded number of examples, so the suite is reproducible and quick.
 """
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -14,10 +16,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
 from nilrep.errors import NilrepError  # noqa: E402
+from nilrep.finitehom import (CONNECTED, DISCONNECTED,  # noqa: E402
+                              connectivity_verdict)
 from nilrep.invariants import _pack, _unpack, poly  # noqa: E402
 from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,  # noqa: E402
                            FreeNilpotent, Heisenberg, Presentation,
-                           Presented, abelianize, free_reduce)
+                           Presented, abelianize, free_reduce, is_abelian)
 from nilrep.parsing import parse_group_spec, parse_reductive_spec  # noqa: E402
 from nilrep.rootdata import Factor, ReductiveSpec  # noqa: E402
 from nilrep.snf import (cokernel_invariants, diagonal_of,  # noqa: E402
@@ -193,3 +197,61 @@ def test_dsl_text_raises_only_nilrep_errors(text):
         parse_reductive_spec(text)
     except NilrepError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# connectivity verdict laws
+
+# sources with cheap Q8 searches, torsion-free or not, abelian or not
+VERDICT_GROUPS = [FiniteAbelian(())] + [parse_group_spec(text) for text in (
+    "Z", "Z^2", "Z^3", "Z^4", "H3", "F(2,3)", "H3 x Z", "Z/2", "Z/3 x Z^2",
+    "<a,b | [a,b]^2>")]
+VERDICT_TARGETS = [Factor(*f) for f in (
+    ("SL", 2), ("SL", 3), ("GL", 1), ("GL", 2), ("PGL", 2), ("PGL", 3),
+    ("Sp", 4), ("SO", 3), ("SO", 4), ("SO", 5), ("Spin", 5), ("Spin", 7),
+    ("G2",), ("F4",), ("T", 1), ("T", 2))]
+VERDICT_FACTORS = st.sampled_from(VERDICT_TARGETS)
+
+
+def _law_key(v):
+    return v.status, v.reason_code, v.witness
+
+
+def _check_product_law(g, f1, f2):
+    # Hom(G, G1 x G2) = Hom(G, G1) x Hom(G, G2)
+    parts = [connectivity_verdict(g, ReductiveSpec((f,))).status
+             for f in (f1, f2)]
+    if DISCONNECTED in parts:
+        for spec in (ReductiveSpec((f1, f2)), ReductiveSpec((f2, f1))):
+            assert connectivity_verdict(g, spec).status != CONNECTED, \
+                (str(g), str(spec))
+
+
+@PROPERTY
+@given(st.sampled_from(VERDICT_GROUPS), VERDICT_FACTORS, VERDICT_FACTORS)
+def test_products_with_a_disconnected_factor_are_not_connected(g, f1, f2):
+    _check_product_law(g, f1, f2)
+
+
+def test_product_law_on_every_pair_for_abelian_groups():
+    # the abelian rules read the factor families, so every pair is
+    # checked; the Q8 searches of the other groups are sampled above
+    for g in VERDICT_GROUPS:
+        if is_abelian(g):
+            for f1, f2 in combinations_with_replacement(VERDICT_TARGETS, 2):
+                _check_product_law(g, f1, f2)
+
+
+@PROPERTY
+@given(st.sampled_from([g for g in VERDICT_GROUPS
+                        if not abelianize(g).torsion]),
+       st.lists(VERDICT_FACTORS, min_size=1, max_size=2),
+       st.integers(1, 2))
+def test_a_torus_factor_leaves_torsion_free_verdicts_unchanged(g, factors,
+                                                               dim):
+    # with H_1 torsion-free, Hom(G, T) is a torus, so G x T adds nothing
+    # to the connectivity of Hom(G, G)
+    spec = ReductiveSpec(tuple(factors))
+    with_torus = ReductiveSpec(tuple(factors) + (Factor("T", dim),))
+    assert (_law_key(connectivity_verdict(g, with_torus))
+            == _law_key(connectivity_verdict(g, spec))), (str(g), str(spec))

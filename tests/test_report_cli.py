@@ -1,6 +1,9 @@
 """The analyze report, its JSON schema, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -18,7 +21,8 @@ from nilrep.report import analyze
 from nilrep.rootdata import build_root_datum, reductive
 from nilrep.selftest import hopf_product
 
-SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_PATH = ROOT / "docs" / "report_schema.json"
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +232,20 @@ def test_cli_selftest(capsys, monkeypatch):
     assert out.splitlines() == [
         "PASS: passes", "FAIL: fails",
         "FAIL: breaks (raised ZeroDivisionError: boom)"]
+
+
+def test_cli_selftest_passes_under_python_O():
+    # every check in a fresh interpreter with assert statements stripped:
+    # no invariant of the library may rest on an assert
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "nilrep.cli", "selftest"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("PASS: ") == len(selftest.CHECKS)
+    assert "FAIL" not in proc.stdout
 
 
 def test_cli_exit_codes(capsys):

@@ -1,6 +1,7 @@
 """Root datum catalog: Weyl enumeration, coroot systems, pi_1 cokernels."""
 
 import dataclasses
+from operator import mul
 
 import pytest
 
@@ -109,23 +110,28 @@ def test_weyl_sizes_match_degree_products():
 
 
 def test_weyl_closure_size_mismatch_is_an_error():
-    # a valid SL2 block under a rank-1 torus factor, which claims |W| = 1
-    sl2 = Block(1, ((-1,), (1,)), (((-1,),),), ((1,),))
-    rd = RootDatum((Factor("SL", 2), Factor("T", 1)), (sl2, sl2))
+    # a rank-1 torus factor, which claims |W| = 1, over a block with a
+    # reflection but no coroots
+    sl2 = Block(1, (((-1,),),), ((1,),))
+    bare = Block(1, (((-1,),),), ())
+    rd = RootDatum((Factor("SL", 2), Factor("T", 1)), (sl2, bare))
     with pytest.raises(NilrepError, match="4 elements, expected 2"):
         enumerate_weyl(rd)
 
 
 def test_blocks_are_checked_one_by_one():
-    sl2 = Block(1, ((-1,), (1,)), (((-1,),),), ((1,),))
+    sl2 = Block(1, (((-1,),),), ((1,),))
+    assert sl2.coroots == ((-1,), (1,))
     with pytest.raises(ValueError, match="involutions"):
-        RootDatum((Factor("SL", 2),),
-                  (Block(1, ((-1,), (1,)), (((2,),),), ((1,),)),))
-    with pytest.raises(ValueError, match="permute"):
-        RootDatum((Factor("SL", 2),), (Block(1, ((1,),), (((-1,),),), ()),))
-    # the simple coroots span the coroot lattice, so they must be coroots
+        RootDatum((Factor("SL", 2),), (Block(1, (((2,),),), ((1,),)),))
+    # the coroots are the orbit of the simple coroots, so they are closed
+    # under the reflections; a model with too few of them for its factor
+    # (here none for SL2) is refused by the datum
+    with pytest.raises(ValueError, match="0 coroots for SL2"):
+        RootDatum((Factor("SL", 2),), (Block(1, (((-1,),),), ()),))
+    # the simple coroots are vectors of the block's lattice
     with pytest.raises(ValueError, match="simple coroots"):
-        Block(1, ((-1,), (1,)), (((-1,),),), ((2,),))
+        Block(1, (((-1,),),), ((1, 0),))
     # a block of another factor's rank does not fit this one
     with pytest.raises(ValueError, match="rank 1 for SL3 of rank 2"):
         RootDatum((Factor("SL", 3),), (sl2,))
@@ -133,7 +139,10 @@ def test_blocks_are_checked_one_by_one():
         RootDatum((Factor("SL", 2), Factor("SL", 2)), (sl2,))
     # a reflection of another rank is no involution of this block
     with pytest.raises(ValueError, match="involutions"):
-        Block(2, (), (((-1,),),), ())
+        Block(2, (((-1,),),), ())
+    # a shear moves one row, but does not square to the identity
+    with pytest.raises(ValueError, match="involutions"):
+        Block(2, (((1, 0), (1, 1)),), ())
 
 
 def test_each_factor_has_one_block_per_process():
@@ -160,12 +169,38 @@ def test_blocks_are_built_and_checked_once_per_factor(monkeypatch):
     monkeypatch.setattr(Block, "__post_init__", counted_check)
     rootdata._factor_block.cache_clear()
     spec = reductive(("SL", 3), ("SL", 3), "G2")
-    build_root_datum(spec)
+    blocks = set(build_root_datum(spec).blocks)
     first = dict(calls)
-    assert first["check"] == 2 and first["apply"] > 0
+    # per block, each simple reflection is applied once to each coroot
+    # (the orbit) and twice to each unit vector (the involution check):
+    # SL3 takes 2 * (6 + 2 * 2) and G2 2 * (12 + 2 * 2)
+    assert first["check"] == 2
+    assert first["apply"] == sum(
+        len(b.simple_reflections) * (len(b.coroots) + 2 * b.rank)
+        for b in blocks) == 52
     build_root_datum(spec)
     build_root_datum(reductive("G2", ("SL", 3)))
     assert calls == first
+
+
+def test_sparse_reflections_match_dense_products():
+    # referee: each simple reflection applied through its moved rows
+    # equals the dense matrix-vector product on every coroot and unit
+    # vector; the moved rows are where the simple coroot is not 0, one row
+    # for the simply connected factors
+    for f in CATALOG:
+        b = rootdata._factor_block(f)
+        units = [tuple(int(i == j) for j in range(b.rank))
+                 for i in range(b.rank)]
+        for s, simple in zip(b.simple_reflections, b.simple_coroots):
+            moved = rootdata._moved_rows(s)
+            assert [k for k, _ in moved] == [k for k, c in enumerate(simple)
+                                             if c], str(f)
+            if f.family in ("SL", "Sp", "Spin", "G2", "F4"):
+                assert len(moved) == 1, str(f)
+            for v in b.coroots + tuple(units):
+                dense = tuple(sum(map(mul, row, v)) for row in s)
+                assert rootdata._apply(moved, v) == dense, (str(f), v)
 
 
 def _assert_immutable(value):
@@ -238,9 +273,7 @@ def uncached_dense_coroots(spec):
     without the block cache and padded with zeros into the full rank."""
     out, offset, total = [], 0, sum(f.rank() for f in spec.factors)
     for f in spec.factors:
-        simple_coroots, simple_refl = rootdata._factor_model(f)
-        for v in rootdata._orbit(simple_coroots, simple_refl,
-                                 rootdata._apply):
+        for v in rootdata._factor_block.__wrapped__(f).coroots:
             out.append((0,) * offset + v + (0,) * (total - offset - f.rank()))
         offset += f.rank()
     return out
