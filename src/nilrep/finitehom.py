@@ -2,14 +2,13 @@
 
 Homomorphisms from a finitely presented nilpotent group into a finite
 group are enumerated by depth-first search over generator images with
-relator pruning.  A homomorphism whose image is a non-abelian subgroup
-of the target certifies that the representation variety and the
-character variety are both disconnected; the other connectivity rules
-implemented here are the torus computation, the torsion obstruction, the
-non-abelian free nilpotent / Heisenberg rule, and the classical facts
-about commuting tuples.  One verdict covers both spaces, since the
-identity component of the quotient is the quotient of the identity
-component.
+relator pruning.  A homomorphism onto the quaternion group, which sits
+in SL_2, certifies that the representation variety and the character
+variety are both disconnected when the target contains a root SL_2.
+The other rules are the torus computation, the torsion obstruction, the
+non-abelian free nilpotent rule, and the facts about commuting tuples.
+One verdict covers both spaces, since the identity component of the
+quotient is the quotient of the identity component.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from .errors import (NilrepError, TooLarge, UnsupportedGroup,
 from .groups import (DirectProduct, FiniteAbelian, FreeNilpotent, GroupSpec,
                      Presentation, Presented, Word, abelianize,
                      finite_abelian_presentation, is_abelian,
-                     is_nonabelian_free_family, merge_presentations,
-                     quotient_by_lcs)
-from .rootdata import ReductiveSpec
+                     merge_presentations, quotient_by_lcs)
+from .rootdata import Factor, ReductiveSpec, build_root_datum
 
 GENERATOR_LIMIT = 6
 # the largest search GENERATOR_LIMIT admits into Q8; Z^3 into c100 (10^6
@@ -410,33 +408,29 @@ class Verdict:
         return "%s (%s)" % (self.status, self.reason)
 
 
-def _q8_embeds(spec: ReductiveSpec) -> bool:
-    # recorded embeddings only: the quaternion group sits inside SL_2 and
-    # hence in SL_n, GL_{n>=2}, Sp_{2n} and Spin_n; for PGL_n and SO_n the
-    # question is isogeny-sensitive and deliberately left undecided
-    for f in spec.factors:
-        if f.family in ("SL", "Sp", "Spin"):
-            return True
-        if f.family == "GL" and f.param >= 2:
-            return True
-    return False
+def _dual_labels_one(f: Factor) -> bool:
+    """Whether every dual Kac label (coefficient of the highest root's
+    coroot on the simple coroots) is 1: A, C, B_(l<=2) and D_(l<=3)."""
+    kind, l, _ = f.cartan_type()
+    return kind in (None, "A", "C") or l <= {"B": 2, "D": 3}.get(kind, 0)
 
 
 def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec) -> Verdict:
     """Decide connectivity of Hom(group, G) where the implemented theory
     can, and say Unknown where it cannot.
 
-    The decision ladder: torus targets are settled by character theory;
-    a surjection onto a quaternion subgroup of G forces disconnection;
-    torsion in H_1 forces disconnection into any of the catalog targets;
-    non-abelian free nilpotent and Heisenberg groups are disconnected in
-    every non-torus target; abelian groups fall back on the classical
-    connectivity facts for commuting tuples.
+    Every rule reads G through its root datum, never a family name.  A
+    simply connected factor with a dual Kac label of at least 2 has
+    commuting triples in no torus (Borel, Friedman and Morgan, Almost
+    commuting elements in compact Lie groups, Mem. AMS 2002), and
+    restriction to three coordinates carries the identity component of
+    Hom(Z^r, G) into that of Hom(Z^3, G), so every r >= 3 is disconnected.
     """
     ab = abelianize(g)
     r = ab.rank
+    blocks = build_root_datum(spec).blocks
 
-    if spec.is_torus():
+    if not any(b.coroots for b in blocks):
         if not ab.torsion:
             return Verdict(CONNECTED, "torus_target",
                            "the target is an algebraic torus and H_1 is "
@@ -447,17 +441,17 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec) -> Verdict:
                        "one way, and each choice is isolated; %s admits %s"
                        % (spec, ab))
 
-    witness = None
-    if not is_abelian(g):
+    if not is_abelian(g) and any(b.contains_sl2 for b in blocks):
         try:
             witness = surjection_witness(g, q8())
         except (TooLarge, UnsupportedGroup, UnsupportedQuotient):
             witness = None
-    if witness is not None and _q8_embeds(spec):
-        return Verdict(DISCONNECTED, "finite_nonabelian_quotient",
-                       "the group surjects onto a quaternion subgroup of the "
-                       "target, so no path connects that representation to "
-                       "the trivial one", witness=witness)
+        if witness is not None:
+            return Verdict(DISCONNECTED, "finite_nonabelian_quotient",
+                           "the group surjects onto a quaternion subgroup of "
+                           "the target, so no path connects that "
+                           "representation to the trivial one",
+                           witness=witness)
 
     if ab.torsion:
         return Verdict(DISCONNECTED, "torsion_obstruction",
@@ -465,7 +459,7 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec) -> Verdict:
                        "a maximal torus cannot deform to the trivial "
                        "representation" % (list(ab.torsion),))
 
-    if is_nonabelian_free_family(g):
+    if isinstance(g, FreeNilpotent) and not is_abelian(g):
         return Verdict(DISCONNECTED, "nonabelian_free_family",
                        "a non-abelian free nilpotent or Heisenberg group has "
                        "disconnected representation and character spaces for "
@@ -478,24 +472,24 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec) -> Verdict:
         if r == 1:
             return Verdict(CONNECTED, "single_generator",
                            "Hom(Z, G) = G, which is connected")
-        families = spec.families()
-        if families <= {"SL", "Sp", "GL", "T"}:
-            return Verdict(CONNECTED, "commuting_tuples_diagonalizable",
-                           "commuting tuples in the compact forms of these "
-                           "factors are simultaneously diagonalizable, so "
-                           "Hom(Z^%d, G) is connected for every %d" % (r, r))
-        if families & {"PGL", "SO"}:
+        if any(b.cokernel.torsion for b in blocks):
             return Verdict(DISCONNECTED, "not_simply_connected",
                            "the target has a non-simply-connected simple "
                            "factor, and commuting %d-tuples in it do not all "
                            "lie on one component" % r)
+        if all(map(_dual_labels_one, spec.factors)):
+            return Verdict(CONNECTED, "commuting_tuples_diagonalizable",
+                           "commuting tuples in the compact forms of these "
+                           "factors are simultaneously diagonalizable, so "
+                           "Hom(Z^%d, G) is connected for every %d" % (r, r))
         if r == 2:
             return Verdict(CONNECTED, "commuting_pairs_irreducible",
                            "commuting pairs in a connected semisimple group "
                            "form an irreducible, hence connected, variety")
-        return Verdict(UNKNOWN, "higher_commuting_tuples",
-                       "connectivity of commuting %d-tuples in this isogeny "
-                       "type is not settled by the implemented criteria" % r)
+        return Verdict(DISCONNECTED, "nontoral_commuting_triples",
+                       "a simply connected factor with a dual Kac label of "
+                       "at least 2 has commuting triples, and so commuting "
+                       "%d-tuples, in no maximal torus" % r)
 
     return Verdict(UNKNOWN, "outside_catalog",
                    "no implemented criterion decides this group/target pair")

@@ -464,11 +464,6 @@ def is_abelian(g: GroupSpec) -> bool:
     return False
 
 
-def is_nonabelian_free_family(g: GroupSpec) -> bool:
-    """Non-abelian free nilpotent groups, the Heisenberg group among them."""
-    return isinstance(g, FreeNilpotent) and g.n >= 2 and g.c >= 2
-
-
 # ---------------------------------------------------------------------------
 # catalog presentations
 

@@ -19,6 +19,8 @@ str() on the parsed objects renders back into these grammars.
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError, TooLarge
 from .groups import (POWER_LETTER_CAP, DirectProduct, FiniteAbelian,
                      FreeAbelian, FreeNilpotent, GroupSpec, Heisenberg,
@@ -177,10 +179,13 @@ def _presentation(s: _Scanner) -> Presented:
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise ParseError("duplicate generator name", s.pos)
+    # longest declared name first, so that x1x2 tokenizes right
+    tokens = re.compile("|".join(map(re.escape,
+                                     sorted(names, key=len, reverse=True))))
     relators = []
     while True:
         s.skip_ws()
-        relators.append(_word(s, index))
+        relators.append(_word(s, index, tokens))
         s.skip_ws()
         if not s.try_literal(","):
             break
@@ -189,7 +194,8 @@ def _presentation(s: _Scanner) -> Presented:
                                   names=tuple(names)))
 
 
-def _word(s: _Scanner, index: dict[str, int], depth: int = 0) -> Word:
+def _word(s: _Scanner, index: dict[str, int], tokens: re.Pattern,
+          depth: int = 0) -> Word:
     parts = []
     while True:
         s.skip_ws()
@@ -199,24 +205,19 @@ def _word(s: _Scanner, index: dict[str, int], depth: int = 0) -> Word:
                 raise ParseError("commutator brackets nested deeper than %d"
                                  % NESTING_BOUND, s.pos)
             s.expect("[")
-            a = _word(s, index, depth + 1)
+            a = _word(s, index, tokens, depth + 1)
             s.skip_ws()
             s.expect(",")
-            b = _word(s, index, depth + 1)
+            b = _word(s, index, tokens, depth + 1)
             s.skip_ws()
             s.expect("]")
             base = commutator(a, b)
         elif ch.isalpha() or ch == "_":
-            # longest declared generator name wins, so x1x2 tokenizes right
-            match = None
-            for name in sorted(index, key=len, reverse=True):
-                if s.text.startswith(name, s.pos):
-                    match = name
-                    break
+            match = tokens.match(s.text, s.pos)
             if match is None:
                 raise ParseError("unknown generator", s.pos, tuple(index))
-            s.pos += len(match)
-            base = gen(index[match])
+            s.pos = match.end()
+            base = gen(index[match.group()])
         else:
             break
         if s.try_literal("^"):

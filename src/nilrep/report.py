@@ -45,6 +45,7 @@ class AnalysisReport:
 
     def to_json_dict(self) -> dict:
         verdict = {"status": self.verdict.status,
+                   "reason_code": self.verdict.reason_code,
                    "reason": self.verdict.reason}
         if self.verdict.witness is not None:
             verdict["witness"] = list(self.verdict.witness)

@@ -100,9 +100,6 @@ class Factor:
     def weyl_order(self) -> int:
         return prod(self.degrees())
 
-    def is_torus(self) -> bool:
-        return self.cartan_type()[1] == 0
-
     def __str__(self):
         if self.family in ("G2", "F4"):
             return self.family
@@ -138,12 +135,6 @@ class ReductiveSpec:
             if f.weyl_order() > WEYL_ORDER_BOUND:
                 raise TooLarge("Weyl group order %d exceeds the supported "
                                "bound" % f.weyl_order())
-
-    def is_torus(self) -> bool:
-        return all(f.is_torus() for f in self.factors)
-
-    def families(self) -> set[str]:
-        return {f.family for f in self.factors}
 
     def __str__(self):
         return " x ".join(str(f) for f in self.factors)
@@ -271,6 +262,12 @@ class Block:
         """Z^rank modulo the coroot lattice: this block's share of pi_1."""
         return AbelianInvariants(
             *cokernel_invariants(self._simple_coroot_matrix()))
+
+    @property
+    def contains_sl2(self) -> bool:
+        """Whether some root map SL_2 -> G, with kernel {1, alpha^vee(-1)},
+        is injective: some coroot, so some simple one, is not in 2Z^rank."""
+        return any(c % 2 for v in self.simple_coroots for c in v)
 
     @cached_property
     def corank(self) -> int:

@@ -84,6 +84,17 @@ def check_verdicts():
                for g, s, want in cases)
 
 
+def check_root_datum_verdicts():
+    # Spin6 = SL4 has every dual Kac label 1, Spin7 and G2 a label 2; a
+    # root SL2 of G2 contains Q8, so H3 gets a witness
+    codes = [connectivity_verdict(g, reductive(t)).reason_code for g, t in (
+        (FreeAbelian(3), ("Spin", 6)), (FreeAbelian(3), ("Spin", 7)),
+        (FreeAbelian(3), "G2"), (Heisenberg(), "G2"))]
+    return codes == (["commuting_tuples_diagonalizable"]
+                     + ["nontoral_commuting_triples"] * 2
+                     + ["finite_nonabelian_quotient"])
+
+
 def check_witt():
     if free_nilpotent_lcs_ranks(2, 5) != [2, 1, 2, 3, 6]:
         return False
@@ -125,6 +136,7 @@ CHECKS = (
     ("pi_1 cokernels for GL2 and SL2", check_pi1),
     ("homomorphism counts into the quaternion group", check_hom_counts),
     ("connectivity verdicts", check_verdicts),
+    ("verdicts from dual Kac labels and root SL2s", check_root_datum_verdicts),
     ("Witt ranks and the necklace identity", check_witt),
     ("Smith normal form round-trips", check_snf),
     ("central-image order bound", check_bound),

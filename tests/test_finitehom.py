@@ -1,5 +1,7 @@
 """Finite groups, homomorphism counting, witnesses, verdicts, the bound."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from nilrep import finitehom, groups
@@ -13,7 +15,8 @@ from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,
                            free_abelian_presentation,
                            free_nilpotent_class2_presentation, gen,
                            merge_presentations, power)
-from nilrep.rootdata import reductive
+from nilrep.rootdata import (WEYL_ORDER_BOUND, Factor, ReductiveSpec,
+                             reductive)
 
 
 Q8 = q8()
@@ -326,15 +329,42 @@ def test_abelian_classical_verdicts():
         FreeAbelian(5), reductive(("Sp", 6), ("GL", 2))).status == "Connected"
     assert connectivity_verdict(
         FreeAbelian(2), reductive(("Spin", 7))).status == "Connected"
-    assert connectivity_verdict(
-        FreeAbelian(4), reductive(("Spin", 7))).status == "Unknown"
+    # Spin5 = Sp4 and Spin6 = SL4 have every dual Kac label 1; Spin7, G2
+    # and F4 have a label 2, so commuting triples leave the torus
+    for target, want in ((("Spin", 5), "Connected"),
+                         (("Spin", 6), "Connected"),
+                         (("Spin", 7), "Disconnected"),
+                         ("G2", "Disconnected"), ("F4", "Disconnected")):
+        for r in (3, 4):
+            v = connectivity_verdict(FreeAbelian(r), reductive(target))
+            assert v.status == want, (target, r)
+    v = connectivity_verdict(FreeAbelian(4), reductive(("Spin", 7)))
+    assert v.reason_code == "nontoral_commuting_triples"
+
+
+def test_abelian_verdicts_are_total():
+    # Z^r into a catalog factor of rank <= 8 (within the Weyl order bound)
+    # or a product of two such factors is always decided
+    factors = [Factor(fam, n) for fam, sizes in (
+        ("SL", range(2, 10)), ("GL", range(1, 9)), ("PGL", range(2, 10)),
+        ("Sp", range(2, 17, 2)), ("SO", range(3, 18)),
+        ("Spin", range(3, 18)), ("T", range(1, 9))) for n in sizes]
+    factors = [f for f in factors + [Factor("G2"), Factor("F4")]
+               if f.weyl_order() <= WEYL_ORDER_BOUND]
+    specs = [ReductiveSpec((f,)) for f in factors] + list(
+        map(ReductiveSpec, combinations_with_replacement(factors, 2)))
+    for r in range(5):
+        g = FreeAbelian(r) if r else FiniteAbelian(())
+        for spec in specs:
+            v = connectivity_verdict(g, spec)
+            assert v.status != "Unknown", (r, str(spec))
 
 
 def test_product_groups_fall_back_honestly():
     g = DirectProduct((Heisenberg(), FreeAbelian(1)))
     assert connectivity_verdict(g, reductive(("SL", 3))).status == "Disconnected"
-    # no recorded quaternion embedding for adjoint targets, and the
-    # two-family rule does not cover products: stay Unknown
+    # the coroot of PGL2 is twice a cocharacter, so no SL2 and no Q8 embeds
+    # in it, and no rule decides a product group: stay Unknown
     assert connectivity_verdict(g, reductive(("PGL", 2))).status == "Unknown"
 
 

@@ -10,8 +10,7 @@ from nilrep.groups import (POWER_LETTER_CAP, AbelianInvariants, DirectProduct,
                            free_nilpotent_class2_presentation,
                            free_nilpotent_lcs_ranks, gen,
                            heisenberg_presentation, inverse, is_abelian,
-                           is_nonabelian_free_family, lower_central_data,
-                           power, quotient_by_lcs)
+                           lower_central_data, power, quotient_by_lcs)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +198,3 @@ def test_family_predicates():
     assert is_abelian(FreeNilpotent(1, 5))
     assert not is_abelian(Heisenberg())
     assert not is_abelian(Presented(heisenberg_presentation()))
-    assert is_nonabelian_free_family(Heisenberg())
-    assert is_nonabelian_free_family(FreeNilpotent(2, 2))
-    assert not is_nonabelian_free_family(FreeNilpotent(2, 1))
-    assert not is_nonabelian_free_family(FreeAbelian(4))

@@ -51,6 +51,14 @@ def test_multicharacter_generator_names():
     g = parse_group_spec("<x1,x2 | [x1,x2]>")
     assert g.presentation.generator_count == 2
     assert g.presentation.relators == (commutator(gen(0), gen(1)),)
+    # the longest declared name wins at each position, so one name may be
+    # a prefix of another and names may be written side by side
+    g = parse_group_spec("<x,x1 | x1x, xx1^2>")
+    assert g.presentation.relators == (concat(gen(1), gen(0)),
+                                       concat(gen(0), power(gen(1), 2)))
+    with pytest.raises(ParseError) as info:
+        parse_group_spec("<x1,x2 | x1y>")
+    assert (info.value.position, info.value.expected) == (11, ("x1", "x2"))
 
 
 def test_group_round_trips():

@@ -206,10 +206,14 @@ def test_dsl_text_raises_only_nilrep_errors(text):
 VERDICT_GROUPS = [FiniteAbelian(())] + [parse_group_spec(text) for text in (
     "Z", "Z^2", "Z^3", "Z^4", "H3", "F(2,3)", "H3 x Z", "Z/2", "Z/3 x Z^2",
     "<a,b | [a,b]^2>")]
+# every verdict rule is hit: with and without a root SL2 (PGL2, SO3),
+# torsion in pi_1 (PGL, SO), every dual Kac label 1 (types A and C,
+# Spin3..6) or not (Spin7, G2, F4)
 VERDICT_TARGETS = [Factor(*f) for f in (
     ("SL", 2), ("SL", 3), ("GL", 1), ("GL", 2), ("PGL", 2), ("PGL", 3),
-    ("Sp", 4), ("SO", 3), ("SO", 4), ("SO", 5), ("Spin", 5), ("Spin", 7),
-    ("G2",), ("F4",), ("T", 1), ("T", 2))]
+    ("PGL", 4), ("Sp", 4), ("SO", 3), ("SO", 4), ("SO", 5), ("Spin", 3),
+    ("Spin", 4), ("Spin", 5), ("Spin", 6), ("Spin", 7), ("G2",), ("F4",),
+    ("T", 1), ("T", 2))]
 VERDICT_FACTORS = st.sampled_from(VERDICT_TARGETS)
 
 
@@ -234,8 +238,8 @@ def test_products_with_a_disconnected_factor_are_not_connected(g, f1, f2):
 
 
 def test_product_law_on_every_pair_for_abelian_groups():
-    # the abelian rules read the factor families, so every pair is
-    # checked; the Q8 searches of the other groups are sampled above
+    # the abelian rules read every factor's type and lattice, so every
+    # pair is checked; the Q8 searches of the other groups are sampled above
     for g in VERDICT_GROUPS:
         if is_abelian(g):
             for f1, f2 in combinations_with_replacement(VERDICT_TARGETS, 2):

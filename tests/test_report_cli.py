@@ -104,7 +104,13 @@ def test_report_json_matches_published_schema():
                           ("F(2,3)", "Sp4"), ("Z^9", "SL2")]:
         report = analyze(parse_group_spec(group),
                          parse_reductive_spec(target))
-        jsonschema.validate(report.to_json_dict(), schema)
+        payload = report.to_json_dict()
+        jsonschema.validate(payload, schema)
+        assert payload["verdict"]["reason_code"] == report.verdict.reason_code
+    # the reason code is required
+    del payload["verdict"]["reason_code"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(payload, schema)
 
 
 def test_analyze_is_deterministic():
