@@ -20,7 +20,7 @@ import sys
 from .errors import NilrepError, ParseError
 from .finitehom import (central_image_order_bound, connectivity_verdict,
                         cyclic, dihedral, enumerate_homs, q8)
-from .groups import AbelianInvariants, FreeAbelian, abelianize
+from .groups import AbelianInvariants, abelianize
 from .invariants import poincare_char_variety, poincare_hom_component
 from .parsing import parse_group_spec, parse_reductive_spec
 from .report import analyze
@@ -61,14 +61,9 @@ def _finite_target(name: str):
                      ("q8", "cN", "dN with N >= 1"))
 
 
-def _group_arg(args):
-    if getattr(args, "r_override", None) is not None:
-        return FreeAbelian(_positive("--r-override", args.r_override))
-    return parse_group_spec(args.group)
-
-
 def _cmd_analyze(args) -> int:
-    report = analyze(_group_arg(args), parse_reductive_spec(args.target))
+    report = analyze(parse_group_spec(args.group),
+                     parse_reductive_spec(args.target))
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     else:
@@ -77,7 +72,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
-    g = _group_arg(args)
+    g = parse_group_spec(args.group)
     spec = parse_reductive_spec(args.target)
     rd = build_root_datum(spec)
     r = abelianize(g).rank
@@ -91,7 +86,7 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_pi1(args) -> int:
-    g = _group_arg(args)
+    g = parse_group_spec(args.group)
     spec = parse_reductive_spec(args.target)
     rd = build_root_datum(spec)
     r = abelianize(g).rank
@@ -109,7 +104,7 @@ def _cmd_pi1(args) -> int:
 
 
 def _cmd_connectivity(args) -> int:
-    g = _group_arg(args)
+    g = parse_group_spec(args.group)
     spec = parse_reductive_spec(args.target)
     verdict = connectivity_verdict(g, spec)
     payload = {"group": str(g), "target": str(spec),
@@ -152,27 +147,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "finitely generated nilpotent groups in reductive groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, group=True, target=True, override=False):
+    def add(name, fn, help_text, target=True):
         p = sub.add_parser(name, help=help_text)
-        if group:
-            p.add_argument("--group", required=not override,
-                           help="group DSL, e.g. 'H3', 'F(2,3)', 'Z^2', "
-                                "'<x,y | [x,y]>'")
+        p.add_argument("--group", required=True,
+                       help="group DSL, e.g. 'H3', 'F(2,3)', 'Z^2', "
+                            "'<x,y | [x,y]>'")
         if target:
             p.add_argument("--target", required=True,
                            help="reductive DSL, e.g. 'SL2', 'GL3 x T2'")
-        if override:
-            p.add_argument("--r-override", type=int, default=None,
-                           metavar="N", help="analyze Hom(Z^N, G) directly")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
         p.set_defaults(func=fn)
         return p
 
-    add("analyze", _cmd_analyze, "full report for one pair", override=True)
-    add("poincare", _cmd_poincare, "the two Poincare polynomials",
-        override=True)
-    add("pi1", _cmd_pi1, "fundamental groups of both spaces", override=True)
+    add("analyze", _cmd_analyze, "full report for one pair")
+    add("poincare", _cmd_poincare, "the two Poincare polynomials")
+    add("pi1", _cmd_pi1, "fundamental groups of both spaces")
     add("connectivity", _cmd_connectivity, "connectivity verdict")
     p = add("homcount", _cmd_homcount,
             "count homomorphisms into a finite group", target=False)

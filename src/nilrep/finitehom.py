@@ -481,7 +481,8 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec) -> Verdict:
             return Verdict(CONNECTED, "commuting_tuples_diagonalizable",
                            "commuting tuples in the compact forms of these "
                            "factors are simultaneously diagonalizable, so "
-                           "Hom(Z^%d, G) is connected for every %d" % (r, r))
+                           "Hom(Z^%d, G) is connected, as Hom(Z^r, G) is for "
+                           "every r" % r)
         if r == 2:
             return Verdict(CONNECTED, "commuting_pairs_irreducible",
                            "commuting pairs in a connected semisimple group "

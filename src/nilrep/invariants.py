@@ -273,9 +273,13 @@ def _centralizer_order(parts, base: int = 1) -> int:
                 for m, a in Counter(parts).items())
 
 
+@cache
 def _cycles_poly(parts, sign: int) -> GradedPoly:
     """det(I + t*w) for disjoint signed cycles of the given lengths, the
-    signs of each cycle multiplying to sign: prod_m (1 - sign * (-t)^m)."""
+    signs of each cycle multiplying to sign: prod_m (1 - sign * (-t)^m).
+    Built once per (partition, sign): type B/C/D pairs each partition with
+    every partition of the rest, and WEYL_ORDER_BOUND keeps the partitions
+    to those of at most 9."""
     out = ONE
     for m in parts:
         term = [0] * (m + 1)

@@ -1,25 +1,25 @@
 """Complex reductive groups as root data on integer lattices.
 
 Each catalog factor is realized by the cocharacter lattice of a maximal
-torus (identified with Z^rank), the set of coroots inside it, and the
-simple reflections as integer matrices; a product is one such block per
-factor, and every fact here is computed block by block.  A factor enters
-only through its Cartan type, semisimple rank and central-torus
-dimension (Factor.cartan_type).  Its degrees are the type's, with one
-degree-1 entry per central torus dimension so that coinvariant-algebra
-characters work uniformly for reductive (not just semisimple) groups;
-its simple reflections are s(v) = v - <alpha, v> alpha^vee for simple
-roots and coroots read off the type's Cartan matrix (_factor_block).
-Each changes only the coordinates where its alpha^vee is not 0 and is
-applied through those rows alone, once per coroot as the orbit is built.
-pi_1(G) is the cocharacter lattice modulo the coroot lattice, and the
-dimension of G/[G,G] is the corank of the coroot span; the simple
-coroots span that lattice, so both come from a Smith normal form of the
-rank x l matrix of simple coroots, not of all coroots.  A block depends
-on its factor alone, so each catalog factor's block is built, checked
-and reduced (its cokernel and corank) once per process and shared by
-every product that contains the factor.  Only the referees enumerate
-the Weyl group.
+torus (identified with Z^rank), its simple roots (functionals on that
+lattice) and simple coroots, and the set of all coroots inside it; a
+product is one such block per factor, and every fact here is computed
+block by block.  A factor enters only through its Cartan type,
+semisimple rank and central-torus dimension (Factor.cartan_type).  Its
+degrees are the type's, with one degree-1 entry per central torus
+dimension so that coinvariant-algebra characters work uniformly for
+reductive (not just semisimple) groups; its simple roots and coroots are
+read off the type's Cartan matrix (_factor_block), and they give the
+simple reflections s(v) = v - <alpha, v> alpha^vee, each of which moves
+only the coordinates where its alpha^vee is not 0.  The coroots are the
+orbit of the simple coroots under these reflections.  pi_1(G) is the
+cocharacter lattice modulo the coroot lattice, and the dimension of
+G/[G,G] is its free rank; the simple coroots span that lattice, so both
+come from one Smith normal form of the rank x l matrix of simple
+coroots, not of all coroots.  A block depends on its factor alone, so
+each catalog factor's block is built, checked and reduced (its
+cokernel) once per process and shared by every product that contains
+the factor.  Only the referees enumerate the Weyl group, as matrices.
 
 Supported families: SL(n>=2), GL(n>=1), PGL(n>=2), Sp(2n), SO(n>=3),
 Spin(n>=3), G2, F4, and tori.  Everything else raises UnsupportedType.
@@ -34,7 +34,9 @@ from operator import mul
 
 from .errors import NilrepError, TooLarge, UnsupportedType
 from .groups import AbelianInvariants
-from .snf import cokernel_invariants, identity_matrix, integer_rank, mat_mul
+from .snf import cokernel_invariants, identity_matrix, mat_mul
+# re-exported: perfbench/spans.py traces nilrep.rootdata.integer_rank
+from .snf import integer_rank  # noqa: F401
 
 # per factor, not per product: a factor's Molien class list grows with
 # the partition numbers (SL30: 5,604 rows); RANK_BOUND alone admits SL65
@@ -161,19 +163,13 @@ def _frozen(rows) -> Matrix:
     return tuple(map(tuple, rows))
 
 
-def _moved_rows(m: Matrix) -> tuple[tuple[int, Vector], ...]:
-    """(k, row k) for each row k of m unlike the identity's; for a
-    reflection, the k where alpha^vee is not 0."""
-    return tuple((k, row) for k, row in enumerate(m)
-                 if any(c != (j == k) for j, c in enumerate(row)))
-
-
-def _apply(moved, v: Vector) -> Vector:
-    """m v for the matrix m with these moved rows (_moved_rows)."""
-    out = list(v)
-    for k, row in moved:
-        out[k] = sum(map(mul, row, v))
-    return tuple(out)
+def _reflect(alpha: Vector, coroot: Vector, v: Vector) -> Vector:
+    """s(v) = v - <alpha, v> alpha^vee, which moves only the coordinates
+    where alpha^vee is not 0."""
+    n = sum(map(mul, alpha, v))
+    if not n:
+        return v
+    return tuple([x - n * c for x, c in zip(v, coroot)])
 
 
 def _cartan(kind: str, l: int) -> list[list[int]]:
@@ -226,54 +222,49 @@ def _orbit(start, reflections, act) -> tuple:
 
 @dataclass(frozen=True)
 class Block:
-    """One factor's cocharacter lattice Z^rank: its simple reflections as
-    integer matrices, its simple coroots, and the full (positive and
-    negative) coroot system, built here as their orbit under the simple
-    reflections.  Checked when built: each simple reflection is an
+    """One factor's cocharacter lattice Z^rank with its simple roots
+    (functionals on Z^rank, as integer vectors), its simple coroots, and
+    the full (positive and negative) coroot system, built here as the
+    orbit of the simple coroots under the simple reflections
+    s(v) = v - <alpha, v> alpha^vee.  Checked when built: each alpha and
+    alpha^vee lie in Z^rank and <alpha, alpha^vee> = 2, which makes s an
     involution of Z^rank, hence a bijection that maps the finite orbit
     into itself, so the Weyl group permutes the coroots."""
 
     rank: int
-    simple_reflections: tuple[Matrix, ...]
+    simple_roots: tuple[Vector, ...]
     simple_coroots: tuple[Vector, ...]
     coroots: tuple[Vector, ...] = field(init=False)
 
     def __post_init__(self):
-        units = _frozen(identity_matrix(self.rank))
-        moved = tuple(map(_moved_rows, self.simple_reflections))
-        for s, rows in zip(self.simple_reflections, moved):
-            if ({len(s), *map(len, s)} != {self.rank}
-                    or any(_apply(rows, _apply(rows, e)) != e for e in units)):
-                raise ValueError("simple reflections must be involutions")
-        if any(len(v) != self.rank for v in self.simple_coroots):
-            raise ValueError("simple coroots must lie in Z^%d" % self.rank)
-        object.__setattr__(self, "coroots",
-                           _orbit(self.simple_coroots, moved, _apply))
+        if len(self.simple_roots) != len(self.simple_coroots):
+            raise ValueError("each simple root needs one simple coroot")
+        pairs = tuple(zip(self.simple_roots, self.simple_coroots))
+        if any(len(v) != self.rank for pair in pairs for v in pair):
+            raise ValueError("simple roots and coroots must lie in Z^%d"
+                             % self.rank)
+        if any(sum(map(mul, alpha, v)) != 2 for alpha, v in pairs):
+            raise ValueError("each simple root must pair to 2 with its "
+                             "coroot")
+        object.__setattr__(self, "coroots", _orbit(
+            self.simple_coroots, pairs, lambda s, v: _reflect(*s, v)))
 
-    def _simple_coroot_matrix(self):
+    @cached_property
+    def cokernel(self) -> AbelianInvariants:
+        """Z^rank modulo the coroot lattice: this block's share of pi_1,
+        whose free rank is its share of dim G/[G,G]."""
         # the simple coroots are a base of the coroot system, so every
         # coroot is an integer combination of them (Bourbaki, Lie Groups
         # and Lie Algebras, ch. VI, section 1) and these l columns span
         # the coroot lattice
-        return [[v[i] for v in self.simple_coroots] for i in range(self.rank)]
-
-    @cached_property
-    def cokernel(self) -> AbelianInvariants:
-        """Z^rank modulo the coroot lattice: this block's share of pi_1."""
-        return AbelianInvariants(
-            *cokernel_invariants(self._simple_coroot_matrix()))
+        return AbelianInvariants(*cokernel_invariants(
+            [[v[i] for v in self.simple_coroots] for i in range(self.rank)]))
 
     @property
     def contains_sl2(self) -> bool:
         """Whether some root map SL_2 -> G, with kernel {1, alpha^vee(-1)},
         is injective: some coroot, so some simple one, is not in 2Z^rank."""
         return any(c % 2 for v in self.simple_coroots for c in v)
-
-    @cached_property
-    def corank(self) -> int:
-        """The corank of the coroot span: this block's share of
-        dim G/[G,G]."""
-        return self.rank - integer_rank(self._simple_coroot_matrix())
 
 
 @dataclass(frozen=True)
@@ -319,8 +310,8 @@ def _factor_block(f: Factor) -> Block:
     per process; the catalog bounds (RANK_BOUND, WEYL_ORDER_BOUND) bound
     the number of blocks.
 
-    Each simple reflection is s(v) = v - <alpha, v> alpha^vee for a simple
-    root alpha (a functional) and its coroot alpha^vee.  The simply
+    The block stores each simple root alpha (a functional) with its coroot
+    alpha^vee, the pair of s(v) = v - <alpha, v> alpha^vee.  The simply
     connected groups (SL, Sp, Spin, G2, F4) live on the coroot lattice:
     the coroots are unit vectors and the roots the rows of the Cartan
     matrix.  The adjoint groups (PGL, odd SO) live on the coweight
@@ -343,11 +334,7 @@ def _factor_block(f: Factor) -> Block:
             roots, coroots = units, list(zip(*a))
         else:
             roots, coroots = list(_frozen(a)), units
-    reflections = tuple(_frozen([[(k == j) - v[k] * alpha[j]
-                                  for j in range(len(alpha))]
-                                 for k in range(len(v))])
-                        for alpha, v in zip(roots, coroots))
-    return Block(f.rank(), reflections, tuple(coroots))
+    return Block(f.rank(), tuple(roots), tuple(coroots))
 
 
 def build_root_datum(spec: ReductiveSpec) -> RootDatum:
@@ -365,10 +352,12 @@ def enumerate_weyl(rd: RootDatum) -> tuple[Matrix, ...]:
         raise TooLarge("Weyl order %d exceeds the enumeration bound" % expected)
     total, reflections, offset = rd.rank, [], 0
     for b in rd.blocks:
-        for s in b.simple_reflections:
+        for alpha, v in zip(b.simple_roots, b.simple_coroots):
+            # I - alpha^vee alpha^T, in this block's rows and columns
             rows = identity_matrix(total)
-            for i, row in enumerate(s):
-                rows[offset + i][offset:offset + len(row)] = row
+            for i, c in enumerate(v):
+                for j, a in enumerate(alpha):
+                    rows[offset + i][offset + j] -= c * a
             reflections.append(_frozen(rows))
         offset += b.rank
     weyl = _orbit([_frozen(identity_matrix(total))], reflections,
@@ -391,6 +380,7 @@ def pi1_G(rd: RootDatum) -> AbelianInvariants:
 
 
 def pi1_G_ab(rd: RootDatum) -> int:
-    """dim G/[G,G], the corank of the coroot span summed over the blocks;
-    pi_1 of that torus is Z^result."""
-    return sum(b.corank for b in rd.blocks)
+    """dim G/[G,G], the corank of the coroot span summed over the blocks
+    (the free rank of each block's cokernel); pi_1 of that torus is
+    Z^result."""
+    return sum(b.cokernel.rank for b in rd.blocks)

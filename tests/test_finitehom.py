@@ -340,6 +340,11 @@ def test_abelian_classical_verdicts():
             assert v.status == want, (target, r)
     v = connectivity_verdict(FreeAbelian(4), reductive(("Spin", 7)))
     assert v.reason_code == "nontoral_commuting_triples"
+    # r is written once, and "every r" is said in words
+    v = connectivity_verdict(FreeAbelian(3), reductive(("Spin", 5)))
+    assert v.reason_code == "commuting_tuples_diagonalizable"
+    assert v.reason.endswith("so Hom(Z^3, G) is connected, as Hom(Z^r, G) "
+                             "is for every r")
 
 
 def test_abelian_verdicts_are_total():

@@ -151,8 +151,8 @@ def test_cli_analyze_json_bit_identical(capsys):
     assert first == second
 
 
-def test_cli_r_override(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "--r-override", "3",
+def test_cli_free_abelian_group(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--group", "Z^3",
                            "--target", "SL2", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -291,10 +291,9 @@ def test_cli_exit_codes(capsys):
     assert json.loads(out)["torsion_h1"] == [10**12]
     # output and table sizes are bounded before any work; pi_1(PGL2)^r
     # would write a torsion chain of r entries
-    for argv in (["poincare", "--r-override", "3000", "--target", "SL2"],
-                 ["pi1", "--r-override", "1000000000", "--target", "PGL2"],
-                 ["analyze", "--r-override", "1000000000", "--target",
-                  "PGL2"],
+    for argv in (["poincare", "--group", "Z^3000", "--target", "SL2"],
+                 ["pi1", "--group", "Z^1000000000", "--target", "PGL2"],
+                 ["analyze", "--group", "Z^1000000000", "--target", "PGL2"],
                  ["poincare", "--group", "Z^9", "--target", "T64"],
                  ["homcount", "--group", "Z", "--finite", "c100000000"],
                  ["homcount", "--group", "Z", "--finite", "d129"]):
@@ -302,7 +301,7 @@ def test_cli_exit_codes(capsys):
         assert code == 3, argv
         assert json.loads(out)["error"]["type"] == "TooLarge"
     for cmd in ("pi1", "analyze"):
-        code, out, _ = run_cli(capsys, cmd, "--r-override", "1000000000",
+        code, out, _ = run_cli(capsys, cmd, "--group", "Z^1000000000",
                                "--target", "SL2", "--json")
         assert code == 0, cmd
         assert json.loads(out)["pi1_hom"] == {"rank": 0, "torsion": []}
@@ -369,8 +368,8 @@ def test_cli_products_past_the_total_weyl_order(capsys, group, target):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--group", "Z^0", "--target", "SL2"],
     ["analyze", "--group", "F(2,0)", "--target", "SL2"],
-    ["analyze", "--r-override", "-1", "--target", "SL2"],
-    ["analyze", "--r-override", "0", "--target", "SL2"],
+    ["analyze", "--group", "Z^-1", "--target", "SL2"],
+    ["pi1", "--group", "Z^0", "--target", "SL2"],
     ["homcount", "--group", "Z", "--finite", "c0"],
     ["homcount", "--group", "Z", "--finite", "d0"],
     ["bound", "--m", "0"],

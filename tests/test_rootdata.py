@@ -111,39 +111,47 @@ def test_weyl_sizes_match_degree_products():
 
 
 def test_weyl_closure_size_mismatch_is_an_error():
-    # a rank-1 torus factor, which claims |W| = 1, over a block with a
-    # reflection but no coroots
-    sl2 = Block(1, (((-1,),),), ((1,),))
-    bare = Block(1, (((-1,),),), ())
-    rd = RootDatum((Factor("SL", 2), Factor("T", 1)), (sl2, bare))
-    with pytest.raises(NilrepError, match="4 elements, expected 2"):
+    # A1 x A1 x A1 on Z^3 has six coroots, as GL3 does, so the datum
+    # admits it for GL3; its Weyl group has 8 elements, not 3! = 6
+    a1_cubed = Block(3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+                     ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    rd = RootDatum((Factor("GL", 3),), (a1_cubed,))
+    with pytest.raises(NilrepError, match="8 elements, expected 6"):
         enumerate_weyl(rd)
 
 
 def test_blocks_are_checked_one_by_one():
-    sl2 = Block(1, (((-1,),),), ((1,),))
+    sl2 = Block(1, ((2,),), ((1,),))
     assert sl2.coroots == ((-1,), (1,))
-    with pytest.raises(ValueError, match="involutions"):
-        RootDatum((Factor("SL", 2),), (Block(1, (((2,),),), ((1,),)),))
+    # I - alpha^vee alpha^T = (2) is no involution: <alpha, alpha^vee> = -1
+    with pytest.raises(ValueError, match="pair to 2"):
+        RootDatum((Factor("SL", 2),), (Block(1, ((-1,),), ((1,),)),))
     # the coroots are the orbit of the simple coroots, so they are closed
     # under the reflections; a model with too few of them for its factor
     # (here none for SL2) is refused by the datum
     with pytest.raises(ValueError, match="0 coroots for SL2"):
-        RootDatum((Factor("SL", 2),), (Block(1, (((-1,),),), ()),))
-    # the simple coroots are vectors of the block's lattice
-    with pytest.raises(ValueError, match="simple coroots"):
-        Block(1, (((-1,),),), ((1, 0),))
+        RootDatum((Factor("SL", 2),), (Block(1, (), ()),))
+    # the simple roots and coroots are vectors of the block's lattice
+    with pytest.raises(ValueError, match=r"lie in Z\^1"):
+        Block(1, ((2,),), ((1, 0),))
+    with pytest.raises(ValueError, match=r"lie in Z\^2"):
+        Block(2, ((-2,),), ((1, 0),))
+    # a root and its coroot of different lengths
+    with pytest.raises(ValueError, match=r"lie in Z\^2"):
+        Block(2, ((2, 0),), ((1,),))
+    # a root without a coroot
+    with pytest.raises(ValueError, match="one simple coroot"):
+        Block(1, ((2,), (2,)), ((1,),))
     # a block of another factor's rank does not fit this one
     with pytest.raises(ValueError, match="rank 1 for SL3 of rank 2"):
         RootDatum((Factor("SL", 3),), (sl2,))
     with pytest.raises(ValueError):
         RootDatum((Factor("SL", 2), Factor("SL", 2)), (sl2,))
-    # a reflection of another rank is no involution of this block
-    with pytest.raises(ValueError, match="involutions"):
-        Block(2, (((-1,),),), ())
-    # a shear moves one row, but does not square to the identity
-    with pytest.raises(ValueError, match="involutions"):
-        Block(2, (((1, 0), (1, 1)),), ())
+    # the shear I + e_1 e_2^T is I - alpha^vee alpha^T for alpha = -e_2 and
+    # alpha^vee = e_1; it moves one row, but does not square to the
+    # identity, and <alpha, alpha^vee> = 0
+    with pytest.raises(ValueError, match="pair to 2"):
+        Block(2, ((0, -1),), ((1, 0),))
 
 
 def test_each_factor_has_one_block_per_process():
@@ -156,52 +164,53 @@ def test_each_factor_has_one_block_per_process():
 
 
 def test_blocks_are_built_and_checked_once_per_factor(monkeypatch):
-    calls = {"apply": 0, "check": 0}
-    apply, check = rootdata._apply, Block.__post_init__
+    calls = {"reflect": 0, "check": 0}
+    reflect, check = rootdata._reflect, Block.__post_init__
 
-    def counted_apply(m, v):
-        calls["apply"] += 1
-        return apply(m, v)
+    def counted_reflect(alpha, coroot, v):
+        calls["reflect"] += 1
+        return reflect(alpha, coroot, v)
 
     def counted_check(self):
         calls["check"] += 1
         check(self)
-    monkeypatch.setattr(rootdata, "_apply", counted_apply)
+    monkeypatch.setattr(rootdata, "_reflect", counted_reflect)
     monkeypatch.setattr(Block, "__post_init__", counted_check)
     rootdata._factor_block.cache_clear()
     spec = reductive(("SL", 3), ("SL", 3), "G2")
     blocks = set(build_root_datum(spec).blocks)
     first = dict(calls)
     # per block, each simple reflection is applied once to each coroot
-    # (the orbit) and twice to each unit vector (the involution check):
-    # SL3 takes 2 * (6 + 2 * 2) and G2 2 * (12 + 2 * 2)
+    # (the orbit) and never in the check: SL3 takes 2 * 6 and G2 2 * 12
     assert first["check"] == 2
-    assert first["apply"] == sum(
-        len(b.simple_reflections) * (len(b.coroots) + 2 * b.rank)
-        for b in blocks) == 52
+    assert first["reflect"] == sum(
+        len(b.simple_roots) * len(b.coroots) for b in blocks) == 36
     build_root_datum(spec)
     build_root_datum(reductive("G2", ("SL", 3)))
     assert calls == first
 
 
 def test_sparse_reflections_match_dense_products():
-    # referee: each simple reflection applied through its moved rows
-    # equals the dense matrix-vector product on every coroot and unit
-    # vector; the moved rows are where the simple coroot is not 0, one row
-    # for the simply connected factors
+    # referee: each simple reflection s(v) = v - <alpha, v> alpha^vee
+    # equals the dense product with I - alpha^vee alpha^T on every coroot
+    # and unit vector; it moves only the coordinates where the simple
+    # coroot is not 0, one coordinate for the simply connected factors
     for f in CATALOG:
         b = rootdata._factor_block(f)
         units = [tuple(int(i == j) for j in range(b.rank))
                  for i in range(b.rank)]
-        for s, simple in zip(b.simple_reflections, b.simple_coroots):
-            moved = rootdata._moved_rows(s)
-            assert [k for k, _ in moved] == [k for k, c in enumerate(simple)
-                                             if c], str(f)
+        for alpha, simple in zip(b.simple_roots, b.simple_coroots):
+            matrix = [[(k == j) - simple[k] * alpha[j] for j in range(b.rank)]
+                      for k in range(b.rank)]
+            support = [k for k, c in enumerate(simple) if c]
             if f.family in ("SL", "Sp", "Spin", "G2", "F4"):
-                assert len(moved) == 1, str(f)
+                assert len(support) == 1, str(f)
             for v in b.coroots + tuple(units):
-                dense = tuple(sum(map(mul, row, v)) for row in s)
-                assert rootdata._apply(moved, v) == dense, (str(f), v)
+                image = rootdata._reflect(alpha, simple, v)
+                assert image == tuple(sum(map(mul, row, v))
+                                      for row in matrix), (str(f), v)
+                assert all(image[k] == v[k] for k in range(b.rank)
+                           if k not in support), (str(f), v)
 
 
 def _assert_immutable(value):
@@ -221,7 +230,6 @@ def test_cached_block_values_are_immutable():
         for b in build_root_datum(spec).blocks:
             _assert_immutable(b)
             _assert_immutable(b.cokernel)
-            _assert_immutable(b.corank)
     with pytest.raises(dataclasses.FrozenInstanceError):
         b.coroots = ()
 
