@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 from .arith import divisors, mobius
 from .errors import NilrepError, TooLarge, UnsupportedQuotient
-from .snf import cokernel_invariants, smith_normal_form, diagonal_of
+# smith_normal_form re-exported: perfbench/spans.py traces it in this module
+from .snf import cokernel_invariants, smith_normal_form  # noqa: F401
 
 POWER_LETTER_CAP = 10**5
 
@@ -339,8 +340,7 @@ def _merge_chain(entries) -> tuple[int, ...]:
         return ()
     diag = [[entries[i] if i == j else 0 for j in range(len(entries))]
             for i in range(len(entries))]
-    d, _, _ = smith_normal_form(diag)
-    return tuple(e for e in diagonal_of(d) if e >= 2)
+    return cokernel_invariants(diag)[1]
 
 
 def abelianize(g: GroupSpec) -> AbelianInvariants:

@@ -1,8 +1,11 @@
-"""Smith normal form over the integers, with unimodular transforms.
+"""Smith normal form over the integers: cokernels reduced on their live
+block, unimodular transforms on request.
 
 Matrices are plain lists of lists of Python ints.  Entry growth during
 elimination is real even on small matrices, so nothing here ever touches
-fixed-width or floating-point arithmetic.
+fixed-width or floating-point arithmetic.  A written presentation's
+exponent matrix is mostly zero columns (commutator relators), so
+cokernel_invariants drops zero rows and columns before eliminating.
 """
 
 from __future__ import annotations
@@ -174,24 +177,20 @@ def diagonal_of(d) -> list[int]:
 def cokernel_invariants(m) -> tuple[int, tuple[int, ...]]:
     """Invariants (free rank, torsion chain) of Z^rows / column-span of m.
 
-    The torsion chain lists the diagonal entries >= 2 of the Smith form, in
-    divisibility order.
+    Only the live block is reduced: zero columns span nothing and zero rows
+    are free generators, and neither changes the non-zero invariant
+    factors.  The torsion chain lists the Smith entries >= 2 of that block,
+    in divisibility order.
     """
-    rows = len(m)
-    if rows == 0:
-        return 0, ()
-    if not m[0]:
-        return rows, ()
-    d, _, _ = smith_normal_form(m)
-    diag = diagonal_of(d)
-    nonzero = [e for e in diag if e != 0]
-    torsion = tuple(e for e in nonzero if e >= 2)
-    return rows - len(nonzero), torsion
+    live = [row for row in m if any(row)]
+    if not live:
+        return len(m), ()
+    live_cols = [col for col in zip(*live) if any(col)]
+    d, _, _ = smith_normal_form(list(zip(*live_cols)))
+    nonzero = [e for e in diagonal_of(d) if e != 0]
+    return len(m) - len(nonzero), tuple(e for e in nonzero if e >= 2)
 
 
 def integer_rank(m) -> int:
     """Rank over Q of an integer matrix (count of nonzero Smith entries)."""
-    if not m or not m[0]:
-        return 0
-    d, _, _ = smith_normal_form(m)
-    return sum(1 for e in diagonal_of(d) if e != 0)
+    return len(m) - cokernel_invariants(m)[0]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from nilrep import snf
 from nilrep.errors import TooLarge, UnsupportedQuotient
 from nilrep.groups import (POWER_LETTER_CAP, AbelianInvariants, DirectProduct,
                            FiniteAbelian, FreeAbelian, FreeNilpotent,
@@ -76,6 +77,54 @@ def test_free_nilpotent_abelianization():
 def test_cyclic_presentation():
     p = Presentation(1, (power(gen(0), 3),))
     assert abelianize(Presented(p)) == AbelianInvariants(0, (3,))
+
+
+def _written_class2(n):
+    """F(n, 2) written out: x_1..x_n, one central z per pair i < j with the
+    relator [x_i, x_j] z^-1, and [x_k, z] for every k and z."""
+    zs = list(range(n, n + n * (n - 1) // 2))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    relators = [concat(commutator(gen(i), gen(j)), inverse(gen(z)))
+                for (i, j), z in zip(pairs, zs)]
+    relators += [commutator(gen(k), gen(z)) for z in zs for k in range(n)]
+    return Presentation(n + len(zs), tuple(relators))
+
+
+def _recording_smith_form(monkeypatch):
+    shapes = []
+    real = snf.smith_normal_form
+
+    def recording(m):
+        shapes.append((len(m), len(m[0]) if m else 0))
+        return real(m)
+
+    monkeypatch.setattr(snf, "smith_normal_form", recording)
+    return shapes
+
+
+def test_written_class2_reduces_only_its_live_block(monkeypatch):
+    shapes = _recording_smith_form(monkeypatch)
+    for n in (5, 6, 7, 8):
+        p = _written_class2(n)
+        assert len(p.exponent_matrix()[0]) == n * (n - 1) // 2 * (n + 1)
+        shapes.clear()
+        assert abelianize(Presented(p)) == AbelianInvariants(n)
+        # the commutator columns and the x_i rows are zero: one
+        # n(n-1)/2-square block, 28 x 28 for the 36 x 252 matrix at n = 8
+        assert shapes == [(n * (n - 1) // 2,) * 2]
+    assert shapes == [(28, 28)]
+
+
+def test_central_torsion_survives_pruning(monkeypatch):
+    # <a, b, c, z | [a, b] z^-1, c^4, [a, z], [b, z], [c, z], [a, c], [b, c]>:
+    # a and b are zero rows, the five commutators zero columns
+    a, b, c, z = (gen(i) for i in range(4))
+    p = Presentation(4, (concat(commutator(a, b), inverse(z)), power(c, 4),
+                         commutator(a, z), commutator(b, z), commutator(c, z),
+                         commutator(a, c), commutator(b, c)))
+    shapes = _recording_smith_form(monkeypatch)
+    assert abelianize(Presented(p)) == AbelianInvariants(2, (4,))
+    assert shapes == [(2, 2)]
 
 
 def test_product_rank_additivity():

@@ -56,6 +56,33 @@ def test_snf_invariant_factors_match_sympy(m):
                                       tuple(e for e in nonzero if e >= 2))
 
 
+@st.composite
+def zero_padded_matrices(draw):
+    """An integer matrix with zero rows and zero columns inserted at drawn
+    positions."""
+    m = draw(integer_matrices())
+    width = len(m[0]) + draw(st.integers(0, 4))
+    at = sorted(draw(st.permutations(range(width)))[:len(m[0])])
+    padded = []
+    for row in m:
+        out = [0] * width
+        for j, e in zip(at, row):
+            out[j] = e
+        padded.append(out)
+    for i in draw(st.lists(st.integers(0, len(m)), max_size=3)):
+        padded.insert(i, [0] * width)
+    return padded
+
+
+@PROPERTY
+@given(zero_padded_matrices())
+def test_pruned_cokernel_matches_sympy_on_padded_matrices(m):
+    nonzero = [abs(int(e)) for e in
+               invariant_factors(sympy.Matrix(m), domain=sympy.ZZ) if e]
+    assert cokernel_invariants(m) == (len(m) - len(nonzero),
+                                      tuple(e for e in nonzero if e >= 2))
+
+
 # ---------------------------------------------------------------------------
 # Molien sums packed into integers at t = 2^shift
 

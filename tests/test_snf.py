@@ -72,3 +72,36 @@ def test_integer_rank():
     assert integer_rank([[1, 2], [2, 4]]) == 1
     assert integer_rank([[1, 0], [0, 5]]) == 2
     assert integer_rank([[0]]) == 0
+
+
+def _pad(rng, m, rows, cols):
+    """m with zero rows and zero columns inserted at random positions."""
+    width = len(m[0])
+    at = sorted(rng.sample(range(width + cols), width))
+    out = []
+    for row in m:
+        padded = [0] * (width + cols)
+        for j, e in zip(at, row):
+            padded[j] = e
+        out.append(padded)
+    for _ in range(rows):
+        out.insert(rng.randint(0, len(out)), [0] * (width + cols))
+    return out
+
+
+def test_pruned_cokernel_matches_full_smith_form():
+    # referee: the invariants read off the Smith form of the whole padded
+    # matrix, zero rows and columns included
+    rng = random.Random(4242)
+    cases = [[], [[]], [[], []], [[0, 0, 0], [0, 0, 0]]]
+    for _ in range(500):
+        m = [[rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]]
+        m += [[rng.randint(-6, 6) for _ in m[0]]
+              for _ in range(rng.randint(0, 3))]
+        cases.append(_pad(rng, m, rng.randint(0, 3), rng.randint(0, 5)))
+    for m in cases:
+        d, _, _ = smith_normal_form(m)
+        nonzero = [e for e in diagonal_of(d) if e]
+        assert cokernel_invariants(m) == (
+            len(m) - len(nonzero), tuple(e for e in nonzero if e >= 2)), m
+        assert integer_rank(m) == len(nonzero), m
