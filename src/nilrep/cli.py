@@ -8,13 +8,15 @@
     nilrep bound --m 3
     nilrep selftest
 
-Exit codes: 0 success, 2 parse error, 3 unsupported or too large.
+Exit codes: 0 success, 2 parse error, 3 unsupported or too large; 1,
+without a traceback, when the reader closes standard output early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import NilrepError, ParseError
@@ -109,6 +111,8 @@ def _cmd_connectivity(args) -> int:
     verdict = connectivity_verdict(g, spec)
     payload = {"group": str(g), "target": str(spec),
                "status": verdict.status, "reason": verdict.reason}
+    if args.json:   # as in the analyze report
+        payload["reason_code"] = verdict.reason_code
     if verdict.witness is not None:
         labels = q8().labels
         payload["witness"] = [labels[i] for i in verdict.witness]
@@ -178,7 +182,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        code = _run(build_parser().parse_args(argv))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe early (`nilrep ... | head`); send
+        # the rest, and the flush at interpreter exit, to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except ParseError as exc:

@@ -2,9 +2,12 @@
 
 Homomorphisms from a finitely presented nilpotent group into a finite
 group are enumerated by depth-first search over generator images with
-relator pruning.  A homomorphism onto the quaternion group, which sits
-in SL_2, certifies that the representation variety and the character
-variety are both disconnected when the target contains a root SL_2.
+relator pruning; each depth carries down the subgroup its images
+generate, grown one generator at a time, so surjectivity and the
+witness test are read at the leaves without closing any image there.
+A homomorphism onto the quaternion group, which sits in SL_2,
+certifies that the representation variety and the character variety
+are both disconnected when the target contains a root SL_2.
 The other rules are the torus computation, the torsion obstruction, the
 non-abelian free nilpotent rule, and the facts about commuting tuples.
 One verdict covers both spaces, since the identity component of the
@@ -28,7 +31,8 @@ from .rootdata import Factor, ReductiveSpec, build_root_datum
 
 GENERATOR_LIMIT = 6
 # the largest search GENERATOR_LIMIT admits into Q8; Z^3 into c100 (10^6
-# leaves) took 73 s
+# leaves) takes about 4 s with the limit lifted, nearly all of it in
+# relator evaluation
 SEARCH_LIMIT = 8**6
 # the largest m that central_image_order_bound accepts: the bound has
 # 2,510 digits at m = 512, and past about 700 it has more digits than
@@ -325,6 +329,14 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     Relators are checked as soon as all their generators have images, so
     dead branches are pruned early; generator images are tried in element
     index order, which makes the reported witness deterministic.
+
+    Each depth passes down the subgroup its images generate, so no leaf
+    closes its image again.  An image already in the parent subgroup
+    keeps it; otherwise the grown subgroup is closed over the images so
+    far (at most GENERATOR_LIMIT of them), once per search for each
+    (parent subgroup, new image) pair.  A leaf is surjective when its
+    subgroup is the whole target, and is a witness when its subgroup is
+    not abelian, which is when its images do not commute pairwise.
     """
     pres = presentation_for_homs(g, target)
     gens = pres.generator_count
@@ -339,25 +351,42 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     images = [target.identity] * gens
     counts = {"total": 0, "surjective": 0}
     found: list[tuple[int, ...] | None] = [None]
+    trivial = frozenset({target.identity})
+    # per search: one (subgroup, is abelian) node per distinct subgroup,
+    # and the node grown from each (parent subgroup, new image) pair
+    nodes = {trivial: (trivial, True)}
+    grown: dict[tuple[frozenset, int], tuple[frozenset, bool]] = {}
 
-    def dfs(depth):
+    def grow(parent, depth):
+        key = (parent, images[depth])
+        node = grown.get(key)
+        if node is None:
+            generators = images[:depth + 1]
+            sub = target.closure(generators)
+            # commuting generators generate an abelian group
+            node = nodes.setdefault(
+                sub, (sub, target.is_abelian_subset(generators)))
+            grown[key] = node
+        return node
+
+    def dfs(depth, node):
+        sub, commutative = node
         if depth == gens:
             counts["total"] += 1
-            image = target.closure(images)
-            if len(image) == target.order:
+            if len(sub) == target.order:
                 counts["surjective"] += 1
-            # commuting generators generate an abelian group
-            if found[0] is None and not target.is_abelian_subset(images):
+            if found[0] is None and not commutative:
                 found[0] = tuple(images)
             return
         for candidate in range(target.order):
             images[depth] = candidate
             if all(_evaluate(w, images, target) == target.identity
                    for w in by_depth[depth]):
-                dfs(depth + 1)
+                dfs(depth + 1,
+                    node if candidate in sub else grow(sub, depth))
         images[depth] = target.identity
 
-    dfs(0)
+    dfs(0, nodes[trivial])
     return HomSearchResult(counts["total"], counts["surjective"],
                            found[0], pres)
 

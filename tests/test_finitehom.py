@@ -1,6 +1,6 @@
 """Finite groups, homomorphism counting, witnesses, verdicts, the bound."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -9,12 +9,14 @@ from nilrep.arith import totient
 from nilrep.errors import TooLarge, UnsupportedGroup
 from nilrep.finitehom import (FiniteGroup, central_image_order_bound,
                               connectivity_verdict, cyclic, dihedral,
-                              enumerate_homs, q8, surjection_witness)
+                              enumerate_homs, presentation_for_homs, q8,
+                              surjection_witness)
 from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,
                            FreeNilpotent, Heisenberg, Presentation, Presented,
                            free_abelian_presentation,
                            free_nilpotent_class2_presentation, gen,
                            merge_presentations, power)
+from nilrep.parsing import parse_group_spec
 from nilrep.rootdata import (WEYL_ORDER_BOUND, Factor, ReductiveSpec,
                              reductive)
 
@@ -254,6 +256,68 @@ def test_presented_group_enumeration():
     result = enumerate_homs(Presented(pres), Q8)
     assert result.surjective == 24
     assert result.witness is not None
+
+
+def leaf_closure_homs(g, target):
+    """Referee for enumerate_homs: every tuple of images in depth-first
+    order, each checked against every relator and its image subgroup
+    closed from scratch, as the search did before it carried the
+    subgroup down."""
+    pres = presentation_for_homs(g, target)
+    total = surjective = 0
+    witness = None
+    for images in product(range(target.order),
+                          repeat=pres.generator_count):
+        if any(finitehom._evaluate(w, images, target) != target.identity
+               for w in pres.relators):
+            continue
+        total += 1
+        image = target.closure(images)
+        if len(image) == target.order:
+            surjective += 1
+        if witness is None and not target.is_abelian_subset(image):
+            witness = images
+    return total, surjective, witness
+
+
+HOMCOUNT_SOURCES = (
+    "H3", "Z^3", "Z^4", "F(2,2)", "F(2,3)", "H3 x Z", "Z/2 x Z/4 x Z^2",
+    "<a,b,c | [a,b]c^-1, [a,c], [b,c]>",
+    "<a,b,c,d | [a,b]c^-1, [a,c]d^-1, [b,c], [a,d], [b,d], [c,d]>",
+)
+
+
+@pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6), cyclic(8),
+                                    dihedral(3)], ids=lambda t: t.name)
+def test_carried_subgroups_match_leaf_closure(target):
+    # the cli-presentations homcount sources, with the presented
+    # Heisenberg and filiform groups
+    for text in HOMCOUNT_SOURCES:
+        g = parse_group_spec(text)
+        try:
+            want = leaf_closure_homs(g, target)
+        except UnsupportedGroup:   # F(2,3) into the non-nilpotent S3
+            with pytest.raises(UnsupportedGroup):
+                enumerate_homs(g, target)
+            continue
+        got = enumerate_homs(g, target)
+        assert (got.total, got.surjective, got.witness) == want, \
+            (text, target.name)
+
+
+def test_search_closes_once_per_new_subgroup_step(monkeypatch):
+    calls = [0]
+    closure = FiniteGroup.closure
+
+    def counted(self, generators):
+        calls[0] += 1
+        return closure(self, generators)
+
+    monkeypatch.setattr(FiniteGroup, "closure", counted)
+    result = enumerate_homs(FreeAbelian(3), cyclic(64))
+    assert (result.total, result.surjective) == (64**3, 64**3 - 32**3)
+    # one closure per leaf would be 262,144 calls
+    assert calls[0] <= 400
 
 
 def test_search_limits():

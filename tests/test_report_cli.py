@@ -195,7 +195,11 @@ def test_cli_connectivity_and_homcount(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "Disconnected"
+    assert payload["reason_code"] == "finite_nonabelian_quotient"
     assert payload["witness"] == ["i", "j", "-1"]
+    code, out, _ = run_cli(capsys, "connectivity", "--group", "F(2,3)",
+                           "--target", "Sp4")
+    assert code == 0 and "reason_code" not in out
     code, out, _ = run_cli(capsys, "homcount", "--group", "H3", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -252,6 +256,30 @@ def test_cli_selftest_passes_under_python_O():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("PASS: ") == len(selftest.CHECKS)
     assert "FAIL" not in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("poincare", "--json", "--group", "Z^8", "--target",
+     "SL9 x SL9 x SL9 x SL9"),                    # 44 KB, past one buffer
+    ("analyze", "--group", "H3", "--target", "SL2"),  # fails at the flush
+])
+def test_cli_exits_quietly_when_the_reader_closes_early(argv):
+    # like `nilrep ... | head -c 10`, but the reader is gone before the
+    # first write, so every write fails and the test does not race;
+    # stdout is block-buffered, as it is by default on a pipe
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nilrep.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120,
+                              env=dict(env, PYTHONPATH=path))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_cli_exit_codes(capsys):
