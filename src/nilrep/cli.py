@@ -15,6 +15,7 @@ without a traceback, when the reader closes standard output early.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -144,7 +145,14 @@ def _cmd_selftest(args) -> int:
     return _selftest.run()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves no state in it, so in-process callers of main() do not
+    rebuild it each time; the commands read this module's functions
+    (parse_group_spec, analyze, ...) when they run, not when it is built.
+    """
     parser = argparse.ArgumentParser(
         prog="nilrep",
         description="Topology of representation and character varieties of "

@@ -148,13 +148,42 @@ class Presentation:
         return [[col[i] for col in cols] for i in range(self.generator_count)]
 
 
-def word_str(w: Word, names) -> str:
+def word_str(w: Word, names, tails) -> str:
+    """w in the group grammar.  A letter with exponent 1 is followed by a
+    space where the parser, which reads the longest declared name, would
+    read on into the next letter; tails is name_tails(names)."""
     if not w.letters:
         return "1"
-    parts = []
-    for g, e in w.letters:
-        parts.append(names[g] if e == 1 else "%s^%d" % (names[g], e))
-    return "".join(parts)
+    parts = []   # the letters written so far, from the end of the word
+    for g, e in reversed(w.letters):
+        name = names[g]
+        if e != 1:
+            name = "%s^%d" % (name, e)
+        elif name in tails and parts:
+            ahead = tails[name]
+            # each letter writes at least one character
+            following = "".join(reversed(parts[-max(map(len, ahead)):]))
+            if following.startswith(ahead):
+                name += " "
+        parts.append(name)
+    return "".join(reversed(parts))
+
+
+def name_tails(names) -> dict[str, tuple[str, ...]]:
+    """For each name that begins a longer name, what the longer ones add:
+    name_tails(("a", "ab", "b")) == {"a": ("b",)}."""
+    ordered = sorted(names)
+    tails = {}
+    for k, name in enumerate(ordered):
+        # the names that begin with name follow it in sorted order
+        longer = []
+        for other in ordered[k + 1:]:
+            if not other.startswith(name):
+                break
+            longer.append(other[len(name):])
+        if longer:
+            tails[name] = tuple(longer)
+    return tails
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +293,8 @@ class Presented(GroupSpec):
     def __str__(self):
         p = self.presentation
         names = p.generator_names()
-        rels = ", ".join(word_str(w, names) for w in p.relators)
+        tails = name_tails(names)
+        rels = ", ".join(word_str(w, names, tails) for w in p.relators)
         return "<%s | %s>" % (",".join(names), rels)
 
 

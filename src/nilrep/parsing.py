@@ -15,6 +15,11 @@ Reductive grammar:
               | "T" k | "G2" | "F4"
 
 str() on the parsed objects renders back into these grammars.
+
+A word is read as a plain list of (generator, exponent) letters, kept
+freely reduced as each item joins it; a presentation builds one Word per
+relator.  A generator item with its exponent is one regular-expression
+match against the declared names, longest name first.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ import re
 from .errors import ParseError, TooLarge
 from .groups import (POWER_LETTER_CAP, DirectProduct, FiniteAbelian,
                      FreeAbelian, FreeNilpotent, GroupSpec, Heisenberg,
-                     Presentation, Presented, Word, commutator, concat, gen,
-                     power)
+                     Presentation, Presented, Word)
 from .rootdata import Factor, ReductiveSpec
 
 # deepest bracket nesting in a word.  Each level can double the word, so
@@ -41,6 +45,9 @@ NESTING_BOUND = 64
 LETTER_BUDGET = 2 * POWER_LETTER_CAP
 
 
+_SPACE = re.compile(r"\s*")   # \s is exactly str.isspace
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -48,8 +55,7 @@ class _Scanner:
         self.letters = 0
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def at_end(self) -> bool:
         return self.pos >= len(self.text)
@@ -96,14 +102,6 @@ class _Scanner:
         while self.peek().isalnum() or self.peek() == "_":
             self.pos += 1
         return self.text[start:self.pos]
-
-    def written(self, word: Word) -> Word:
-        """word, counted against LETTER_BUDGET for the whole input."""
-        self.letters += len(word.letters)
-        if self.letters > LETTER_BUDGET:
-            raise TooLarge("the words of this group input pass %d letters"
-                           % LETTER_BUDGET)
-        return word
 
     def separator_x(self) -> bool:
         """A standalone product separator 'x' between factors."""
@@ -179,14 +177,15 @@ def _presentation(s: _Scanner) -> Presented:
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise ParseError("duplicate generator name", s.pos)
-    # longest declared name first, so that x1x2 tokenizes right
-    tokens = re.compile("|".join(map(re.escape,
-                                     sorted(names, key=len, reverse=True))))
+    # one match per item after its spaces: a declared name, the longest
+    # first so that x1x2 tokenizes right, with an exponent of at most 18
+    # ASCII digits (_Scanner.integer reads any other); or an opening
+    # bracket; or nothing
+    item = re.compile(r"\s*(?:(%s)(?:\^(-?[0-9]{1,18}))?|(\[)|)" % "|".join(
+        map(re.escape, sorted(names, key=len, reverse=True))))
     relators = []
     while True:
-        s.skip_ws()
-        relators.append(_word(s, index, tokens))
-        s.skip_ws()
+        relators.append(Word(tuple(_word(s, index, item))))
         if not s.try_literal(","):
             break
     s.expect(">")
@@ -194,39 +193,92 @@ def _presentation(s: _Scanner) -> Presented:
                                   names=tuple(names)))
 
 
-def _word(s: _Scanner, index: dict[str, int], tokens: re.Pattern,
-          depth: int = 0) -> Word:
-    parts = []
+def _word(s: _Scanner, index: dict[str, int], item: re.Pattern,
+          depth: int = 0) -> list[tuple[int, int]]:
+    """The freely reduced letters of one word, read with the spaces
+    before and after it.  Each item is charged to the letter budget at
+    its reduced length, inside brackets too."""
+    text = s.text
+    word: list[tuple[int, int]] = []
+    items = 0
     while True:
-        s.skip_ws()
-        ch = s.peek()
-        if ch == "[":
+        m = item.match(text, s.pos)
+        s.pos = m.end()
+        name, digits, bracket = m.groups()
+        if name is not None:
+            if digits is not None and not text[s.pos:s.pos + 1].isdigit():
+                e = int(digits)
+            elif text.startswith("^", m.end(1)):   # any other exponent
+                s.pos = m.end(1) + 1
+                e = s.integer(signed=True)
+            else:
+                e = 1
+            base = [(index[name], e)] if e else []
+        elif bracket is not None:
             if depth == NESTING_BOUND:
                 raise ParseError("commutator brackets nested deeper than %d"
-                                 % NESTING_BOUND, s.pos)
-            s.expect("[")
-            a = _word(s, index, tokens, depth + 1)
-            s.skip_ws()
+                                 % NESTING_BOUND, m.start(3))
+            a = _word(s, index, item, depth + 1)
             s.expect(",")
-            b = _word(s, index, tokens, depth + 1)
-            s.skip_ws()
+            b = _word(s, index, item, depth + 1)
             s.expect("]")
-            base = commutator(a, b)
-        elif ch.isalpha() or ch == "_":
-            match = tokens.match(s.text, s.pos)
-            if match is None:
-                raise ParseError("unknown generator", s.pos, tuple(index))
-            s.pos = match.end()
-            base = gen(index[match.group()])
+            base = _commutator(a, b)
+            if s.try_literal("^"):
+                base = _power(base, s.integer(signed=True))
         else:
+            ch = s.peek()
+            if ch.isalpha() or ch == "_":
+                raise ParseError("unknown generator", s.pos, tuple(index))
             break
-        if s.try_literal("^"):
-            base = power(base, s.integer(signed=True))
-        parts.append(s.written(base))
-    if not parts:
+        s.letters += len(base)   # against LETTER_BUDGET for the whole input
+        if s.letters > LETTER_BUDGET:
+            raise TooLarge("the words of this group input pass %d letters"
+                           % LETTER_BUDGET)
+        _reduce_onto(word, base)
+        items += 1
+    if not items:
         raise ParseError("expected a word", s.pos,
                          ("generator", "[word,word]"))
-    return concat(*parts)
+    return word
+
+
+def _reduce_onto(word: list, letters) -> list:
+    """Append letters to the reduced word, cancelling at the seam."""
+    for g, e in letters:
+        if word and word[-1][0] == g:
+            e += word.pop()[1]
+            if e:
+                word.append((g, e))
+        else:
+            word.append((g, e))
+    return word
+
+
+def _inverse(letters: list) -> list:
+    return [(g, -e) for g, e in reversed(letters)]
+
+
+def _commutator(a: list, b: list) -> list:
+    """[a, b] = a^-1 b^-1 a b, capped as groups.commutator caps it."""
+    letters = 2 * (len(a) + len(b))
+    if letters > POWER_LETTER_CAP:
+        raise TooLarge("commutator of %d letters exceeds %d letters"
+                       % (letters, POWER_LETTER_CAP))
+    return _reduce_onto([], _inverse(a) + _inverse(b) + a + b)
+
+
+def _power(letters: list, n: int) -> list:
+    """letters^n, capped as groups.power caps it."""
+    if n < 0:
+        letters, n = _inverse(letters), -n
+    if n == 0:
+        return []
+    if len(letters) <= 1:
+        return [(g, e * n) for g, e in letters]
+    if len(letters) * n > POWER_LETTER_CAP:
+        raise TooLarge("power of a %d-letter word to exponent %d exceeds "
+                       "%d letters" % (len(letters), n, POWER_LETTER_CAP))
+    return _reduce_onto([], letters * n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ import pytest
 
 from nilrep.errors import ParseError, UnsupportedType
 from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,
-                           FreeNilpotent, Heisenberg, Presented, abelianize,
-                           commutator, concat, gen, heisenberg_presentation,
-                           power)
+                           FreeNilpotent, Heisenberg, Presented, Word,
+                           abelianize, commutator, concat, gen,
+                           heisenberg_presentation, power)
 from nilrep.parsing import parse_group_spec, parse_reductive_spec
 from nilrep.rootdata import Factor, ReductiveSpec
 
@@ -114,3 +114,47 @@ def test_reductive_errors():
         parse_reductive_spec("SL2 x")
     with pytest.raises(ParseError):
         parse_reductive_spec("SL2 GL3")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("<a|a^>",
+     "expected an integer (at position 5, expected one of: integer)"),
+    ("<a,b | a c>",
+     "unknown generator (at position 9, expected one of: a, b)"),
+    ("<a,b | [a,b>", "expected ']' (at position 11, expected one of: ])"),
+    ("<a,b | " + "[" * 65 + "a,b" + "]" * 65 + ">",
+     "commutator brackets nested deeper than 64 (at position 71)"),
+    ("<a | a^" + "9" * 5000 + ">",
+     "integer has too many digits (at position 7, expected one of: "
+     "integer)"),
+    ("<a | [a,a]^-" + "9" * 5000 + ">",
+     "integer has too many digits (at position 11, expected one of: "
+     "integer)"),
+    ("<a,b | a^-b>",
+     "expected an integer (at position 10, expected one of: integer)"),
+    ("<a,b | , a>",
+     "expected a word (at position 7, expected one of: generator, "
+     "[word,word])"),
+])
+def test_word_parse_errors_are_literal(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_group_spec(text)
+    assert str(info.value) == message
+
+
+def test_nesting_bound_is_inclusive():
+    # 64 levels parse; [a,a] = 1 keeps every level empty
+    g = parse_group_spec("<a,b | " + "[" * 64 + "a,a]" + ",b]" * 63 + ">")
+    assert g.presentation.relators == (Word(),)
+
+
+def test_printed_presentation_re_parses():
+    # "ab" is a declared name, so a letter a before b is written "a b"
+    g = parse_group_spec("<a,b,ab | a b ab^-1>")
+    assert g.presentation.relators == (
+        concat(gen(0), gen(1), power(gen(2), -1)),)
+    assert str(g) == "<a,b,ab | a bab^-1>"
+    assert parse_group_spec(str(g)) == g
+    # no space where the next letter cannot extend the name
+    assert str(parse_group_spec("<a,b,ab | b a, a^2b, ab a>")) == (
+        "<a,b,ab | ba, a^2b, aba>")

@@ -5,6 +5,7 @@ stays standard-library only.  Every property runs derandomized with a
 bounded number of examples, so the suite is reproducible and quick.
 """
 
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -12,17 +13,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (example, given, settings,  # noqa: E402
+                        strategies as st)
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
-from nilrep.errors import NilrepError  # noqa: E402
+from nilrep.errors import NilrepError, ParseError, TooLarge  # noqa: E402
 from nilrep.finitehom import (CONNECTED, DISCONNECTED,  # noqa: E402
                               connectivity_verdict)
 from nilrep.invariants import _pack, _unpack, poly  # noqa: E402
 from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,  # noqa: E402
                            FreeNilpotent, Heisenberg, Presentation,
-                           Presented, abelianize, free_reduce, is_abelian)
-from nilrep.parsing import parse_group_spec, parse_reductive_spec  # noqa: E402
+                           Presented, abelianize, commutator, concat,
+                           free_reduce, gen, is_abelian, power)
+from nilrep.parsing import (LETTER_BUDGET, NESTING_BOUND,  # noqa: E402
+                            _Scanner, parse_group_spec,
+                            parse_reductive_spec)
 from nilrep.rootdata import Factor, ReductiveSpec  # noqa: E402
 from nilrep.snf import (cokernel_invariants, diagonal_of,  # noqa: E402
                         smith_normal_form)
@@ -113,17 +118,27 @@ def test_unpack_inverts_pack(case):
 
 
 def _words(generators):
+    # exponent 1 often: only a bare name can run into the next letter
     letter = st.tuples(st.integers(0, generators - 1),
-                       st.integers(-40, 40).filter(bool))
+                       st.just(1) | st.integers(-40, 40).filter(bool))
     return (st.lists(letter, min_size=1, max_size=6)
             .map(free_reduce).filter(lambda w: w.letters))
 
 
+# single letters next to names that begin with them, so that printing
+# must keep letters apart where the parser would read a longer name
+GENERATOR_NAMES = ("a", "b", "ab", "ba", "abb", "x", "y", "xy", "x1", "x12")
+NAME_SETS = (("a", "b", "ab"), ("a", "b", "ab", "ba"), ("a", "b", "bb", "abb"),
+             ("x", "y", "xy", "x1", "x12"))
+
+
 @st.composite
 def presented_groups(draw):
-    n = draw(st.integers(1, 4))
-    names = draw(st.lists(st.sampled_from("abcdeuvwxyz"), min_size=n,
-                          max_size=n, unique=True))
+    names = draw(st.sampled_from(NAME_SETS)
+                 | st.lists(st.sampled_from(GENERATOR_NAMES), min_size=1,
+                            max_size=4, unique=True))
+    names = draw(st.permutations(names))
+    n = len(names)
     relators = draw(st.lists(_words(n), min_size=1, max_size=3))
     return Presented(Presentation(n, tuple(relators), names=tuple(names)))
 
@@ -148,6 +163,119 @@ GROUP_SPECS = st.one_of(
 @given(GROUP_SPECS)
 def test_group_spec_round_trips(g):
     assert parse_group_spec(str(g)) == g
+
+
+@PROPERTY
+@given(presented_groups())
+def test_presented_group_round_trips(g):
+    assert parse_group_spec(str(g)) == g
+
+
+# ---------------------------------------------------------------------------
+# the word parser against the old composition through Word helpers
+
+
+def _referee_word(s, index, tokens, depth=0):
+    """One word read item by item as Words, each built by groups.gen,
+    power and commutator and the items joined by concat; the letter
+    budget counts every item's reduced length."""
+    parts = []
+    while True:
+        s.skip_ws()
+        ch = s.peek()
+        if ch == "[":
+            if depth == NESTING_BOUND:
+                raise ParseError("commutator brackets nested deeper than %d"
+                                 % NESTING_BOUND, s.pos)
+            s.expect("[")
+            a = _referee_word(s, index, tokens, depth + 1)
+            s.skip_ws()
+            s.expect(",")
+            b = _referee_word(s, index, tokens, depth + 1)
+            s.skip_ws()
+            s.expect("]")
+            base = commutator(a, b)
+        elif ch.isalpha() or ch == "_":
+            match = tokens.match(s.text, s.pos)
+            if match is None:
+                raise ParseError("unknown generator", s.pos, tuple(index))
+            s.pos = match.end()
+            base = gen(index[match.group()])
+        else:
+            break
+        if s.try_literal("^"):
+            base = power(base, s.integer(signed=True))
+        s.letters += len(base.letters)
+        if s.letters > LETTER_BUDGET:
+            raise TooLarge("the words of this group input pass %d letters"
+                           % LETTER_BUDGET)
+        parts.append(base)
+    if not parts:
+        raise ParseError("expected a word", s.pos,
+                         ("generator", "[word,word]"))
+    return concat(*parts)
+
+
+def _referee_relators(names, text):
+    s = _Scanner(text)
+    s.pos = text.index("|") + 1
+    index = {name: i for i, name in enumerate(names)}
+    tokens = re.compile("|".join(map(re.escape,
+                                     sorted(names, key=len, reverse=True))))
+    relators = []
+    while True:
+        s.skip_ws()
+        relators.append(_referee_word(s, index, tokens))
+        s.skip_ws()
+        if not s.try_literal(","):
+            break
+    s.expect(">")
+    return tuple(relators)
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except (ParseError, TooLarge) as exc:
+        return type(exc).__name__, str(exc)
+
+
+WORD_EXPONENTS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from((24_999, 25_000, 25_001, -25_000, 60_000, 10**30,
+                     -10**30)))
+SPACES = st.sampled_from(("", "", " ", "  ", "\n"))
+
+
+@st.composite
+def written_words(draw, depth=0):
+    """A word of the group grammar: names, brackets nested up to three
+    deep, exponents small and large, spaces around items."""
+    items = []
+    for _ in range(draw(st.integers(1, 3))):
+        if depth < 3 and draw(st.booleans()):
+            base = "[%s,%s]" % (draw(written_words(depth + 1)),
+                                draw(written_words(depth + 1)))
+        else:
+            base = draw(st.sampled_from(GENERATOR_NAMES[:8]))
+        if draw(st.booleans()):
+            base += "^%d" % draw(WORD_EXPONENTS)
+        items.append(draw(SPACES) + base + draw(SPACES))
+    return "".join(items)
+
+
+@PROPERTY
+@given(st.lists(written_words(), min_size=1, max_size=3))
+@example(["[a,b]^25000"])                     # at the power cap
+@example(["[a,b]^25000 [a,b]^25000"])         # past the letter budget
+@example(["[a,b]^25000", "[a,b]^25000"])      # the budget spans relators
+@example(["[" * 16 + "a" + ",b]" * 16])       # past the commutator cap
+def test_word_parser_matches_the_word_helpers(words):
+    names = GENERATOR_NAMES[:8]
+    text = "<%s | %s>" % (",".join(names), ",".join(words))
+    expected = _outcome(lambda: _referee_relators(names, text))
+    got = _outcome(lambda: parse_group_spec(text).presentation.relators)
+    assert got == expected
 
 
 def _factor(pair):

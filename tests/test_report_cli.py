@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nilrep import finitehom, selftest
+from nilrep import cli, finitehom, selftest
 from nilrep.arith import totient
 from nilrep.cli import main
 from nilrep.groups import (AbelianInvariants, FreeAbelian, FreeNilpotent,
@@ -280,6 +280,36 @@ def test_cli_exits_quietly_when_the_reader_closes_early(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_cli_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
+    # main() shares one argument parser across calls; a sequence of calls
+    # in one process must print what a fresh interpreter prints for each
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")   # usage text wraps at the width
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    sequence = [
+        ("analyze", "--group", "H3"),                       # usage error
+        ("homcount", "--group", "H3", "--finite", "c6"),
+        ("homcount", "--group", "H3"),                      # q8 by default
+        ("selftest",),
+        ("pi1", "--group", "Z^2", "--target", "PGL2", "--json"),
+        ("pi1", "--group", "Z^2", "--target", "PGL2"),
+        ("connectivity", "--group", "<x | x^0>", "--target", "SL2"),
+        ("connectivity", "--group", "<x | x^>", "--target", "SL2",
+         "--json"),
+    ]
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "nilrep.cli", *argv],
+                               capture_output=True, text=True, timeout=120,
+                               env=dict(os.environ, PYTHONPATH=path))
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
 
 
 def test_cli_exit_codes(capsys):
