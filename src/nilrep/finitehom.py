@@ -5,6 +5,8 @@ group are enumerated by depth-first search over generator images with
 relator pruning; each depth carries down the subgroup its images
 generate, grown one generator at a time, so surjectivity and the
 witness test are read at the leaves without closing any image there.
+A finite group tabulates the powers of its elements once, so each
+letter g^e of a relator costs one lookup and one product at any e.
 A homomorphism onto the quaternion group, which sits in SL_2,
 certifies that the representation variety and the character variety
 are both disconnected when the target contains a root SL_2.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import accumulate, product, repeat
 
 from .arith import totient
 from .errors import (NilrepError, TooLarge, UnsupportedGroup,
@@ -31,8 +33,8 @@ from .rootdata import Factor, ReductiveSpec, build_root_datum
 
 GENERATOR_LIMIT = 6
 # the largest search GENERATOR_LIMIT admits into Q8; Z^3 into c100 (10^6
-# leaves) takes about 4 s with the limit lifted, nearly all of it in
-# relator evaluation
+# leaves) takes about 2.4 s in-process with the limit lifted, nearly all
+# of it in relator evaluation
 SEARCH_LIMIT = 8**6
 # the largest m that central_image_order_bound accepts: the bound has
 # 2,510 digits at m = 512, and past about 700 it has more digits than
@@ -51,7 +53,8 @@ class FiniteGroup:
     """A finite group given by its multiplication table on 0..order-1.
 
     Construction verifies the identity and inverse laws always, and full
-    associativity for orders up to 24 (the sizes used here).
+    associativity for orders up to 24 (the sizes used here).  It also
+    tabulates every power g^k, 0 <= k < order, so power() is one lookup.
     """
 
     def __init__(self, table, labels=None, name="group"):
@@ -72,6 +75,13 @@ class FiniteGroup:
             for a, b, c in product(range(self.order), repeat=3):
                 if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
                     raise ValueError("table is not associative")
+        # powers[g][k] = g^k, one multiplication per entry, so a row costs
+        # order - 1 products even for a table whose associativity was not
+        # checked
+        self.powers = tuple(
+            tuple(accumulate(repeat(g, self.order - 1), self.mul,
+                             initial=self.identity))
+            for g in range(self.order))
 
     def _find_identity(self):
         for e in range(self.order):
@@ -90,13 +100,9 @@ class FiniteGroup:
         return self.table[a][b]
 
     def power(self, g, e):
-        # g^order = 1 (Lagrange), so the loop runs e mod order times
-        if e < 0:
-            g, e = self.inverse[g], -e
-        out = self.identity
-        for _ in range(e % self.order):
-            out = self.mul(out, g)
-        return out
+        # g^order = 1 (Lagrange), and e % order lies in [0, order) for a
+        # negative e too
+        return self.powers[g][e % self.order]
 
     def commutator(self, a, b):
         """[a, b] = a^-1 b^-1 a b."""

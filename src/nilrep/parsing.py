@@ -5,7 +5,7 @@ Group grammar:
     group    := atom (" x " atom)*
     atom     := "H3" | "F(" n "," c ")" | "Z" | "Z^" n | "Z/" d
               | "<" name ("," name)* "|" word ("," word)* ">"
-    word     := item+            item := base ("^" int)?
+    word     := item+ | "1"      item := base ("^" int)?
     base     := name | "[" word "," word "]"
 
 Reductive grammar:
@@ -14,7 +14,9 @@ Reductive grammar:
     factor   := "SL" n | "GL" n | "PGL" n | "Sp" 2n | "SO" n | "Spin" n
               | "T" k | "G2" | "F4"
 
-str() on the parsed objects renders back into these grammars.
+str() on the parsed objects renders back into these grammars.  The word
+"1", alone between its separators, is the empty word, which is how str()
+writes a relator that reduces to the identity.
 
 A word is read as a plain list of (generator, exponent) letters, kept
 freely reduced as each item joins it; a presentation builds one Word per
@@ -46,6 +48,9 @@ LETTER_BUDGET = 2 * POWER_LETTER_CAP
 
 
 _SPACE = re.compile(r"\s*")   # \s is exactly str.isspace
+# the empty word is "1" and its spaces, when the separator that follows
+# it is one that may end the word there
+_EMPTY_WORD = re.compile(r"1\s*")
 
 
 class _Scanner:
@@ -185,7 +190,7 @@ def _presentation(s: _Scanner) -> Presented:
         map(re.escape, sorted(names, key=len, reverse=True))))
     relators = []
     while True:
-        relators.append(Word(tuple(_word(s, index, item))))
+        relators.append(Word(tuple(_word(s, index, item, (",", ">")))))
         if not s.try_literal(","):
             break
     s.expect(">")
@@ -194,10 +199,11 @@ def _presentation(s: _Scanner) -> Presented:
 
 
 def _word(s: _Scanner, index: dict[str, int], item: re.Pattern,
-          depth: int = 0) -> list[tuple[int, int]]:
+          ends: tuple[str, ...], depth: int = 0) -> list[tuple[int, int]]:
     """The freely reduced letters of one word, read with the spaces
-    before and after it.  Each item is charged to the letter budget at
-    its reduced length, inside brackets too."""
+    before and after it; ends are the separators that may follow it.
+    Each item is charged to the letter budget at its reduced length,
+    inside brackets too."""
     text = s.text
     word: list[tuple[int, int]] = []
     items = 0
@@ -218,9 +224,9 @@ def _word(s: _Scanner, index: dict[str, int], item: re.Pattern,
             if depth == NESTING_BOUND:
                 raise ParseError("commutator brackets nested deeper than %d"
                                  % NESTING_BOUND, m.start(3))
-            a = _word(s, index, item, depth + 1)
+            a = _word(s, index, item, (",",), depth + 1)
             s.expect(",")
-            b = _word(s, index, item, depth + 1)
+            b = _word(s, index, item, ("]",), depth + 1)
             s.expect("]")
             base = _commutator(a, b)
             if s.try_literal("^"):
@@ -237,8 +243,11 @@ def _word(s: _Scanner, index: dict[str, int], item: re.Pattern,
         _reduce_onto(word, base)
         items += 1
     if not items:
-        raise ParseError("expected a word", s.pos,
-                         ("generator", "[word,word]"))
+        empty = _EMPTY_WORD.match(text, s.pos)
+        if empty is None or not text.startswith(ends, empty.end()):
+            raise ParseError("expected a word", s.pos,
+                             ("generator", "[word,word]"))
+        s.pos = empty.end()
     return word
 
 

@@ -99,16 +99,30 @@ def test_table_validation_rejects_bad_tables():
 
 
 def test_power_matches_repeated_multiplication():
-    for group in (Q8, dihedral(4), cyclic(6)):
-        for g in range(group.order):
+    # the tables at the order bound too
+    for group in (Q8, dihedral(4), cyclic(6), cyclic(256), dihedral(128)):
+        n = group.order
+        for g in range(n):
             # g^0, g^1, ... by repeated multiplication, up to g's own order
             powers = [group.identity]
             while len(powers) == 1 or powers[-1] != group.identity:
                 powers.append(group.mul(powers[-1], g))
             order = len(powers) - 1
-            for e in (-13, -1, 0, 1, 7, 10**12):
+            for e in (0, 1, -1, n, -n, n + 1, -n - 1, -13, 7, 10**12,
+                      10**18, -10**18):
                 assert group.power(g, e) == powers[e % order], \
                     (group.name, g, e)
+
+
+def test_power_table_of_an_unchecked_table_is_finite():
+    # order 25 skips the associativity check; 1 * 1 = 3 breaks it, and
+    # the powers of 1 still fill one row of 25 entries
+    table = [[(a + b) % 25 for b in range(25)] for a in range(25)]
+    table[1][1] = 3
+    group = FiniteGroup(table)
+    assert len(group.powers[1]) == 25
+    assert group.power(1, 2) == 3
+    assert group.power(1, -1) == group.powers[1][24]
 
 
 def test_nilpotency_classes():
@@ -168,15 +182,24 @@ def test_heisenberg_surjections_by_inclusion_exclusion():
     assert 64 - inside == 24
 
 
+def referee_value(word, images, group):
+    """The value of word at images, each letter g^e as |e| right
+    multiplications by the image of g, or by its inverse for e < 0;
+    neither FiniteGroup.power nor finitehom._evaluate is used."""
+    value = group.identity
+    for g, e in word.letters:
+        x = images[g] if e > 0 else group.inverse[images[g]]
+        for _ in range(abs(e)):
+            value = group.mul(value, x)
+    return value
+
+
 def test_witness_validates_against_relators():
     result = enumerate_homs(Heisenberg(), Q8)
     images = result.witness
     pres = result.presentation
     for relator in pres.relators:
-        value = Q8.identity
-        for g, e in relator.letters:
-            value = Q8.mul(value, Q8.power(images[g], e))
-        assert value == Q8.identity
+        assert referee_value(relator, images, Q8) == Q8.identity
     image = Q8.closure(images)
     assert not Q8.is_abelian_subset(image)
     assert len(image) == 8
@@ -260,15 +283,15 @@ def test_presented_group_enumeration():
 
 def leaf_closure_homs(g, target):
     """Referee for enumerate_homs: every tuple of images in depth-first
-    order, each checked against every relator and its image subgroup
-    closed from scratch, as the search did before it carried the
-    subgroup down."""
+    order, each checked against every relator by referee_value and its
+    image subgroup closed from scratch, as the search did before it
+    carried the subgroup down."""
     pres = presentation_for_homs(g, target)
     total = surjective = 0
     witness = None
     for images in product(range(target.order),
                           repeat=pres.generator_count):
-        if any(finitehom._evaluate(w, images, target) != target.identity
+        if any(referee_value(w, images, target) != target.identity
                for w in pres.relators):
             continue
         total += 1

@@ -135,6 +135,27 @@ def test_reductive_errors():
     ("<a,b | , a>",
      "expected a word (at position 7, expected one of: generator, "
      "[word,word])"),
+    # "1" is a word only alone, and only before a separator that may end
+    # the word there
+    ("<a | 2>",
+     "expected a word (at position 5, expected one of: generator, "
+     "[word,word])"),
+    ("<a | 1a>",
+     "expected a word (at position 5, expected one of: generator, "
+     "[word,word])"),
+    ("<a | 1^2>",
+     "expected a word (at position 5, expected one of: generator, "
+     "[word,word])"),
+    ("<a | a 1>", "expected '>' (at position 7, expected one of: >)"),
+    ("<a | 1]>",
+     "expected a word (at position 5, expected one of: generator, "
+     "[word,word])"),
+    ("<a | [1]>",
+     "expected a word (at position 6, expected one of: generator, "
+     "[word,word])"),
+    ("<a | 1",
+     "expected a word (at position 5, expected one of: generator, "
+     "[word,word])"),
 ])
 def test_word_parse_errors_are_literal(text, message):
     with pytest.raises(ParseError) as info:
@@ -158,3 +179,15 @@ def test_printed_presentation_re_parses():
     # no space where the next letter cannot extend the name
     assert str(parse_group_spec("<a,b,ab | b a, a^2b, ab a>")) == (
         "<a,b,ab | ba, a^2b, aba>")
+
+
+def test_printed_empty_relator_re_parses():
+    # a relator that reduces to the identity is written "1"
+    g = parse_group_spec("<a,b | [a,a], b^2>")
+    assert g.presentation.relators == (Word(), power(gen(1), 2))
+    assert str(g) == "<a,b | 1, b^2>"
+    assert parse_group_spec(str(g)) == g
+    # "1" with spaces, inside brackets, and as the only relator
+    g = parse_group_spec("<a,b | [ 1 ,a] b, [a,1\n], 1 >")
+    assert g.presentation.relators == (gen(1), Word(), Word())
+    assert parse_group_spec("<a | 1>") == parse_group_spec("<a | [a,a]>")
