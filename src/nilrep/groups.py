@@ -34,9 +34,11 @@ class Word:
 
     letters is a tuple of (generator index, exponent) pairs with non-zero
     exponents and no two adjacent pairs on the same generator.  Build words
-    through the module helpers (gen, concat, inverse, power, commutator);
-    they reduce as they go, so commutator nesting disappears into plain
-    letters at construction time.
+    through the module helpers (gen, concat, inverse, power, commutator).
+    They wrap the letter-list functions reduce_onto, inverse_letters,
+    power_letters and commutator_letters, the one word algebra, which the
+    parser uses directly.  All reduce as they go, so commutator nesting
+    disappears into plain letters at construction time.
     """
 
     letters: tuple[tuple[int, int], ...] = ()
@@ -63,18 +65,48 @@ class Word:
         return sums
 
 
-def free_reduce(letters) -> Word:
-    reduced: list[tuple[int, int]] = []
+def reduce_onto(word: list, letters) -> list:
+    """Append letters to the freely reduced letter list word, cancelling
+    at the seam and dropping zero exponents."""
     for g, e in letters:
-        if e == 0:
-            continue
-        if reduced and reduced[-1][0] == g:
-            g0, e0 = reduced.pop()
-            if e0 + e != 0:
-                reduced.append((g0, e0 + e))
-        else:
-            reduced.append((g, e))
-    return Word(tuple(reduced))
+        if word and word[-1][0] == g:
+            e += word.pop()[1]
+        if e:
+            word.append((g, e))
+    return word
+
+
+def inverse_letters(letters) -> list:
+    return [(g, -e) for g, e in reversed(letters)]
+
+
+def power_letters(letters, n: int) -> list:
+    """letters^n; one letter stays one letter, a longer word may not pass
+    the cap."""
+    if n < 0:
+        letters, n = inverse_letters(letters), -n
+    if n == 0:
+        return []
+    if len(letters) <= 1:
+        return [(g, e * n) for g, e in letters]
+    if len(letters) * n > POWER_LETTER_CAP:
+        raise TooLarge("power of a %d-letter word to exponent %d exceeds "
+                       "%d letters" % (len(letters), n, POWER_LETTER_CAP))
+    return reduce_onto([], letters * n)
+
+
+def commutator_letters(a, b) -> list:
+    """[a, b] = a^-1 b^-1 a b, expanded and reduced; nesting doubles the
+    length, so the written-out word may not pass the cap either."""
+    letters = 2 * (len(a) + len(b))
+    if letters > POWER_LETTER_CAP:
+        raise TooLarge("commutator of %d letters exceeds %d letters"
+                       % (letters, POWER_LETTER_CAP))
+    return reduce_onto([], [*inverse_letters(a), *inverse_letters(b), *a, *b])
+
+
+def free_reduce(letters) -> Word:
+    return Word(tuple(reduce_onto([], letters)))
 
 
 def gen(i: int, exponent: int = 1) -> Word:
@@ -82,38 +114,19 @@ def gen(i: int, exponent: int = 1) -> Word:
 
 
 def concat(*words: Word) -> Word:
-    letters: list[tuple[int, int]] = []
-    for w in words:
-        letters.extend(w.letters)
-    return free_reduce(letters)
+    return free_reduce([letter for w in words for letter in w.letters])
 
 
 def inverse(w: Word) -> Word:
-    return Word(tuple((g, -e) for g, e in reversed(w.letters)))
+    return Word(tuple(inverse_letters(w.letters)))
 
 
 def power(w: Word, n: int) -> Word:
-    """w^n; one letter stays one letter, a longer word may not pass the cap."""
-    if n < 0:
-        return power(inverse(w), -n)
-    if n == 0:
-        return Word()
-    if len(w.letters) <= 1:
-        return Word(tuple((g, e * n) for g, e in w.letters))
-    if len(w.letters) * n > POWER_LETTER_CAP:
-        raise TooLarge("power of a %d-letter word to exponent %d exceeds "
-                       "%d letters" % (len(w.letters), n, POWER_LETTER_CAP))
-    return concat(*([w] * n))
+    return Word(tuple(power_letters(w.letters, n)))
 
 
 def commutator(a: Word, b: Word) -> Word:
-    """[a, b] = a^-1 b^-1 a b, expanded and reduced; nesting doubles the
-    length, so the written-out word may not pass the cap either."""
-    letters = 2 * (len(a.letters) + len(b.letters))
-    if letters > POWER_LETTER_CAP:
-        raise TooLarge("commutator of %d letters exceeds %d letters"
-                       % (letters, POWER_LETTER_CAP))
-    return concat(inverse(a), inverse(b), a, b)
+    return Word(tuple(commutator_letters(a.letters, b.letters)))
 
 
 @dataclass(frozen=True)

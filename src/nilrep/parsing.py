@@ -19,9 +19,11 @@ str() on the parsed objects renders back into these grammars.  The word
 writes a relator that reduces to the identity.
 
 A word is read as a plain list of (generator, exponent) letters, kept
-freely reduced as each item joins it; a presentation builds one Word per
-relator.  A generator item with its exponent is one regular-expression
-match against the declared names, longest name first.
+freely reduced as each item joins it.  The letter helpers are those of
+groups (reduce_onto, power_letters, commutator_letters), which its Word
+helpers wrap for the catalog; a presentation builds one Word per relator.
+A generator item with its exponent is one regular-expression match
+against the declared names, longest name first.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import re
 from .errors import ParseError, TooLarge
 from .groups import (POWER_LETTER_CAP, DirectProduct, FiniteAbelian,
                      FreeAbelian, FreeNilpotent, GroupSpec, Heisenberg,
-                     Presentation, Presented, Word)
+                     Presentation, Presented, Word, commutator_letters,
+                     power_letters, reduce_onto)
 from .rootdata import Factor, ReductiveSpec
 
 # deepest bracket nesting in a word.  Each level can double the word, so
@@ -228,9 +231,9 @@ def _word(s: _Scanner, index: dict[str, int], item: re.Pattern,
             s.expect(",")
             b = _word(s, index, item, ("]",), depth + 1)
             s.expect("]")
-            base = _commutator(a, b)
+            base = commutator_letters(a, b)
             if s.try_literal("^"):
-                base = _power(base, s.integer(signed=True))
+                base = power_letters(base, s.integer(signed=True))
         else:
             ch = s.peek()
             if ch.isalpha() or ch == "_":
@@ -240,7 +243,7 @@ def _word(s: _Scanner, index: dict[str, int], item: re.Pattern,
         if s.letters > LETTER_BUDGET:
             raise TooLarge("the words of this group input pass %d letters"
                            % LETTER_BUDGET)
-        _reduce_onto(word, base)
+        reduce_onto(word, base)
         items += 1
     if not items:
         empty = _EMPTY_WORD.match(text, s.pos)
@@ -249,45 +252,6 @@ def _word(s: _Scanner, index: dict[str, int], item: re.Pattern,
                              ("generator", "[word,word]"))
         s.pos = empty.end()
     return word
-
-
-def _reduce_onto(word: list, letters) -> list:
-    """Append letters to the reduced word, cancelling at the seam."""
-    for g, e in letters:
-        if word and word[-1][0] == g:
-            e += word.pop()[1]
-            if e:
-                word.append((g, e))
-        else:
-            word.append((g, e))
-    return word
-
-
-def _inverse(letters: list) -> list:
-    return [(g, -e) for g, e in reversed(letters)]
-
-
-def _commutator(a: list, b: list) -> list:
-    """[a, b] = a^-1 b^-1 a b, capped as groups.commutator caps it."""
-    letters = 2 * (len(a) + len(b))
-    if letters > POWER_LETTER_CAP:
-        raise TooLarge("commutator of %d letters exceeds %d letters"
-                       % (letters, POWER_LETTER_CAP))
-    return _reduce_onto([], _inverse(a) + _inverse(b) + a + b)
-
-
-def _power(letters: list, n: int) -> list:
-    """letters^n, capped as groups.power caps it."""
-    if n < 0:
-        letters, n = _inverse(letters), -n
-    if n == 0:
-        return []
-    if len(letters) <= 1:
-        return [(g, e * n) for g, e in letters]
-    if len(letters) * n > POWER_LETTER_CAP:
-        raise TooLarge("power of a %d-letter word to exponent %d exceeds "
-                       "%d letters" % (len(letters), n, POWER_LETTER_CAP))
-    return _reduce_onto([], letters * n)
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,20 @@ def test_search_limits():
             build(n)
 
 
+@pytest.mark.parametrize("g", [
+    *(FreeAbelian(n) for n in range(1, 5)),
+    *(FreeNilpotent(n, 2) for n in range(2, 6)),
+    Heisenberg(), FiniteAbelian(()), FiniteAbelian((2, 4)),
+    DirectProduct((Heisenberg(), DirectProduct((FreeAbelian(2),
+                                                FiniteAbelian((3,)))))),
+    parse_group_spec("<a,b,c | [a,b]c^-1, [a,c], [b,c]>"),
+], ids=str)
+def test_generator_count_matches_the_presentation(g):
+    # the limits are checked on the count before the presentation is built
+    assert (finitehom._generator_count(g)
+            == finitehom._presentation(g).generator_count)
+
+
 def test_abelian_specs_never_produce_witnesses():
     for g in (FreeAbelian(3), FiniteAbelian((2, 2)),
               DirectProduct((FreeAbelian(1), FiniteAbelian((3,))))):

@@ -1,5 +1,7 @@
 """Group specs, words, abelianization, Witt ranks, lower-central data."""
 
+import random
+
 import pytest
 
 from nilrep import snf
@@ -9,7 +11,7 @@ from nilrep.groups import (POWER_LETTER_CAP, AbelianInvariants, DirectProduct,
                            Heisenberg, Presentation, Presented, Word,
                            abelianize, commutator, concat,
                            free_nilpotent_class2_presentation,
-                           free_nilpotent_lcs_ranks, gen,
+                           free_nilpotent_lcs_ranks, free_reduce, gen,
                            heisenberg_presentation, inverse, is_abelian,
                            lower_central_data, power, quotient_by_lcs)
 
@@ -22,6 +24,38 @@ def test_words_reduce_freely():
     w = concat(gen(0), gen(0, -1), gen(1))
     assert w.letters == ((1, 1),)
     assert concat(gen(0, 2), gen(0, -2)).letters == ()
+
+
+def test_zero_exponent_exposes_a_cancellation():
+    assert free_reduce([(0, 1), (1, 0), (0, -1)]) == Word()
+    assert free_reduce([(0, 2), (1, 0), (0, 3), (2, 0)]).letters == ((0, 5),)
+
+
+def _stack_reduce(letters):
+    """Free reduction one unit letter at a time, runs regrouped after."""
+    stack = []
+    for g, e in letters:
+        for _ in range(abs(e)):
+            unit = (g, 1 if e > 0 else -1)
+            if stack and stack[-1] == (g, -unit[1]):
+                stack.pop()
+            else:
+                stack.append(unit)
+    runs = []
+    for g, e in stack:
+        if runs and runs[-1][0] == g:
+            runs[-1][1] += e
+        else:
+            runs.append([g, e])
+    return tuple((g, e) for g, e in runs)
+
+
+def test_free_reduce_matches_a_unit_letter_stack():
+    rng = random.Random(19)
+    for _ in range(2000):
+        letters = [(rng.randrange(3), rng.randint(-3, 3))
+                   for _ in range(rng.randrange(12))]
+        assert free_reduce(letters).letters == _stack_reduce(letters), letters
 
 
 def test_word_invariants_enforced():

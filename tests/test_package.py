@@ -1,7 +1,9 @@
 """Package-wide checks: no assert in the library, only standard-library
-imports, every binding the benchmark traces exists, and the demos run."""
+imports, every binding the benchmark traces exists, the docstring
+examples hold, and the demos run."""
 
 import ast
+import doctest
 import importlib
 import runpy
 import sys
@@ -47,6 +49,14 @@ def test_every_traced_binding_resolves():
     missing = ["%s.%s" % (module, attr) for module, attr, _, _ in bindings
                if not hasattr(importlib.import_module(module), attr)]
     assert bindings and missing == []
+
+
+def test_docstring_examples_hold():
+    results = [doctest.testmod(importlib.import_module(
+        "nilrep" if path.stem == "__init__" else "nilrep." + path.stem))
+        for path in SOURCES]
+    assert sum(r.failed for r in results) == 0
+    assert sum(r.attempted for r in results) >= 1
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
