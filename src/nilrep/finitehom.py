@@ -7,6 +7,10 @@ generate, grown one generator at a time, so surjectivity and the
 witness test are read at the leaves without closing any image there.
 A finite group tabulates the powers of its elements once, so each
 letter g^e of a relator costs one lookup and one product at any e.
+Every map into an abelian target factors through H_1, so such a target
+is searched on H_1's presentation whenever that fits the search limits:
+one free generator per unit of rank, one generator with the relator g^d
+per torsion divisor d, and no commutator relators.
 A homomorphism onto the quaternion group, which sits in SL_2,
 certifies that the representation variety and the character variety
 are both disconnected when the target contains a root SL_2.
@@ -27,8 +31,8 @@ from .errors import (NilrepError, TooLarge, UnsupportedGroup,
                      UnsupportedQuotient)
 from .groups import (DirectProduct, FiniteAbelian, FreeNilpotent, GroupSpec,
                      Presentation, Presented, Word, abelianize,
-                     finite_abelian_presentation, is_abelian,
-                     merge_presentations, quotient_by_lcs)
+                     finite_abelian_presentation, gen, is_abelian,
+                     merge_presentations, power, quotient_by_lcs)
 from .rootdata import Factor, ReductiveSpec, build_root_datum
 
 GENERATOR_LIMIT = 6
@@ -261,26 +265,56 @@ class HomSearchResult:
 def presentation_for_homs(g, target: FiniteGroup) -> Presentation:
     """A finite presentation with the same maps into target as g.
 
-    A map into a target of nilpotency class k kills the (k + 1)-st
-    lower-central term, so each free nilpotent factor is searched on
-    its quotient by that term: Z^n for an abelian target, the class-2
-    quotient for Q8.  The catalog presents classes 1 and 2; a factor
-    left at class >= 3 (or any class >= 3 into a target that is not
-    nilpotent) raises UnsupportedGroup.  The generator count is read
-    from the specs and checked against the search limits before any
-    relator is written.
+    An abelian target is searched on H_1 (_abelian_presentation) when H_1
+    fits the search limits; H_1 never needs more generators than any
+    presentation of g, and the maps, surjections and (absent) witnesses
+    are the same.  Otherwise a map into a target of nilpotency class k
+    kills the (k + 1)-st lower-central term, so each free nilpotent
+    factor is searched on its quotient by that term: Z^n for an abelian
+    target, the class-2 quotient for Q8.  The catalog presents classes 1
+    and 2; a factor left at class >= 3 (or any class >= 3 into a target
+    that is not nilpotent) raises UnsupportedGroup.  The generator count
+    is read from the specs and checked against the search limits before
+    any relator is written.
     """
     if isinstance(g, Presentation):
         g = Presented(g)
-    g = _searched(g, target.nilpotency_class())
-    gens = _generator_count(g)
-    if gens > GENERATOR_LIMIT:
-        raise TooLarge("presentation has %d generators (limit %d)"
-                       % (gens, GENERATOR_LIMIT))
-    if target.order ** gens > SEARCH_LIMIT:
-        raise TooLarge("search space %d^%d exceeds the limit"
-                       % (target.order, gens))
+    k = target.nilpotency_class()
+    if k == 1:
+        try:
+            ab = abelianize(g)
+        except TooLarge:   # an invariant factor too long to print
+            ab = None
+        if ab is not None and _limit_error(
+                max(ab.rank + len(ab.torsion), 1), target) is None:
+            return _abelian_presentation(ab)
+    g = _searched(g, k)
+    error = _limit_error(_generator_count(g), target)
+    if error is not None:
+        raise error
     return _presentation(g)
+
+
+def _limit_error(gens: int, target: FiniteGroup) -> TooLarge | None:
+    """The TooLarge that a search over gens generators would hit, if any."""
+    if gens > GENERATOR_LIMIT:
+        return TooLarge("presentation has %d generators (limit %d)"
+                        % (gens, GENERATOR_LIMIT))
+    if target.order ** gens > SEARCH_LIMIT:
+        return TooLarge("search space %d^%d exceeds the limit"
+                        % (target.order, gens))
+    return None
+
+
+def _abelian_presentation(ab) -> Presentation:
+    """rank free generators, then one generator g with the relator g^d
+    per torsion divisor d; the trivial group is <g | g>.  The commutator
+    relators are left out: every map into an abelian target meets them."""
+    gens = ab.rank + len(ab.torsion)
+    if gens == 0:
+        return Presentation(1, (gen(0),))
+    return Presentation(gens, tuple(power(gen(ab.rank + i), d)
+                                    for i, d in enumerate(ab.torsion)))
 
 
 def _searched(g, k):

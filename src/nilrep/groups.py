@@ -4,9 +4,9 @@ A group is described either by a catalog entry (free nilpotent, with
 the Heisenberg and free abelian groups as named members, finite abelian,
 direct products of these) or by a finite presentation.  The computations
 offered here are the ones that are decidable at this level of
-generality: abelianization via Smith normal form of the relator exponent
-matrix, ranks of lower-central layers of free nilpotent groups, and
-quotients by lower-central terms for catalog groups.
+generality: abelianization as the cokernel of the relators' sparse
+exponent-sum columns, ranks of lower-central layers of free nilpotent
+groups, and quotients by lower-central terms for catalog groups.
 
 >>> abelianize(Presented(heisenberg_presentation()))
 AbelianInvariants(rank=2, torsion=())
@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 from .arith import divisors, mobius
 from .errors import NilrepError, TooLarge, UnsupportedQuotient
-# smith_normal_form re-exported: perfbench/spans.py traces it in this module
+from .snf import cokernel_of_columns
+# re-exported: perfbench/spans.py traces both in this module
 from .snf import cokernel_invariants, smith_normal_form  # noqa: F401
 
 POWER_LETTER_CAP = 10**5
@@ -156,7 +157,9 @@ class Presentation:
         return tuple("g%d" % (i + 1) for i in range(self.generator_count))
 
     def exponent_matrix(self) -> list[list[int]]:
-        """Generators x relators matrix of total exponents (columns = relators)."""
+        """Generators x relators matrix of total exponents (columns =
+        relators).  abelianize never builds it: it is the dense input of
+        the Smith-form referee that abelianize is tested against."""
         cols = [w.exponent_sums(self.generator_count) for w in self.relators]
         return [[col[i] for col in cols] for i in range(self.generator_count)]
 
@@ -379,19 +382,17 @@ class AbelianInvariants:
 def _merge_chain(entries) -> tuple[int, ...]:
     """Invariant-factor chain of a direct sum of cyclic groups Z/e."""
     entries = [e for e in entries if e >= 2]
-    if not entries:
-        return ()
-    diag = [[entries[i] if i == j else 0 for j in range(len(entries))]
-            for i in range(len(entries))]
-    return cokernel_invariants(diag)[1]
+    return cokernel_of_columns(len(entries),
+                               [{i: e} for i, e in enumerate(entries)])[1]
 
 
 def abelianize(g: GroupSpec) -> AbelianInvariants:
     """H_1 of the group: rank plus torsion divisor chain.
 
-    For presented groups this is the cokernel of the relator exponent
-    matrix; commutators contribute nothing, so nested commutator relators
-    come out right automatically.
+    For presented groups this is the cokernel of the relators' exponent
+    sums, one sparse column per relator, built from its letters;
+    commutators contribute nothing, so nested commutator relators come out
+    right automatically.
     """
     if isinstance(g, FreeNilpotent):
         return AbelianInvariants(g.n)
@@ -403,8 +404,14 @@ def abelianize(g: GroupSpec) -> AbelianInvariants:
             total = total.direct_sum(abelianize(factor))
         return total
     if isinstance(g, Presented):
-        rank, torsion = cokernel_invariants(g.presentation.exponent_matrix())
-        return AbelianInvariants(rank, torsion)
+        columns = []
+        for w in g.presentation.relators:
+            sums: dict[int, int] = {}
+            for i, e in w.letters:
+                sums[i] = sums.get(i, 0) + e
+            columns.append({i: e for i, e in sums.items() if e})
+        return AbelianInvariants(*cokernel_of_columns(
+            g.presentation.generator_count, columns))
     raise TypeError("not a group spec: %r" % (g,))
 
 

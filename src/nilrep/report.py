@@ -97,6 +97,8 @@ def analyze(g: GroupSpec, spec: ReductiveSpec) -> AnalysisReport:
     ab = abelianize(g)
     r = ab.rank
     rd = build_root_datum(spec)
+    # a written presentation takes a while to print: render each once
+    group, target = str(g), str(spec)
     caveats = list(FIXED_CAVEATS)
 
     poincare_hom = poincare_char = None
@@ -107,12 +109,12 @@ def analyze(g: GroupSpec, spec: ReductiveSpec) -> AnalysisReport:
         caveats.append("Poincare polynomials omitted: %s." % exc)
 
     return AnalysisReport(
-        group=str(g),
-        target=str(spec),
+        group=group,
+        target=target,
         rank_h1=r,
         torsion_h1=ab.torsion,
         reduction="Hom(%s, %s)_1 ~ Hom(Z^%d, %s)_1 (homotopy equivalence)"
-        % (g, spec, r, spec),
+        % (group, target, r, target),
         pi1_hom=pi1_G(rd).self_power(r),
         pi1_char=AbelianInvariants(pi1_G_ab(rd) * r),
         poincare_hom=poincare_hom,

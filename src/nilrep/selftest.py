@@ -15,7 +15,8 @@ from .groups import (FreeAbelian, FreeNilpotent, Heisenberg,
 from .invariants import (exterior_invariant_dims_oracle, poly,
                          poincare_char_variety, poincare_hom_component)
 from .rootdata import build_root_datum, enumerate_weyl, pi1_G, reductive
-from .snf import int_det, mat_mul, smith_normal_form
+from .snf import (cokernel_invariants, diagonal_of, int_det, mat_mul,
+                  smith_normal_form)
 
 
 def _rd(*factors):
@@ -107,14 +108,22 @@ def check_witt():
 
 
 def check_snf():
+    # the sparse cokernel (unit pivots first) against the Smith diagonal;
+    # entries in -1..1 make most pivots units
     rng = random.Random(20240)
-    for _ in range(100):
+    for k in range(200):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        bound = 5 if k % 2 else 1
+        m = [[rng.randint(-bound, bound) for _ in range(cols)]
+             for _ in range(rows)]
         d, u, v = smith_normal_form(m)
         if mat_mul(mat_mul(u, m), v) != d:
             return False
         if abs(int_det(u)) != 1 or abs(int_det(v)) != 1:
+            return False
+        nonzero = [e for e in diagonal_of(d) if e]
+        if cokernel_invariants(m) != (rows - len(nonzero),
+                                      tuple(e for e in nonzero if e >= 2)):
             return False
     return True
 

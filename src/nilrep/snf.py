@@ -1,11 +1,16 @@
-"""Smith normal form over the integers: cokernels reduced on their live
-block, unimodular transforms on request.
+"""Smith normal form over the integers: sparse cokernels with unit pivots
+eliminated first, unimodular transforms on request.
 
 Matrices are plain lists of lists of Python ints.  Entry growth during
 elimination is real even on small matrices, so nothing here ever touches
-fixed-width or floating-point arithmetic.  A written presentation's
-exponent matrix is mostly zero columns (commutator relators), so
-cokernel_invariants drops zero rows and columns before eliminating.
+fixed-width or floating-point arithmetic.  Cokernels are computed from
+sparse columns (cokernel_of_columns): a written presentation's exponent
+matrix is mostly empty columns (commutator relators) and columns with a
+single +-1 (a central generator named by its commutator), so every +-1
+entry is used as a pivot and eliminated, with its row and column, before
+the Smith form runs on the dense block that is left (Dumas, Heckenbach,
+Saunders and Welker, Computing simplicial homology based on efficient
+Smith normal form algorithms, 2003).
 """
 
 from __future__ import annotations
@@ -63,41 +68,44 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+def smith_normal_form(m, transforms: bool = True):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Returns (d, u, v) with u*m*v = d, where u and v are unimodular and d is
     diagonal (same shape as m) with non-negative entries, each dividing the
-    next.  Total on all integer matrices, including empty ones.
+    next.  Total on all integer matrices, including empty ones.  With
+    transforms=False only d is computed, and u and v are None.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [list(row) for row in m]
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    u = identity_matrix(rows) if transforms else None
+    v = identity_matrix(cols) if transforms else None
+    row_mats = (a, u) if transforms else (a,)
+    col_mats = (a, v) if transforms else (a,)
 
     def row_combine(r1, r2, x, y, z, w):
         # rows r1, r2 <- (x*r1 + y*r2, z*r1 + w*r2); x*w - y*z = +-1
-        for mat in (a, u):
+        for mat in row_mats:
             for j in range(len(mat[r1])):
                 p, q = mat[r1][j], mat[r2][j]
                 mat[r1][j] = x * p + y * q
                 mat[r2][j] = z * p + w * q
 
     def col_combine(c1, c2, x, y, z, w):
-        for mat in (a, v):
+        for mat in col_mats:
             for row in mat:
                 p, q = row[c1], row[c2]
                 row[c1] = x * p + y * q
                 row[c2] = z * p + w * q
 
     def row_add(dst, src, k):
-        for mat in (a, u):
+        for mat in row_mats:
             for j in range(len(mat[dst])):
                 mat[dst][j] += k * mat[src][j]
 
     def col_add(dst, src, k):
-        for mat in (a, v):
+        for mat in col_mats:
             for row in mat:
                 row[dst] += k * row[src]
 
@@ -162,10 +170,8 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
 
     for t in range(min(rows, cols)):
         if a[t][t] < 0:
-            for j in range(cols):
-                a[t][j] = -a[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
+            for mat in row_mats:
+                mat[t] = [-e for e in mat[t]]
 
     return a, u, v
 
@@ -174,21 +180,78 @@ def diagonal_of(d) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
-def cokernel_invariants(m) -> tuple[int, tuple[int, ...]]:
-    """Invariants (free rank, torsion chain) of Z^rows / column-span of m.
+def _eliminate_unit_pivots(columns) -> tuple[list[dict], int]:
+    """Eliminate every +-1 entry of the non-empty sparse columns: with u
+    at row i of column j, subtract multiples of column j from the other
+    columns holding row i, then drop column j and row i, which leaves the
+    cokernel unchanged.  Returns the columns left and the pivot count."""
+    live = {j: dict(col) for j, col in enumerate(columns)}
+    holding: dict[int, set] = {}   # row -> ids of the live columns holding it
+    for j, col in live.items():
+        for r in col:
+            holding.setdefault(r, set()).add(j)
+    pivots = 0
+    queue = list(live)
+    while queue:
+        j = queue.pop()
+        col = live.get(j)
+        i = None if col is None else next(
+            (r for r, e in col.items() if e == 1 or e == -1), None)
+        if i is None:
+            continue
+        u = col[i]
+        for k in holding[i] - {j}:
+            other = live[k]
+            f = other[i] * u   # u * u = 1
+            for r, e in col.items():
+                v = other.get(r, 0) - f * e
+                if v:
+                    if r not in other:
+                        holding[r].add(k)
+                    other[r] = v
+                else:
+                    del other[r]
+                    holding[r].discard(k)
+            if other:
+                queue.append(k)   # it may have gained a unit
+            else:
+                del live[k]
+        del live[j], holding[i]
+        for r in col:
+            if r != i:
+                holding[r].discard(j)
+        pivots += 1
+    return list(live.values()), pivots
 
-    Only the live block is reduced: zero columns span nothing and zero rows
-    are free generators, and neither changes the non-zero invariant
-    factors.  The torsion chain lists the Smith entries >= 2 of that block,
-    in divisibility order.
+
+def cokernel_of_columns(rows: int, columns) -> tuple[int, tuple[int, ...]]:
+    """Invariants (free rank, torsion chain) of Z^rows modulo the span of
+    the columns, each a {row: non-zero int} dict.
+
+    Unit pivots are eliminated first; the Smith form runs only on the
+    dense block that is left, with rows and columns that hold nothing
+    dropped.  The free rank is rows - unit pivots - non-zero Smith
+    entries, and the torsion chain lists the Smith entries >= 2 in
+    divisibility order.
     """
-    live = [row for row in m if any(row)]
+    live = [col for col in columns if col]
+    pivots = 0
+    if any(1 in col.values() or -1 in col.values() for col in live):
+        live, pivots = _eliminate_unit_pivots(live)
     if not live:
-        return len(m), ()
-    live_cols = [col for col in zip(*live) if any(col)]
-    d, _, _ = smith_normal_form(list(zip(*live_cols)))
+        return rows - pivots, ()
+    block = [[col.get(r, 0) for col in live]
+             for r in {r for col in live for r in col}]
+    d, _, _ = smith_normal_form(block, False)
     nonzero = [e for e in diagonal_of(d) if e != 0]
-    return len(m) - len(nonzero), tuple(e for e in nonzero if e >= 2)
+    return rows - pivots - len(nonzero), tuple(e for e in nonzero if e >= 2)
+
+
+def cokernel_invariants(m) -> tuple[int, tuple[int, ...]]:
+    """Invariants (free rank, torsion chain) of Z^rows / column-span of m,
+    by cokernel_of_columns on the columns of m."""
+    return cokernel_of_columns(len(m), [{i: e for i, e in enumerate(col) if e}
+                                        for col in zip(*m)])
 
 
 def integer_rank(m) -> int:

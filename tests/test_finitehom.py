@@ -281,12 +281,20 @@ def test_presented_group_enumeration():
     assert result.witness is not None
 
 
+def written_presentation(g, target):
+    """The presentation of g that the search used before abelian targets
+    were searched on H_1: g as written, with each free nilpotent factor
+    replaced by its quotient by the target's class."""
+    return finitehom._presentation(
+        finitehom._searched(g, target.nilpotency_class()))
+
+
 def leaf_closure_homs(g, target):
     """Referee for enumerate_homs: every tuple of images in depth-first
-    order, each checked against every relator by referee_value and its
-    image subgroup closed from scratch, as the search did before it
-    carried the subgroup down."""
-    pres = presentation_for_homs(g, target)
+    order, each checked against every relator of written_presentation by
+    referee_value and its image subgroup closed from scratch, as the
+    search did before it carried the subgroup down."""
+    pres = written_presentation(g, target)
     total = surjective = 0
     witness = None
     for images in product(range(target.order),
@@ -326,6 +334,60 @@ def test_carried_subgroups_match_leaf_closure(target):
         got = enumerate_homs(g, target)
         assert (got.total, got.surjective, got.witness) == want, \
             (text, target.name)
+
+
+ABELIAN_TARGETS = (*(cyclic(n) for n in range(1, 13)), dihedral(1),
+                   dihedral(2))
+H1_SOURCES = (
+    "H3", "Z^3", "F(2,3)", "F(3,2)", "H3 x Z/6", "Z/4 x Z/6",
+    "Z/2 x Z/4 x Z^2",
+    "<a,b,c | [a,b]c^-1, [a,c], [b,c]>",
+    "<a,b,c,d | [a,b]c^-1, [a,c]d^-1, [b,c], [a,d], [b,d], [c,d]>",
+    "<x,y,z | x^3 y^-1 z^2, y z^5, x^6>",
+    "<a,b | a^4 b^6, a^6 b^4>",
+    "<a,b,c | a^2, [a,b]c^-1, c^2, [a,c], [b,c]>",
+)
+
+
+@pytest.mark.parametrize("target", ABELIAN_TARGETS, ids=lambda t: t.name)
+def test_abelian_targets_are_searched_on_h1(target):
+    # catalog, product and written groups, each against the written
+    # presentation that the search used before; V4 is dihedral(2)
+    assert target.nilpotency_class() == 1
+    for text in H1_SOURCES:
+        g = parse_group_spec(text)
+        got = enumerate_homs(g, target)
+        ab = groups.abelianize(g)
+        assert got.presentation.generator_count == max(
+            ab.rank + len(ab.torsion), 1)
+        assert got.presentation.generator_count \
+            <= written_presentation(g, target).generator_count
+        assert (got.total, got.surjective, got.witness) \
+            == leaf_closure_homs(g, target), (text, target.name)
+
+
+def test_abelian_targets_admit_what_h1_fits():
+    # seven written generators, six in H_1: past GENERATOR_LIMIT as
+    # written, inside it on H_1
+    g = parse_group_spec("<a,b,c,d,e,f,g | g a^-1>")
+    with pytest.raises(TooLarge):
+        enumerate_homs(g, Q8)
+    result = enumerate_homs(g, cyclic(2))
+    assert (result.total, result.surjective) == (2**6, 2**6 - 1)
+    # F(7, 2) written out has 28 generators and H_1 = Z^7 still needs
+    # seven: the error is the one the written presentation always gave
+    g = Presented(free_nilpotent_class2_presentation(7))
+    with pytest.raises(TooLarge, match="has 28 generators"):
+        enumerate_homs(g, cyclic(2))
+    # an invariant factor past the printable bound: the search falls back
+    # to the written presentation, as before
+    n = 10**2200
+    g = Presented(Presentation(2, (power(gen(0), n), power(gen(1), n + 1))))
+    with pytest.raises(TooLarge):
+        groups.abelianize(g)
+    result = enumerate_homs(g, cyclic(2))
+    assert (result.total, result.surjective) == (2, 1)
+    assert result.presentation == g.presentation
 
 
 def test_search_closes_once_per_new_subgroup_step(monkeypatch):

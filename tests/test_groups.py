@@ -125,40 +125,78 @@ def _written_class2(n):
 
 
 def _recording_smith_form(monkeypatch):
-    shapes = []
+    blocks = []
     real = snf.smith_normal_form
 
-    def recording(m):
-        shapes.append((len(m), len(m[0]) if m else 0))
-        return real(m)
+    def recording(m, *args):
+        blocks.append([list(row) for row in m])
+        return real(m, *args)
 
     monkeypatch.setattr(snf, "smith_normal_form", recording)
-    return shapes
+    return blocks
 
 
 def test_written_class2_reduces_only_its_live_block(monkeypatch):
-    shapes = _recording_smith_form(monkeypatch)
+    blocks = _recording_smith_form(monkeypatch)
     for n in (5, 6, 7, 8):
         p = _written_class2(n)
         assert len(p.exponent_matrix()[0]) == n * (n - 1) // 2 * (n + 1)
-        shapes.clear()
         assert abelianize(Presented(p)) == AbelianInvariants(n)
-        # the commutator columns and the x_i rows are zero: one
-        # n(n-1)/2-square block, 28 x 28 for the 36 x 252 matrix at n = 8
-        assert shapes == [(n * (n - 1) // 2,) * 2]
-    assert shapes == [(28, 28)]
+    # the commutator columns are empty, and each [x_i, x_j] z^-1 column
+    # is a unit pivot that removes its z: no block is left for the Smith
+    # form, even for the 36 x 252 matrix at n = 8
+    assert blocks == []
 
 
 def test_central_torsion_survives_pruning(monkeypatch):
     # <a, b, c, z | [a, b] z^-1, c^4, [a, z], [b, z], [c, z], [a, c], [b, c]>:
-    # a and b are zero rows, the five commutators zero columns
+    # z^-1 is a unit pivot, the five commutators are empty columns
     a, b, c, z = (gen(i) for i in range(4))
     p = Presentation(4, (concat(commutator(a, b), inverse(z)), power(c, 4),
                          commutator(a, z), commutator(b, z), commutator(c, z),
                          commutator(a, c), commutator(b, c)))
-    shapes = _recording_smith_form(monkeypatch)
+    blocks = _recording_smith_form(monkeypatch)
     assert abelianize(Presented(p)) == AbelianInvariants(2, (4,))
-    assert shapes == [(2, 2)]
+    assert blocks == [[[4]]]
+
+
+def _smith_invariants(m):
+    """(free rank, torsion) read off the Smith diagonal of the whole
+    matrix, transforms included: the dense referee."""
+    d, _, _ = snf.smith_normal_form(m)
+    nonzero = [e for e in snf.diagonal_of(d) if e]
+    return len(m) - len(nonzero), tuple(e for e in nonzero if e >= 2)
+
+
+def _random_relator(rng, gens):
+    """A relator of one of the shapes a written presentation holds."""
+    kind = rng.choice(("torsion", "commutator", "unit", "dense", "huge"))
+    x, y = rng.randrange(gens), rng.randrange(gens)
+    if kind == "torsion":
+        return power(gen(x), rng.choice((2, 3, 4, 6, 12, -8)))
+    if kind == "commutator":    # an empty column
+        return commutator(gen(x), commutator(gen(y), gen(x)))
+    letters = [(x, rng.choice((1, -1)))]
+    if kind == "unit":          # eliminating it fills in other columns
+        letters += [(rng.randrange(gens), rng.randint(-5, 5))
+                    for _ in range(rng.randint(1, 3))]
+    elif kind == "dense":
+        letters = [(g, rng.randint(-9, 9)) for g in range(gens)]
+    else:
+        letters += [(y, rng.choice((1, -1)) * 10**18),
+                    (rng.randrange(gens), rng.randint(-10**18, 10**18))]
+    rng.shuffle(letters)
+    return free_reduce(letters)
+
+
+def test_sparse_abelianization_matches_the_smith_diagonal():
+    rng = random.Random(2003)
+    for _ in range(400):
+        gens = rng.randint(1, 7)
+        p = Presentation(gens, tuple(_random_relator(rng, gens)
+                                     for _ in range(rng.randint(0, 9))))
+        want = AbelianInvariants(*_smith_invariants(p.exponent_matrix()))
+        assert abelianize(Presented(p)) == want, p
 
 
 def test_product_rank_additivity():

@@ -105,3 +105,21 @@ def test_pruned_cokernel_matches_full_smith_form():
         assert cokernel_invariants(m) == (
             len(m) - len(nonzero), tuple(e for e in nonzero if e >= 2)), m
         assert integer_rank(m) == len(nonzero), m
+
+
+def test_cokernel_invariants_match_the_smith_diagonal():
+    # unit-heavy matrices eliminate most of their pivots before the Smith
+    # form runs, unit-free ones hand it the whole live block
+    rng = random.Random(1789)
+    cases = [[], [[]], [[], []], [[0]], [[1]], [[-1, 0], [0, 0]]]
+    for entries in ((-1, 0, 0, 1), (-1, 0, 1, 2, -3),
+                    (0, 0, 2, -2, 3, 4, -6, 9)):
+        for _ in range(300):
+            rows, cols = rng.randint(1, 7), rng.randint(0, 8)
+            cases.append([[rng.choice(entries) for _ in range(cols)]
+                          for _ in range(rows)])
+    for m in cases:
+        d, _, _ = smith_normal_form(m)
+        nonzero = [e for e in diagonal_of(d) if e]
+        assert cokernel_invariants(m) == (
+            len(m) - len(nonzero), tuple(e for e in nonzero if e >= 2)), m
