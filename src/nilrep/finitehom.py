@@ -8,9 +8,10 @@ witness test are read at the leaves without closing any image there.
 A finite group tabulates the powers of its elements once, so each
 letter g^e of a relator costs one lookup and one product at any e.
 Every map into an abelian target factors through H_1, so such a target
-is searched on H_1's presentation whenever that fits the search limits:
-one free generator per unit of rank, one generator with the relator g^d
-per torsion divisor d, and no commutator relators.
+is searched on H_1's presentation: one free generator per unit of rank,
+one generator with the relator g^d per torsion divisor d, and no
+commutator relators.  One bound, SEARCH_LIMIT on the leaves, limits
+every search.
 A homomorphism onto the quaternion group, which sits in SL_2,
 certifies that the representation variety and the character variety
 are both disconnected when the target contains a root SL_2.
@@ -27,18 +28,17 @@ from functools import cache
 from itertools import accumulate, product, repeat
 
 from .arith import totient
-from .errors import (NilrepError, TooLarge, UnsupportedGroup,
-                     UnsupportedQuotient)
+from .errors import NilrepError, TooLarge, UnsupportedGroup
 from .groups import (DirectProduct, FiniteAbelian, FreeNilpotent, GroupSpec,
                      Presentation, Presented, Word, abelianize,
-                     finite_abelian_presentation, gen, is_abelian,
-                     merge_presentations, power, quotient_by_lcs)
-from .rootdata import Factor, ReductiveSpec, build_root_datum
+                     finite_abelian_presentation, gen, h1_invariants,
+                     is_abelian, merge_presentations, power, quotient_by_lcs)
+from .rootdata import Factor, ReductiveSpec, _orbit, build_root_datum
 
-GENERATOR_LIMIT = 6
-# the largest search GENERATOR_LIMIT admits into Q8; Z^3 into c100 (10^6
-# leaves) takes about 2.4 s in-process with the limit lifted, nearly all
-# of it in relator evaluation
+# leaves of one search, every target order below 2 counted as 2: at most
+# 6 generators into Q8 and 18 into C2; Z^3 into c100 (10^6 leaves) takes
+# about 2.4 s in-process with the limit lifted, nearly all of it in
+# relator evaluation
 SEARCH_LIMIT = 8**6
 # the largest m that central_image_order_bound accepts: the bound has
 # 2,510 digits at m = 512, and past about 700 it has more digits than
@@ -116,18 +116,8 @@ class FiniteGroup:
     def closure(self, generators) -> frozenset:
         # right multiplication by generators suffices: in a finite group
         # every inverse is a positive power
-        seen = {self.identity, *generators}
-        frontier = list(seen)
-        while frontier:
-            fresh = []
-            for g in frontier:
-                for h in generators:
-                    p = self.mul(g, h)
-                    if p not in seen:
-                        seen.add(p)
-                        fresh.append(p)
-            frontier = fresh
-        return frozenset(seen)
+        return frozenset(_orbit({self.identity, *generators}, generators,
+                                lambda h, g: self.table[g][h]))
 
     def is_abelian_subset(self, elems) -> bool:
         elems = list(elems)
@@ -183,17 +173,7 @@ def q8() -> FiniteGroup:
     gen_i = (((0, 1), (0, 0)), ((0, 0), (0, -1)))
     gen_j = (((0, 0), (1, 0)), ((-1, 0), (0, 0)))
     one = (((1, 0), (0, 0)), ((0, 0), (1, 0)))
-    elems = {one}
-    frontier = [one]
-    while frontier:
-        fresh = []
-        for m in frontier:
-            for g in (gen_i, gen_j):
-                p = _gauss_mat_mul(m, g)
-                if p not in elems:
-                    elems.add(p)
-                    fresh.append(p)
-        frontier = fresh
+    elems = _orbit([one], (gen_i, gen_j), lambda g, m: _gauss_mat_mul(m, g))
 
     def neg(m):
         return tuple(tuple((-re, -im) for re, im in row) for row in m)
@@ -201,7 +181,7 @@ def q8() -> FiniteGroup:
     gen_k = _gauss_mat_mul(gen_i, gen_j)
     ordered = [one, neg(one), gen_i, neg(gen_i), gen_j, neg(gen_j),
                gen_k, neg(gen_k)]
-    if len(elems) != 8 or set(ordered) != elems:
+    if set(ordered) != set(elems):
         raise NilrepError("Gaussian generators do not close up to Q8")
     index = {m: i for i, m in enumerate(ordered)}
     table = [[index[_gauss_mat_mul(a, b)] for b in ordered] for a in ordered]
@@ -265,56 +245,48 @@ class HomSearchResult:
 def presentation_for_homs(g, target: FiniteGroup) -> Presentation:
     """A finite presentation with the same maps into target as g.
 
-    An abelian target is searched on H_1 (_abelian_presentation) when H_1
-    fits the search limits; H_1 never needs more generators than any
-    presentation of g, and the maps, surjections and (absent) witnesses
-    are the same.  Otherwise a map into a target of nilpotency class k
-    kills the (k + 1)-st lower-central term, so each free nilpotent
-    factor is searched on its quotient by that term: Z^n for an abelian
-    target, the class-2 quotient for Q8.  The catalog presents classes 1
-    and 2; a factor left at class >= 3 (or any class >= 3 into a target
+    An abelian target is searched on H_1 (_abelian_presentation); H_1
+    never needs more generators than any presentation of g, and the maps,
+    surjections and (absent) witnesses are the same.  Otherwise a map
+    into a target of nilpotency class k kills the (k + 1)-st lower-central
+    term, so each free nilpotent factor is searched on its quotient by
+    that term: the class-2 quotient for Q8.  The catalog presents classes
+    1 and 2; a factor left at class >= 3 (or any class >= 3 into a target
     that is not nilpotent) raises UnsupportedGroup.  The generator count
-    is read from the specs and checked against the search limits before
-    any relator is written.
+    is read from the specs and checked against SEARCH_LIMIT before any
+    relator is written.
     """
     if isinstance(g, Presentation):
         g = Presented(g)
     k = target.nilpotency_class()
     if k == 1:
-        try:
-            ab = abelianize(g)
-        except TooLarge:   # an invariant factor too long to print
-            ab = None
-        if ab is not None and _limit_error(
-                max(ab.rank + len(ab.torsion), 1), target) is None:
-            return _abelian_presentation(ab)
+        rank, torsion = h1_invariants(g)
+        _check_search(max(rank + len(torsion), 1), target)
+        return _abelian_presentation(rank, torsion)
     g = _searched(g, k)
-    error = _limit_error(_generator_count(g), target)
-    if error is not None:
-        raise error
+    _check_search(_generator_count(g), target)
     return _presentation(g)
 
 
-def _limit_error(gens: int, target: FiniteGroup) -> TooLarge | None:
-    """The TooLarge that a search over gens generators would hit, if any."""
-    if gens > GENERATOR_LIMIT:
-        return TooLarge("presentation has %d generators (limit %d)"
-                        % (gens, GENERATOR_LIMIT))
-    if target.order ** gens > SEARCH_LIMIT:
-        return TooLarge("search space %d^%d exceeds the limit"
-                        % (target.order, gens))
-    return None
+def _check_search(gens: int, target: FiniteGroup) -> None:
+    """Raise TooLarge when a search over gens generators would pass
+    SEARCH_LIMIT leaves.  A target of order 1 counts as 2, so no search
+    is deeper than 18 generators; past that depth 2^gens alone passes
+    the limit, and no power of a written rank is computed."""
+    base = max(target.order, 2)
+    if gens >= SEARCH_LIMIT.bit_length() or base ** gens > SEARCH_LIMIT:
+        raise TooLarge("search space %d^%d exceeds the limit" % (base, gens))
 
 
-def _abelian_presentation(ab) -> Presentation:
+def _abelian_presentation(rank, torsion) -> Presentation:
     """rank free generators, then one generator g with the relator g^d
     per torsion divisor d; the trivial group is <g | g>.  The commutator
     relators are left out: every map into an abelian target meets them."""
-    gens = ab.rank + len(ab.torsion)
+    gens = rank + len(torsion)
     if gens == 0:
         return Presentation(1, (gen(0),))
-    return Presentation(gens, tuple(power(gen(ab.rank + i), d)
-                                    for i, d in enumerate(ab.torsion)))
+    return Presentation(gens, tuple(power(gen(rank + i), d)
+                                    for i, d in enumerate(torsion)))
 
 
 def _searched(g, k):
@@ -325,6 +297,8 @@ def _searched(g, k):
         return DirectProduct(tuple(_searched(f, k) for f in g.factors))
     if not isinstance(g, FreeNilpotent):
         return g
+    if is_abelian(g):   # F(1, c) is Z
+        return quotient_by_lcs(g, 2)
     searched = g if k is None else quotient_by_lcs(g, k + 1)
     if searched.c > 2:
         raise UnsupportedGroup(
@@ -373,7 +347,7 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     Each depth passes down the subgroup its images generate, so no leaf
     closes its image again.  An image already in the parent subgroup
     keeps it; otherwise the grown subgroup is closed over the images so
-    far (at most GENERATOR_LIMIT of them), once per search for each
+    far (at most 18 of them, by SEARCH_LIMIT), once per search for each
     (parent subgroup, new image) pair.  A leaf is surjective when its
     subgroup is the whole target, and is a witness when its subgroup is
     not abelian, which is when its images do not commute pairwise.
@@ -513,7 +487,7 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec) -> Verdict:
     if not is_abelian(g) and any(b.contains_sl2 for b in blocks):
         try:
             witness = surjection_witness(g, q8())
-        except (TooLarge, UnsupportedGroup, UnsupportedQuotient):
+        except (TooLarge, UnsupportedGroup):
             witness = None
         if witness is not None:
             return Verdict(DISCONNECTED, "finite_nonabelian_quotient",

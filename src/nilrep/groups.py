@@ -15,6 +15,7 @@ AbelianInvariants(rank=2, torsion=())
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .arith import divisors, mobius
 from .errors import NilrepError, TooLarge, UnsupportedQuotient
@@ -306,6 +307,20 @@ class Presented(GroupSpec):
 
     presentation: Presentation
 
+    @cached_property
+    def h1(self) -> tuple[int, tuple[int, ...]]:
+        """(rank, torsion) of H_1, computed once per spec: the cokernel of
+        the relators' exponent sums, one sparse column per relator, built
+        from its letters; commutators contribute nothing, so nested
+        commutator relators come out right automatically."""
+        columns = []
+        for w in self.presentation.relators:
+            sums: dict[int, int] = {}
+            for i, e in w.letters:
+                sums[i] = sums.get(i, 0) + e
+            columns.append({i: e for i, e in sums.items() if e})
+        return cokernel_of_columns(self.presentation.generator_count, columns)
+
     def __str__(self):
         p = self.presentation
         names = p.generator_names()
@@ -328,7 +343,8 @@ def _check_chain(chain):
 
 # the most entries of an r-fold output: r * rank for the Poincare
 # polynomials (every r <= 8 fits rootdata.RANK_BOUND = 64), r * len(torsion)
-# for pi_1(G)^r.  Both polynomials: SL2, r = 512: 0.55 s; SL9, r = 64: 6.8 s
+# for pi_1(G)^r.  Both polynomials, in-process on an x86 Linux container:
+# SL2, r = 512: 0.04 s; SL9, r = 64: 0.5 s; Sp14, r = 73: 1.2 s
 OUTPUT_BOUND = 512
 # every invariant factor must print: Python writes an int of at most
 # 4,300 digits as text (the default of sys.get_int_max_str_digits())
@@ -382,37 +398,33 @@ class AbelianInvariants:
 def _merge_chain(entries) -> tuple[int, ...]:
     """Invariant-factor chain of a direct sum of cyclic groups Z/e."""
     entries = [e for e in entries if e >= 2]
+    if len(entries) < 2:   # already a chain
+        return tuple(entries)
     return cokernel_of_columns(len(entries),
                                [{i: e} for i, e in enumerate(entries)])[1]
 
 
-def abelianize(g: GroupSpec) -> AbelianInvariants:
-    """H_1 of the group: rank plus torsion divisor chain.
-
-    For presented groups this is the cokernel of the relators' exponent
-    sums, one sparse column per relator, built from its letters;
-    commutators contribute nothing, so nested commutator relators come out
-    right automatically.
-    """
+def h1_invariants(g: GroupSpec) -> tuple[int, tuple[int, ...]]:
+    """H_1 of the group as (rank, torsion divisor chain), with no bound on
+    the size of an invariant factor; a written group's is cached on its
+    spec (Presented.h1)."""
     if isinstance(g, FreeNilpotent):
-        return AbelianInvariants(g.n)
+        return g.n, ()
     if isinstance(g, FiniteAbelian):
-        return AbelianInvariants(0, g.divisors)
+        return 0, g.divisors
     if isinstance(g, DirectProduct):
-        total = AbelianInvariants(0)
-        for factor in g.factors:
-            total = total.direct_sum(abelianize(factor))
-        return total
+        parts = [h1_invariants(f) for f in g.factors]
+        return (sum(rank for rank, _ in parts),
+                _merge_chain([d for _, torsion in parts for d in torsion]))
     if isinstance(g, Presented):
-        columns = []
-        for w in g.presentation.relators:
-            sums: dict[int, int] = {}
-            for i, e in w.letters:
-                sums[i] = sums.get(i, 0) + e
-            columns.append({i: e for i, e in sums.items() if e})
-        return AbelianInvariants(*cokernel_of_columns(
-            g.presentation.generator_count, columns))
+        return g.h1
     raise TypeError("not a group spec: %r" % (g,))
+
+
+def abelianize(g: GroupSpec) -> AbelianInvariants:
+    """H_1 of the group: rank plus torsion divisor chain, each invariant
+    factor short enough to print (AbelianInvariants)."""
+    return AbelianInvariants(*h1_invariants(g))
 
 
 # ---------------------------------------------------------------------------

@@ -199,15 +199,15 @@ def _chain(n: int, count: int) -> list[Vector]:
             for i in range(count)]
 
 
-def _orbit(start, reflections, act) -> tuple:
+def _orbit(start, generators, act) -> tuple:
     """The breadth-first closure of start under x -> act(s, x) for the
-    simple reflections s, sorted for determinism."""
+    generators s, sorted for determinism."""
     seen = set(start)
     frontier = list(start)
     while frontier:
         fresh = []
         for x in frontier:
-            for s in reflections:
+            for s in generators:
                 y = act(s, x)
                 if y not in seen:
                     seen.add(y)

@@ -367,27 +367,81 @@ def test_abelian_targets_are_searched_on_h1(target):
 
 
 def test_abelian_targets_admit_what_h1_fits():
-    # seven written generators, six in H_1: past GENERATOR_LIMIT as
-    # written, inside it on H_1
+    # seven written generators, six in H_1: past SEARCH_LIMIT into Q8 as
+    # written, inside it into C2 on H_1
     g = parse_group_spec("<a,b,c,d,e,f,g | g a^-1>")
     with pytest.raises(TooLarge):
         enumerate_homs(g, Q8)
     result = enumerate_homs(g, cyclic(2))
     assert (result.total, result.surjective) == (2**6, 2**6 - 1)
-    # F(7, 2) written out has 28 generators and H_1 = Z^7 still needs
-    # seven: the error is the one the written presentation always gave
+    # F(7, 2) written out has 28 generators; H_1 = Z^7 needs seven
     g = Presented(free_nilpotent_class2_presentation(7))
-    with pytest.raises(TooLarge, match="has 28 generators"):
-        enumerate_homs(g, cyclic(2))
-    # an invariant factor past the printable bound: the search falls back
-    # to the written presentation, as before
+    result = enumerate_homs(g, cyclic(2))
+    assert (result.total, result.surjective) == (2**7, 2**7 - 1)
+    # an invariant factor past the printable bound: the search runs on
+    # H_1 all the same, one generator with the relator g^(n(n + 1))
     n = 10**2200
     g = Presented(Presentation(2, (power(gen(0), n), power(gen(1), n + 1))))
     with pytest.raises(TooLarge):
         groups.abelianize(g)
     result = enumerate_homs(g, cyclic(2))
     assert (result.total, result.surjective) == (2, 1)
-    assert result.presentation == g.presentation
+    assert result.presentation == Presentation(
+        1, (power(gen(0), n * (n + 1)),))
+
+
+def jordan_totient(n, m):
+    """J_n(m) = m^n * prod over the primes p | m of (1 - p^-n), the number
+    of n-tuples in Z/m that generate it."""
+    out = m**n
+    for p in range(2, m + 1):
+        if m % p == 0 and all(p % q for q in range(2, p)):
+            out = out // p**n * (p**n - 1)
+    return out
+
+
+@pytest.mark.parametrize("m, n", [(1, 18), (2, 18), (3, 11), (4, 9), (5, 7)])
+def test_largest_admitted_abelian_searches_match_closed_forms(m, n):
+    # Z^n into C_m at the largest n that SEARCH_LIMIT admits: m^n maps,
+    # J_n(m) of them onto C_m; C_1 counts as order 2 for the bound
+    result = enumerate_homs(FreeAbelian(n), cyclic(m))
+    assert (result.total, result.surjective) == (m**n, jordan_totient(n, m))
+    with pytest.raises(TooLarge, match="search space %d\\^%d exceeds"
+                       % (max(m, 2), n + 1)):
+        enumerate_homs(FreeAbelian(n + 1), cyclic(m))
+    # refused without raising the order to a written rank
+    with pytest.raises(TooLarge):
+        enumerate_homs(FreeAbelian(10**15), cyclic(m))
+
+
+@pytest.mark.parametrize("target", [Q8, *(dihedral(n) for n in range(3, 7))],
+                         ids=lambda t: t.name)
+def test_non_abelian_targets_keep_the_two_limit_rule(target):
+    # every non-abelian target has order >= 6 and 6^7 > 8^6, so SEARCH_LIMIT
+    # alone admits what "at most 6 generators and order^gens <= 8^6" did
+    assert target.nilpotency_class() != 1
+    largest = min(6, max(k for k in range(20)
+                         if target.order**k <= finitehom.SEARCH_LIMIT))
+    for gens in range(1, 40):
+        if gens <= largest:
+            finitehom._check_search(gens, target)
+        else:
+            with pytest.raises(TooLarge):
+                finitehom._check_search(gens, target)
+    with pytest.raises(TooLarge):
+        enumerate_homs(FreeAbelian(largest + 1), target)
+
+
+@pytest.mark.parametrize("target", [dihedral(3), dihedral(8), Q8],
+                         ids=lambda t: t.name)
+def test_free_nilpotent_on_one_generator_is_searched_as_z(target):
+    # F(1, c) is Z at every class, into targets of every nilpotency class
+    want = enumerate_homs(FreeAbelian(1), target)
+    for c in (1, 2, 3, 7):
+        got = enumerate_homs(FreeNilpotent(1, c), target)
+        assert got == want
+        assert got.presentation.generator_names() == ("x1",)
+    assert want.total == target.order
 
 
 def test_search_closes_once_per_new_subgroup_step(monkeypatch):

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from nilrep import cli, finitehom, selftest
+from nilrep import cli, finitehom, groups, selftest
 from nilrep.arith import totient
 from nilrep.cli import main
 from nilrep.groups import (AbelianInvariants, FreeAbelian, FreeNilpotent,
-                           Heisenberg)
+                           Heisenberg, Presented,
+                           free_nilpotent_class2_presentation)
 from nilrep.invariants import (poincare_char_variety, poincare_hom_component,
                                poly)
 from nilrep.parsing import parse_group_spec, parse_reductive_spec
@@ -60,6 +61,23 @@ def test_analyze_f22_torus():
     assert report.pi1_hom == AbelianInvariants(2)
     assert report.poincare_hom == poly([1, 2, 1])
     assert report.verdict.status == "Connected"
+
+
+def test_analyze_computes_h1_of_a_written_group_once(monkeypatch):
+    # analyze and its verdict both read H_1; the written group's is cached
+    # on its spec.  Root-datum cokernels go through snf, not this binding
+    rows = []
+    real = groups.cokernel_of_columns
+
+    def counted(generator_count, columns):
+        rows.append(generator_count)
+        return real(generator_count, columns)
+
+    monkeypatch.setattr(groups, "cokernel_of_columns", counted)
+    g = Presented(free_nilpotent_class2_presentation(5))
+    report = analyze(g, reductive(("SL", 2)))
+    assert (report.rank_h1, report.verdict.status) == (5, "Unknown")
+    assert rows == [15]
 
 
 def test_analyze_respects_rank_guard():
