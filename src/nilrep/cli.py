@@ -28,7 +28,6 @@ from .invariants import poincare_char_variety, poincare_hom_component
 from .parsing import parse_group_spec, parse_reductive_spec
 from .report import analyze
 from .rootdata import build_root_datum, pi1_G, pi1_G_ab
-from . import selftest as _selftest
 
 
 def _emit(payload: dict, args) -> None:
@@ -142,7 +141,9 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    return _selftest.run()
+    # imported here: the checks (and random) load only when they run
+    from . import selftest
+    return selftest.run()
 
 
 @functools.cache

@@ -23,16 +23,16 @@ quotient is the quotient of the identity component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, product, repeat
 
 from .arith import totient
 from .errors import NilrepError, TooLarge, UnsupportedGroup
 from .groups import (DirectProduct, FiniteAbelian, FreeNilpotent, GroupSpec,
-                     Presentation, Presented, Word, abelianize,
+                     Presentation, Presented, abelianize,
                      finite_abelian_presentation, gen, h1_invariants,
                      is_abelian, merge_presentations, power, quotient_by_lcs)
+from .record import record
 from .rootdata import Factor, ReductiveSpec, _orbit, build_root_datum
 
 # leaves of one search, every target order below 2 counted as 2: at most
@@ -226,7 +226,7 @@ def dihedral(n: int) -> FiniteGroup:
 # homomorphism enumeration
 
 
-@dataclass(frozen=True)
+@record
 class HomSearchResult:
     """Counts from a full enumeration of Hom(group, target).
 
@@ -330,9 +330,9 @@ def _presentation(g) -> Presentation:
     return g.presentation()
 
 
-def _evaluate(word: Word, images, target: FiniteGroup) -> int:
+def _evaluate(letters, images, target: FiniteGroup) -> int:
     out = target.identity
-    for g, e in word.letters:
+    for g, e in letters:
         out = target.mul(out, target.power(images[g], e))
     return out
 
@@ -354,13 +354,15 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     """
     pres = presentation_for_homs(g, target)
     gens = pres.generator_count
-    by_depth: list[list[Word]] = [[] for _ in range(gens)]
+    # each relator's letters with exponents reduced modulo the target's
+    # order once, not at every node: a written exponent may have
+    # thousands of digits, and a reduced one may be 0
+    by_depth: list[list[tuple[tuple[int, int], ...]]] = [
+        [] for _ in range(gens)]
     for w in pres.relators:
-        top = w.max_generator()
-        if top >= 0:
-            by_depth[top].append(w)
-        elif w.letters:
-            by_depth[0].append(w)
+        if w.letters:
+            by_depth[w.max_generator()].append(
+                tuple((g, e % target.order) for g, e in w.letters))
 
     images = [target.identity] * gens
     counts = {"total": 0, "surjective": 0}
@@ -394,8 +396,8 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
             return
         for candidate in range(target.order):
             images[depth] = candidate
-            if all(_evaluate(w, images, target) == target.identity
-                   for w in by_depth[depth]):
+            if all(_evaluate(letters, images, target) == target.identity
+                   for letters in by_depth[depth]):
                 dfs(depth + 1,
                     node if candidate in sub else grow(sub, depth))
         images[depth] = target.identity
@@ -437,7 +439,7 @@ DISCONNECTED = "Disconnected"
 UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Connectivity verdict for Hom(group, G) and, by the quotient
     transfer, for the character variety as well."""

@@ -14,11 +14,11 @@ AbelianInvariants(rank=2, torsion=())
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .arith import divisors, mobius
 from .errors import NilrepError, TooLarge, UnsupportedQuotient
+from .record import record, replace
 from .snf import cokernel_of_columns
 # re-exported: perfbench/spans.py traces both in this module
 from .snf import cokernel_invariants, smith_normal_form  # noqa: F401
@@ -30,7 +30,7 @@ POWER_LETTER_CAP = 10**5
 # words and presentations
 
 
-@dataclass(frozen=True)
+@record
 class Word:
     """A freely reduced word in numbered generators.
 
@@ -131,7 +131,7 @@ def commutator(a: Word, b: Word) -> Word:
     return Word(tuple(commutator_letters(a.letters, b.letters)))
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     """A finite presentation: generator count plus relator words.
 
@@ -213,7 +213,7 @@ class GroupSpec:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class FreeNilpotent(GroupSpec):
     """Free nilpotent group on n generators of class c.
 
@@ -269,7 +269,7 @@ class FreeAbelian(FreeNilpotent):
         return "Z^%d" % self.n
 
 
-@dataclass(frozen=True)
+@record
 class FiniteAbelian(GroupSpec):
     """Finite abelian group as a divisor chain d1 | d2 | ... (each >= 2)."""
 
@@ -284,7 +284,7 @@ class FiniteAbelian(GroupSpec):
         return " x ".join("Z/%d" % d for d in self.divisors)
 
 
-@dataclass(frozen=True)
+@record
 class DirectProduct(GroupSpec):
     factors: tuple[GroupSpec, ...]
 
@@ -296,7 +296,7 @@ class DirectProduct(GroupSpec):
         return " x ".join(str(f) for f in self.factors)
 
 
-@dataclass(frozen=True)
+@record
 class Presented(GroupSpec):
     """A finitely presented group, nilpotent by the caller's assertion.
 
@@ -351,7 +351,7 @@ OUTPUT_BOUND = 512
 TORSION_BOUND = 10**4300
 
 
-@dataclass(frozen=True)
+@record
 class AbelianInvariants:
     """A finitely generated abelian group: free rank plus divisor chain."""
 
@@ -449,7 +449,7 @@ def free_nilpotent_lcs_ranks(n: int, c: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class LowerCentralData:
     """Per-layer abelian invariants of the lower central series.
 

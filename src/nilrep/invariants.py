@@ -43,14 +43,13 @@ order can never change a result.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import factorial, prod
 
 from .errors import InexactDivision, NilrepError, TooLarge
 from .groups import OUTPUT_BOUND
+from .record import record
 # re-exported: perfbench/spans.py traces the referees' Weyl enumeration
 # as nilrep.invariants.enumerate_weyl
 from .rootdata import Factor, RootDatum, enumerate_weyl  # noqa: F401
@@ -64,7 +63,7 @@ Classes = tuple[tuple[tuple[int, ...], int], ...]
 # dense integer polynomials in one grading variable
 
 
-@dataclass(frozen=True)
+@record
 class GradedPoly:
     """Polynomial in t with integer coefficients; index = degree.
 
@@ -465,6 +464,8 @@ def exterior_invariant_dims_oracle(weyl: tuple, r: int) -> list[int]:
     over the rationals.  On small bases the projector is verified to be
     idempotent before its trace is trusted.
     """
+    # imported here: only this referee needs rationals
+    from fractions import Fraction
     elements = list(weyl)
     n = len(elements[0])
     dim = n * r

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import TooLarge
 from .finitehom import Verdict, connectivity_verdict
 from .groups import AbelianInvariants, GroupSpec, abelianize
 from .invariants import (GradedPoly, poincare_char_variety,
                          poincare_hom_component)
+from .record import record
 from .rootdata import (ReductiveSpec, build_root_datum, pi1_G, pi1_G_ab)
 
 FIXED_CAVEATS = (
@@ -21,7 +20,7 @@ FIXED_CAVEATS = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class AnalysisReport:
     """Everything determined by the group's abelianization data.
 

@@ -27,13 +27,13 @@ Spin(n>=3), G2, F4, and tori.  Everything else raises UnsupportedType.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from math import prod
 from operator import mul
 
 from .errors import NilrepError, TooLarge, UnsupportedType
 from .groups import AbelianInvariants
+from .record import DERIVED, record
 from .snf import cokernel_invariants, identity_matrix, mat_mul
 # re-exported: perfbench/spans.py traces nilrep.rootdata.integer_rank
 from .snf import integer_rank  # noqa: F401
@@ -53,7 +53,7 @@ Matrix = tuple[Vector, ...]
 # factor catalog
 
 
-@dataclass(frozen=True)
+@record
 class Factor:
     """One catalog factor, e.g. Factor("SL", 3) or Factor("T", 2).
 
@@ -120,7 +120,7 @@ def _type_degrees(kind: str | None, l: int) -> tuple[int, ...]:
     return {None: (), "G2": (2, 6), "F4": (2, 6, 8, 12)}[kind]
 
 
-@dataclass(frozen=True)
+@record
 class ReductiveSpec:
     """A connected reductive group as a product of catalog factors."""
 
@@ -220,7 +220,7 @@ def _orbit(start, generators, act) -> tuple:
 # root datum
 
 
-@dataclass(frozen=True)
+@record
 class Block:
     """One factor's cocharacter lattice Z^rank with its simple roots
     (functionals on Z^rank, as integer vectors), its simple coroots, and
@@ -234,7 +234,7 @@ class Block:
     rank: int
     simple_roots: tuple[Vector, ...]
     simple_coroots: tuple[Vector, ...]
-    coroots: tuple[Vector, ...] = field(init=False)
+    coroots: tuple[Vector, ...] = DERIVED
 
     def __post_init__(self):
         if len(self.simple_roots) != len(self.simple_coroots):
@@ -267,7 +267,7 @@ class Block:
         return any(c % 2 for v in self.simple_coroots for c in v)
 
 
-@dataclass(frozen=True)
+@record
 class RootDatum:
     """A product of catalog factors, one lattice block per factor.
 

@@ -459,6 +459,26 @@ def test_search_closes_once_per_new_subgroup_step(monkeypatch):
     assert calls[0] <= 400
 
 
+def test_relator_exponents_are_reduced_once_per_search(monkeypatch):
+    # the same 2^17-leaf search with a 1-digit and a 3,600-digit torsion
+    # relator; every power taken at a node has an exponent below the
+    # target's order, so the big one costs no big-integer reduction
+    exponents = set()
+    power_of = FiniteGroup.power
+
+    def recorded(self, g, e):
+        exponents.add(e)
+        return power_of(self, g, e)
+
+    monkeypatch.setattr(FiniteGroup, "power", recorded)
+    for torsion in ((FiniteAbelian((6,)),),
+                    (FiniteAbelian((2**7300,)), FiniteAbelian((3**4600,)))):
+        result = enumerate_homs(DirectProduct((FreeAbelian(16), *torsion)),
+                                cyclic(2))
+        assert (result.total, result.surjective) == (2**17, 2**17 - 1)
+    assert max(exponents) < 2
+
+
 def test_search_limits():
     with pytest.raises(TooLarge):
         enumerate_homs(FreeAbelian(7), Q8)

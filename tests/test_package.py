@@ -1,11 +1,12 @@
 """Package-wide checks: no assert in the library, only standard-library
-imports, every binding the benchmark traces exists, the docstring
-examples hold, and the demos run."""
+imports, a lean import of the CLI, every binding the benchmark traces
+exists, the docstring examples hold, and the demos run."""
 
 import ast
 import doctest
 import importlib
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,6 +41,22 @@ def test_library_imports_only_the_standard_library():
                       for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert SOURCES and found == []
+
+
+def test_cli_import_loads_no_code_generation_or_referee_modules():
+    # every CLI call is a fresh interpreter that pays for what importing
+    # nilrep.cli loads: not dataclasses (and with it inspect), not the
+    # rationals that only the oracle uses, not the selftest checks; -S
+    # keeps site hooks from loading any of them first
+    code = ("import sys; sys.path.insert(0, %r); import nilrep.cli; "
+            "print(*sorted(sys.modules))" % str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "nilrep.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "fractions", "decimal",
+                     "nilrep.selftest"} == set()
 
 
 def test_every_traced_binding_resolves():

@@ -1,11 +1,10 @@
 """Root datum catalog: Weyl enumeration, coroot systems, pi_1 cokernels."""
 
-import dataclasses
 from operator import mul
 
 import pytest
 
-from nilrep import rootdata
+from nilrep import record, rootdata
 from nilrep.errors import NilrepError, TooLarge, UnsupportedType
 from nilrep.finitehom import _dual_labels_one
 from nilrep.groups import AbelianInvariants
@@ -217,12 +216,14 @@ def _assert_immutable(value):
     if isinstance(value, tuple):
         for item in value:
             _assert_immutable(item)
-    elif dataclasses.is_dataclass(value):
-        assert type(value).__dataclass_params__.frozen, type(value)
-        for field in dataclasses.fields(value):
-            _assert_immutable(getattr(value, field.name))
-    else:
-        assert isinstance(value, (int, str)), type(value)
+    elif not isinstance(value, (int, str)):
+        # anything else must be a record (fields raises TypeError
+        # otherwise) that refuses assignment to each of its fields
+        for name in record.fields(value):
+            item = getattr(value, name)
+            with pytest.raises(record.FrozenInstanceError):
+                setattr(value, name, item)
+            _assert_immutable(item)
 
 
 def test_cached_block_values_are_immutable():
@@ -230,7 +231,7 @@ def test_cached_block_values_are_immutable():
         for b in build_root_datum(spec).blocks:
             _assert_immutable(b)
             _assert_immutable(b.cokernel)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(record.FrozenInstanceError):
         b.coroots = ()
 
 
