@@ -33,7 +33,8 @@ from .groups import (DirectProduct, FiniteAbelian, FreeNilpotent, GroupSpec,
                      finite_abelian_presentation, gen, h1_invariants,
                      is_abelian, merge_presentations, power, quotient_by_lcs)
 from .record import record
-from .rootdata import Factor, ReductiveSpec, _orbit, build_root_datum
+from .rootdata import (Factor, ReductiveSpec, RootDatum, _orbit,
+                       build_root_datum)
 
 # leaves of one search, every target order below 2 counted as 2: at most
 # 6 generators into Q8 and 18 into C2; Z^3 into c100 (10^6 leaves) takes
@@ -460,9 +461,11 @@ def _dual_labels_one(f: Factor) -> bool:
     return kind in (None, "A", "C") or l <= {"B": 2, "D": 3}.get(kind, 0)
 
 
-def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec) -> Verdict:
+def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
+                         rd: RootDatum | None = None) -> Verdict:
     """Decide connectivity of Hom(group, G) where the implemented theory
-    can, and say Unknown where it cannot.
+    can, and say Unknown where it cannot; rd, when given, is spec's root
+    datum, so a caller that has built it does not build it again.
 
     Every rule reads G through its root datum, never a family name.  A
     simply connected factor with a dual Kac label of at least 2 has
@@ -473,7 +476,7 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec) -> Verdict:
     """
     ab = abelianize(g)
     r = ab.rank
-    blocks = build_root_datum(spec).blocks
+    blocks = (rd or build_root_datum(spec)).blocks
 
     if not any(b.coroots for b in blocks):
         if not ab.torsion:

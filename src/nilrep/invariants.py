@@ -7,32 +7,33 @@ algebra model of G/T (generators in degree 2) it is
     prod_i (1 - t^(2*d_i)) / det(I - t^2 * w),
 
 a division that is exact because the coinvariant algebra is finite
-dimensional.  Numerator and denominator are series in u = t^2, so the
-quotient is divided in u and then spread onto the even degrees.  Both
-traces depend on w only through det(I + t*w), so the Molien averages
-giving the invariant dimensions degree by degree run over the classes
-of Weyl elements with equal det(I + t*w), weighted by class size.
-A product's Weyl group is the product of its factors', acting block-
-diagonally, so (Kuenneth) both Poincare polynomials of a product are the
-products of its factors' polynomials, each averaged over the factor's
-own classes.  A factor's classes and the coinvariant quotient of each
-class depend on the factor alone, not on r, so each catalog factor is
-reduced once per process; a Molien sum then only raises each class's
-det(I + t*w) to the r-th power.  Those classes need no enumeration of
-W and depend on the factor only through its Cartan type: for types A-D
+dimensional.  Both traces depend on w only through det(I + t*w), so the
+Molien averages giving the invariant dimensions degree by degree run
+over the classes of Weyl elements with equal det(I + t*w), weighted by
+class size.  A product's Weyl group is the product of its factors',
+acting block-diagonally, so (Kuenneth) both Poincare polynomials of a
+product are the products of its factors' polynomials, each averaged
+over the factor's own classes.  Those classes need no enumeration of W
+and depend on the factor only through its Cartan type: for types A-D
 they are (signed) cycle types with closed-form sizes and characteristic
 polynomials (Carter, "Conjugacy classes in the Weyl group", 1972), for
-G2 and F4 they are literal tables, and a central torus multiplies each
-by (1 + t) per dimension.
+G2 and F4 they are literal tables, and W fixes a central torus, so it
+multiplies every class by (1 + t) per dimension.  The rows are built
+once per type and process, B with C and SL_n, GL_n, PGL_n as A_(n-1).
 
 A factor's Molien sum, sum over classes of k * q * det(I + t*w)^r with
-k the class size and q its coinvariant quotient (1 for the character
-variety), is taken over the integers: t -> 2^shift is a ring map Z[t] -> Z, so each
-class costs one integer power and one product.  No coefficient of the
-sum exceeds B = sum k * |q|_1 * |det(I + t*w)|_1^r (|.|_1 the sum of the
-absolute values of the coefficients) in absolute value, so with
-2^(shift-1) > B the balanced base-2^shift digits of the integer sum are
-its coefficients.
+k the class size and q its coinvariant trace (1 for the character
+variety), is taken over the integers at t = T = 2^shift: evaluation is a
+ring map Z[t] -> Z, so q(T) is the exact integer quotient
+prod_i (1 - T^(2*d_i)) / det(I - T^2 * w), and each class costs one
+division, one power and one product.  The packing bound needs no
+quotient: the coinvariant algebra is the regular representation of W
+(Chevalley, Amer. J. Math. 1955), so the W-invariants of its tensor
+product with H^*(T^r) have the dimension of H^*(T^r), 2^(rank*r).  The
+sum over W has coefficients |W| * (invariant dimension), each in
+[0, |W| * 2^(rank*r)], and that bound holds for the character variety,
+whose invariants lie in H^*(T^r), too.  With 2^(shift-1) above it the
+balanced base-2^shift digits of the integer sum are its coefficients.
 
 No Molien sum enumerates a Weyl group; only the referees do (the
 projector oracle at the end, given rootdata.enumerate_weyl, and the
@@ -57,6 +58,8 @@ from .snf import int_det
 
 # (coefficients of det(I + t*w), number of Weyl elements w) pairs
 Classes = tuple[tuple[tuple[int, ...], int], ...]
+# the same rows with det(I + t*w) as a polynomial
+Rows = tuple[tuple["GradedPoly", int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +317,19 @@ _EXCEPTIONAL_CLASSES: dict[str, Classes] = {
 
 
 @cache
-def _factor_classes(f: Factor) -> Classes:
-    """(coefficients of det(I + t*w), multiplicity) over the Weyl group of
-    one catalog factor, in no particular order.
+def _type_classes(kind: str | None, l: int) -> Rows:
+    """(det(I + t*w), multiplicity) over the Weyl group of the simple type
+    (kind, l), or of the trivial group without a kind, in no particular
+    order.
 
-    The rows come from the factor's Cartan type.  Type A_l: one class per
-    partition of l + 1, of size (l + 1)!/z_lambda; the reflection lattice
-    drops one trivial summand (1 + t) from the permutation lattice of
-    S_(l+1).  Types B/C/D act on Z^l by signed permutations: one class per
-    pair (alpha, beta) of partitions of the positive and negative cycle
-    lengths, |alpha| + |beta| = l, of size 2^l l!/(z_alpha z_beta); type
-    D keeps the pairs with an even number of negative cycles.  G2 and F4
-    read _EXCEPTIONAL_CLASSES.  W fixes the central torus, so every class
-    gains a factor (1 + t) per central dimension.
+    Type A_l: one class per partition of l + 1, of size (l + 1)!/z_lambda;
+    the reflection lattice drops one trivial summand (1 + t) from the
+    permutation lattice of S_(l+1).  Types B/C/D act on Z^l by signed
+    permutations: one class per pair (alpha, beta) of partitions of the
+    positive and negative cycle lengths, |alpha| + |beta| = l, of size
+    2^l l!/(z_alpha z_beta); type D keeps the pairs with an even number of
+    negative cycles.  G2 and F4 read _EXCEPTIONAL_CLASSES.
     """
-    kind, l, central = f.cartan_type()
     classes = Counter()
     if kind is None:
         classes[ONE] = 1
@@ -348,29 +349,27 @@ def _factor_classes(f: Factor) -> Classes:
                     classes[p] += (2 ** l * factorial(l)
                                    // (_centralizer_order(alpha, 2)
                                        * _centralizer_order(beta, 2)))
+    return tuple(classes.items())
+
+
+def _semisimple_classes(f: Factor) -> tuple[Rows, int]:
+    """The rows of f's Cartan type (B and C share theirs) and f's
+    central-torus dimension."""
+    kind, l, central = f.cartan_type()
+    return _type_classes("B" if kind == "C" else kind, l), central
+
+
+def _factor_classes(f: Factor) -> Classes:
+    """(coefficients of det(I + t*w), multiplicity) over the Weyl group of
+    one catalog factor: W fixes the central torus, so every row of the
+    Cartan type gains a factor (1 + t) per central dimension."""
+    classes, central = _semisimple_classes(f)
     torus = poly([1, 1]) ** central
-    return tuple(((p * torus).coefficients, size)
-                 for p, size in classes.items())
-
-
-@cache
-def _factor_quotients(f: Factor) -> tuple[GradedPoly, ...]:
-    """The coinvariant quotient prod_i (1 - t^(2*d_i)) / det(I - t^2*w) of
-    each row of _factor_classes(f), in the same order."""
-    num = _coinvariant_numerator(f.degrees())
-    return tuple(_coinvariant_series(cs, num) for cs, _ in _factor_classes(f))
+    return tuple(((p * torus).coefficients, k) for p, k in classes)
 
 
 # ---------------------------------------------------------------------------
 # Molien averages, multiplied across the factors
-
-
-def _pack(coefficients, shift: int) -> int:
-    """The value at t = 2^shift of sum_i coefficients[i] * t^i."""
-    value = 0
-    for c in reversed(coefficients):
-        value = (value << shift) + c
-    return value
 
 
 def _unpack(value: int, shift: int) -> GradedPoly:
@@ -388,28 +387,43 @@ def _unpack(value: int, shift: int) -> GradedPoly:
     return poly(digits)
 
 
-def _molien_sum(rows, r: int) -> GradedPoly:
-    """sum of k * q * (sum_i cs_i t^i)^r over the rows (k, q, cs), q and cs
-    coefficient tuples, summed at t = 2^shift with 2^(shift-1) above the
-    bound B = sum k * |q|_1 * |cs|_1^r on every coefficient."""
-    bound = sum(k * sum(map(abs, q)) * sum(map(abs, cs)) ** r
-                for k, q, cs in rows)
-    shift = bound.bit_length() + 1
-    return _unpack(sum(k * _pack(q, shift) * _pack(cs, shift) ** r
-                       for k, q, cs in rows), shift)
+def _molien_sum(classes: Rows, degrees, r: int, shift: int) -> int:
+    """The value at t = T = 2^shift of the sum over the rows (p, k) of
+    k * q * p^r, p = det(I + t*w).  q is the coinvariant trace
+    prod_d (1 - T^(2d)) / p(-T^2) over the given degrees, one exact
+    integer division per row, or 1 when degrees is None (the character
+    variety)."""
+    t = 1 << shift
+    num = None if degrees is None else prod(1 - t ** (2 * d) for d in degrees)
+    total = 0
+    for p, k in classes:
+        term = k * p(t) ** r
+        if num is not None:
+            q, rem = divmod(num, p(-t * t))
+            if rem:
+                raise InexactDivision("coinvariant trace left a remainder")
+            term *= q
+        total += term
+    return total
 
 
-def _molien_product(rd: RootDatum, r: int, rows_of) -> GradedPoly:
-    """prod over the factors f of rd of the Molien average over W_f, where
-    rows_of(f) yields (multiplicity, q, cs) for each class of W_f and the
-    class contributes q * (sum_i cs_i t^i)^r: W acts block-diagonally, so
-    the average over W is the product of these."""
+def _molien_product(rd: RootDatum, r: int, hom: bool) -> GradedPoly:
+    """prod over the factors f of rd of the Molien average over W_f of
+    q * det(I + t*w)^r, q the coinvariant trace if hom and 1 otherwise: W
+    acts block-diagonally, so the average over W is the product of these.
+    Each sum is packed above the bound |W| * 2^(rank*r) on its
+    coefficients (module docstring)."""
     if r < 0:
         raise ValueError("r must be non-negative")
     out = ONE
     for f in rd.factors:
-        total = _molien_sum(tuple(rows_of(f)), r)
-        out = out * total.divide_int(f.weyl_order())
+        classes, central = _semisimple_classes(f)
+        order = f.weyl_order()
+        shift = (order << (f.rank() * r)).bit_length() + 1
+        degrees = f.degrees()[central:] if hom else None
+        total = (_molien_sum(classes, degrees, r, shift)
+                 * ((1 << shift) + 1) ** (central * r))
+        out = out * _unpack(total, shift).divide_int(order)
     return _finalize(out)
 
 
@@ -424,8 +438,7 @@ def poincare_char_variety(rd: RootDatum, r: int) -> GradedPoly:
     variety of Z^r: the W-invariants of H^*(T^r).  Raises TooLarge past
     OUTPUT_BOUND."""
     _check_output_size(rd, r)
-    return _molien_product(rd, r, lambda f: (
-        (k, ONE.coefficients, cs) for cs, k in _factor_classes(f)))
+    return _molien_product(rd, r, False)
 
 
 def poincare_hom_component(rd: RootDatum, r: int) -> GradedPoly:
@@ -433,9 +446,7 @@ def poincare_hom_component(rd: RootDatum, r: int) -> GradedPoly:
     variety of Z^r: the W-invariants of H^*(G/T x T^r).  Raises TooLarge
     past OUTPUT_BOUND."""
     _check_output_size(rd, r)
-    result = _molien_product(rd, r, lambda f: (
-        (k, quotient.coefficients, cs) for (cs, k), quotient
-        in zip(_factor_classes(f), _factor_quotients(f))))
+    result = _molien_product(rd, r, True)
     if result.degree() > 2 * rd.positive_coroot_count() + r * rd.rank:
         raise NilrepError("invariant series exceeds dim G/T + r * rank")
     return result

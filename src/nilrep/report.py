@@ -118,6 +118,6 @@ def analyze(g: GroupSpec, spec: ReductiveSpec) -> AnalysisReport:
         pi1_char=AbelianInvariants(pi1_G_ab(rd) * r),
         poincare_hom=poincare_hom,
         poincare_char=poincare_char,
-        verdict=connectivity_verdict(g, spec),
+        verdict=connectivity_verdict(g, spec, rd),
         caveats=tuple(caveats),
     )

@@ -7,6 +7,7 @@ exactly; everything here runs in a few seconds.
 from __future__ import annotations
 
 import random
+from math import comb
 
 from .finitehom import (central_image_order_bound, connectivity_verdict,
                         enumerate_homs, q8)
@@ -50,6 +51,21 @@ def check_hopf_beyond_enumeration():
     # Hom(Z, G)_1 = G; |W| is 362,880, 645,120 and 322,560 here
     return all(poincare_hom_component(rd, 1) == hopf_product(rd.degrees)
                for rd in map(_rd, (("SL", 9), ("Sp", 14), ("Spin", 14))))
+
+
+def check_closed_forms():
+    # identities that read no class table: Hom(Z^r, SL2)_1 has Poincare
+    # polynomial sum_k C(r, k) t^(k + 2 (k mod 2)), and GL3 = SL3 x T1 up
+    # to a finite cover, so its polynomial is SL3's times (1 + t)^r
+    for r in range(9):
+        want = [0] * (r + 3)
+        for k in range(r + 1):
+            want[k + 2 * (k % 2)] += comb(r, k)
+        if poincare_hom_component(_rd(("SL", 2)), r) != poly(want):
+            return False
+    return all(poincare_hom_component(_rd(("GL", 3)), r)
+               == poincare_hom_component(_rd(("SL", 3)), r) * poly([1, 1]) ** r
+               for r in range(5))
 
 
 def check_oracle_agreement():
@@ -141,6 +157,7 @@ CHECKS = (
     ("Steinberg: character variety of Z in SL_n is a cell", check_steinberg),
     ("Hopf: Hom(Z, G)_1 = G for SL9, Sp14 and Spin14",
      check_hopf_beyond_enumeration),
+    ("closed forms for SL2 and GL3 = SL3 x (1 + t)^r", check_closed_forms),
     ("projector oracle agrees with Molien averages", check_oracle_agreement),
     ("pi_1 cokernels for GL2 and SL2", check_pi1),
     ("homomorphism counts into the quaternion group", check_hom_counts),

@@ -10,9 +10,11 @@ from nilrep import invariants, rootdata
 from nilrep.cli import main
 from nilrep.errors import InexactDivision, NilrepError, TooLarge
 from nilrep.groups import FreeAbelian
-from nilrep.invariants import (GradedPoly, _factor_classes,
-                               _factor_quotients, _finalize,
-                               char_coefficients, coinvariant_char,
+from nilrep.invariants import (GradedPoly, _coinvariant_numerator,
+                               _coinvariant_series, _factor_classes,
+                               _finalize, _molien_sum, _semisimple_classes,
+                               _type_classes, char_coefficients,
+                               coinvariant_char,
                                exterior_char, exterior_invariant_dims_oracle,
                                poincare_char_variety, poincare_hom_component,
                                poly)
@@ -222,9 +224,11 @@ def dense_molien_product(rd, r, hom):
     out = poly([1])
     for f in rd.factors:
         total = poly([])
-        for (cs, k), q in zip(_factor_classes(f), _factor_quotients(f)):
+        for cs, k in _factor_classes(f):
             term = poly(cs) ** r * k
-            total = total + (q * term if hom else term)
+            if hom:
+                term = term * t_domain_coinvariant_series(cs, f.degrees())
+            total = total + term
         out = out * total.divide_int(f.weyl_order())
     return out
 
@@ -270,13 +274,74 @@ def t_domain_coinvariant_series(cs, degrees):
 
 
 def test_quotients_in_u_match_t_domain_division():
+    # the division in u = t^2 behind coinvariant_char
     for f in PACKED_REFEREE_FACTORS:
-        assert _factor_quotients(f) == tuple(
-            t_domain_coinvariant_series(cs, f.degrees())
-            for cs, _ in _factor_classes(f)), str(f)
-    # spread onto t^2: no odd degree
-    for q in _factor_quotients(Factor("F4")):
-        assert not any(q.coefficients[1::2])
+        num = _coinvariant_numerator(f.degrees())
+        for cs, _ in _factor_classes(f):
+            q = _coinvariant_series(cs, num)
+            assert q == t_domain_coinvariant_series(cs, f.degrees()), str(f)
+            # spread onto t^2: no odd degree
+            assert not any(q.coefficients[1::2]), str(f)
+
+
+def test_packing_bound_holds_for_every_class_row():
+    # the traces behind the packing bound: the coinvariant trace of w has
+    # |q|_1 <= |W| and det(I + t*w) has |cs|_1 <= 2^rank, both with
+    # equality at the identity; and the coinvariant algebra is the regular
+    # representation, so H^*(Hom(Z^r, G)_1) has total dimension
+    # 2^(rank*r), the character variety at most that, and no coefficient
+    # of |W| times either exceeds |W| * 2^(rank*r)
+    for f in PACKED_REFEREE_FACTORS:
+        order, rank = f.weyl_order(), f.rank()
+        identity = poly([1, 1]) ** rank
+        for cs, _ in _factor_classes(f):
+            q = t_domain_coinvariant_series(cs, f.degrees())
+            q_norm, cs_norm = (sum(map(abs, q.coefficients)),
+                               sum(map(abs, cs)))
+            assert q_norm <= order and cs_norm <= 2 ** rank, (str(f), cs)
+            if cs == identity.coefficients:
+                assert (q_norm, cs_norm) == (order, 2 ** rank), str(f)
+        rd = rd_of(f)
+        for r in range(5):
+            total = poincare_hom_component(rd, r)(1)
+            assert total == 2 ** (rank * r), (str(f), r)
+            assert poincare_char_variety(rd, r)(1) <= total, (str(f), r)
+
+
+def test_class_rows_with_wrong_degrees_raise_inexact_division():
+    # every pair of same-rank types with different degrees: where the
+    # t-domain division of some row leaves a remainder, the packed sum
+    # raises InexactDivision at every shift (never ZeroDivisionError, never
+    # a value); where every row divides, the packed sum is the value at
+    # t = 2^shift of the dense one
+    types = {}
+    for f in PACKED_REFEREE_FACTORS:
+        kind, l, central = f.cartan_type()
+        if kind is not None:
+            types.setdefault(f.degrees()[central:], (l, f))
+    pairs = rejected = 0
+    for degrees, (l, f) in types.items():
+        rows, _ = _semisimple_classes(f)
+        for wrong, (l2, _) in types.items():
+            if l2 != l or wrong == degrees:
+                continue
+            pairs += 1
+            try:
+                qs = [t_domain_coinvariant_series(p.coefficients, wrong)
+                      for p, _ in rows]
+            except InexactDivision:
+                qs = None
+            rejected += qs is None
+            for r, shift in ((0, 3), (1, 20), (2, 64)):
+                if qs is None:
+                    with pytest.raises(InexactDivision):
+                        _molien_sum(rows, wrong, r, shift)
+                else:
+                    dense = sum((q * p ** r * k
+                                 for q, (p, k) in zip(qs, rows)), poly([]))
+                    assert (_molien_sum(rows, wrong, r, shift)
+                            == dense(2 ** shift)), (str(f), wrong)
+    assert (pairs, rejected) == (48, 33)
 
 
 def test_exceptional_tables_without_enumeration():
@@ -302,9 +367,8 @@ def test_molien_path_enumerates_no_weyl_group(monkeypatch, capsys):
         raise AssertionError("Weyl group enumerated")
     monkeypatch.setattr(invariants, "enumerate_weyl", refuse)
     monkeypatch.setattr(rootdata, "enumerate_weyl", refuse)
-    # a cold Molien path: no class list, quotient or block cached yet
-    _factor_classes.cache_clear()
-    _factor_quotients.cache_clear()
+    # a cold Molien path: no class row or block cached yet
+    _type_classes.cache_clear()
     rootdata._factor_block.cache_clear()
     for r in (1, 2, 3):
         report = analyze(FreeAbelian(r), reductive("G2", "F4"))
@@ -313,34 +377,46 @@ def test_molien_path_enumerates_no_weyl_group(monkeypatch, capsys):
     assert "poincare_hom" in capsys.readouterr().out
 
 
-def test_coinvariant_quotients_are_reduced_once_per_factor(monkeypatch):
-    # the quotients do not depend on r: after the first polynomial of a
-    # factor, no later one divides again, whatever r or product it is in
-    calls = []
-    divide = invariants._coinvariant_series
+def test_cached_molien_sums_divide_no_polynomials(monkeypatch):
+    # once the class rows are cached, a Molien sum is integer arithmetic:
+    # no polynomial division and no coinvariant series, whatever r or
+    # product the factor is in
+    targets = [rd_of(("SO", 8)), rd_of(("SO", 8), ("SO", 8)),
+               rd_of(("GL", 4), "G2", ("T", 2)), rd_of("F4", ("Sp", 6))]
+    for rd in targets:
+        poincare_hom_component(rd, 1)
 
-    def counted(cs, num):
-        calls.append(cs)
-        return divide(cs, num)
-    monkeypatch.setattr(invariants, "_coinvariant_series", counted)
-    _factor_quotients.cache_clear()
-    poincare_hom_component(rd_of(("SO", 8)), 1)
-    assert len(calls) == len(_factor_classes(Factor("SO", 8)))
-    for r in (0, 2, 3):
-        poincare_hom_component(rd_of(("SO", 8)), r)
-        poincare_hom_component(rd_of(("SO", 8), ("SO", 8)), r)
-    assert len(calls) == len(_factor_classes(Factor("SO", 8)))
-    # cached values are tuples of ints and frozen polynomials
+    def refuse(*args):
+        raise AssertionError("polynomial division in a Molien sum")
+    monkeypatch.setattr(GradedPoly, "exact_div", refuse)
+    monkeypatch.setattr(invariants, "_coinvariant_series", refuse)
+    for rd in targets:
+        for r in (0, 1, 2, 3):
+            poincare_hom_component(rd, r)
+            poincare_char_variety(rd, r)
+    # cached rows are tuples of frozen polynomials and ints
     for f in (Factor("SO", 8), Factor("F4"), Factor("T", 2)):
-        classes, quotients = _factor_classes(f), _factor_quotients(f)
-        assert type(classes) is tuple and type(quotients) is tuple
-        assert len(classes) == len(quotients)
-        for (cs, k), q in zip(classes, quotients):
-            assert type(cs) is tuple and all(type(c) is int for c in cs)
+        rows, _ = _semisimple_classes(f)
+        assert type(rows) is tuple
+        for p, k in rows:
+            assert type(p) is GradedPoly and type(p.coefficients) is tuple
             assert type(k) is int
-            assert type(q) is GradedPoly and type(q.coefficients) is tuple
     with pytest.raises(AttributeError):
-        quotients[0].coefficients = ()
+        rows[0][0].coefficients = ()
+
+
+def test_class_rows_are_built_once_per_cartan_type():
+    # SL_n, GL_n and PGL_n are A_(n-1); SO_(2l+1) and Sp_2l share B_l's
+    # rows; SO_2l and Spin_2l are D_l
+    _type_classes.cache_clear()
+    for group in ([("SL", 6), ("GL", 6), ("PGL", 6)], [("SO", 9), ("Sp", 8)],
+                  [("SO", 10), ("Spin", 10)]):
+        before = _type_classes.cache_info().misses
+        for factor in group:
+            for r in (1, 2):
+                poincare_hom_component(rd_of(factor), r)
+                poincare_char_variety(rd_of(factor), r)
+        assert _type_classes.cache_info().misses == before + 1, group
 
 
 # ---------------------------------------------------------------------------

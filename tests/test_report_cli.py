@@ -19,7 +19,7 @@ from nilrep.invariants import (poincare_char_variety, poincare_hom_component,
                                poly)
 from nilrep.parsing import parse_group_spec, parse_reductive_spec
 from nilrep.report import analyze
-from nilrep.rootdata import build_root_datum, reductive
+from nilrep.rootdata import RootDatum, build_root_datum, reductive
 from nilrep.selftest import hopf_product
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +78,28 @@ def test_analyze_computes_h1_of_a_written_group_once(monkeypatch):
     report = analyze(g, reductive(("SL", 2)))
     assert (report.rank_h1, report.verdict.status) == (5, "Unknown")
     assert rows == [15]
+
+
+def test_analyze_builds_one_root_datum(monkeypatch):
+    # the verdict reads the datum that analyze built; called on its own,
+    # connectivity_verdict builds its own
+    built = []
+    check = RootDatum.__post_init__
+
+    def counted(self):
+        built.append(self.factors)
+        check(self)
+
+    monkeypatch.setattr(RootDatum, "__post_init__", counted)
+    spec = reductive(("SL", 2), "G2")
+    for g in (FreeAbelian(3), Heisenberg()):
+        built.clear()
+        analyze(g, spec)
+        assert built == [spec.factors], g
+    built.clear()
+    assert finitehom.connectivity_verdict(Heisenberg(), spec).status == (
+        "Disconnected")
+    assert built == [spec.factors]
 
 
 def test_analyze_respects_rank_guard():
