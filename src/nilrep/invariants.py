@@ -14,26 +14,30 @@ class size.  A product's Weyl group is the product of its factors',
 acting block-diagonally, so (Kuenneth) both Poincare polynomials of a
 product are the products of its factors' polynomials, each averaged
 over the factor's own classes.  Those classes need no enumeration of W
-and depend on the factor only through its Cartan type: for types A-D
-they are (signed) cycle types with closed-form sizes and characteristic
-polynomials (Carter, "Conjugacy classes in the Weyl group", 1972), for
-G2 and F4 they are literal tables, and W fixes a central torus, so it
-multiplies every class by (1 + t) per dimension.  The rows are built
-once per type and process, B with C and SL_n, GL_n, PGL_n as A_(n-1).
+and the averages depend on the factor only through its Cartan type: for
+types A-D the classes are (signed) cycle types with closed-form sizes
+and characteristic polynomials (Carter, "Conjugacy classes in the Weyl
+group", 1972), for G2 and F4 they are literal tables, and W fixes a
+central torus, so it multiplies every class, and each average, by
+(1 + t) per dimension.  The rows are built once per type and process,
+B with C and SL_n, GL_n, PGL_n as A_(n-1), and both averages once per
+(type, r) and process, so a repeated factor or a second call costs a
+cache lookup and one product.
 
-A factor's Molien sum, sum over classes of k * q * det(I + t*w)^r with
-k the class size and q its coinvariant trace (1 for the character
-variety), is taken over the integers at t = T = 2^shift: evaluation is a
-ring map Z[t] -> Z, so q(T) is the exact integer quotient
-prod_i (1 - T^(2*d_i)) / det(I - T^2 * w), and each class costs one
-division, one power and one product.  The packing bound needs no
+A type's two Molien sums, over the classes of k * q * det(I + t*w)^r
+with k the class size and q its coinvariant trace (1 for the character
+variety), are taken in one pass over the integers at t = T = 2^shift:
+evaluation is a ring map Z[t] -> Z, so q(T) is the exact integer
+quotient prod_i (1 - T^(2*d_i)) / det(I - T^2 * w), and each class costs
+one division, one power and two products.  The packing bound needs no
 quotient: the coinvariant algebra is the regular representation of W
 (Chevalley, Amer. J. Math. 1955), so the W-invariants of its tensor
-product with H^*(T^r) have the dimension of H^*(T^r), 2^(rank*r).  The
-sum over W has coefficients |W| * (invariant dimension), each in
-[0, |W| * 2^(rank*r)], and that bound holds for the character variety,
-whose invariants lie in H^*(T^r), too.  With 2^(shift-1) above it the
-balanced base-2^shift digits of the integer sum are its coefficients.
+product with H^*(T^r) have the dimension of H^*(T^r), 2^(l*r) for
+semisimple rank l.  The sum over W has coefficients
+|W| * (invariant dimension), each in [0, |W| * 2^(l*r)], and that bound
+holds for the character variety, whose invariants lie in H^*(T^r), too.
+With 2^(shift-1) above it the balanced base-2^shift digits of the
+integer sum are its coefficients, divided by |W| once.
 
 No Molien sum enumerates a Weyl group; only the referees do (the
 projector oracle at the end, given rootdata.enumerate_weyl, and the
@@ -44,22 +48,20 @@ order can never change a result.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .errors import InexactDivision, NilrepError, TooLarge
 from .groups import OUTPUT_BOUND
 from .record import record
 # re-exported: perfbench/spans.py traces the referees' Weyl enumeration
 # as nilrep.invariants.enumerate_weyl
-from .rootdata import Factor, RootDatum, enumerate_weyl  # noqa: F401
+from .rootdata import RootDatum, _type_degrees, enumerate_weyl  # noqa: F401
 from .snf import int_det
 
 # (coefficients of det(I + t*w), number of Weyl elements w) pairs
 Classes = tuple[tuple[tuple[int, ...], int], ...]
-# the same rows with det(I + t*w) as a polynomial
-Rows = tuple[tuple["GradedPoly", int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +257,7 @@ def _coinvariant_series(cs, num: GradedPoly) -> GradedPoly:
 
 
 # ---------------------------------------------------------------------------
-# classes of det(I + t*w), factor by factor
+# classes of det(I + t*w), Cartan type by Cartan type
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -275,19 +277,15 @@ def _centralizer_order(parts, base: int = 1) -> int:
                 for m, a in Counter(parts).items())
 
 
-@cache
-def _cycles_poly(parts, sign: int) -> GradedPoly:
-    """det(I + t*w) for disjoint signed cycles of the given lengths, the
-    signs of each cycle multiplying to sign: prod_m (1 - sign * (-t)^m).
-    Built once per (partition, sign): type B/C/D pairs each partition with
-    every partition of the rest, and WEYL_ORDER_BOUND keeps the partitions
-    to those of at most 9."""
-    out = ONE
-    for m in parts:
-        term = [0] * (m + 1)
-        term[0], term[m] = 1, -sign * (-1) ** m
-        out = out * poly(term)
-    return out
+def _times_cycles(cs: list[int], cycles) -> tuple[int, ...]:
+    """cs times det(I + t*w) for disjoint signed cycles, given as (length
+    m, sign of the cycle) pairs: prod (1 - sign * (-t)^m), one sparse
+    factor at a time, in place in a list long enough for the product."""
+    for m, sign in cycles:
+        c = -sign * (-1) ** m
+        for i in range(len(cs) - 1 - m, -1, -1):
+            cs[i + m] += c * cs[i]
+    return tuple(cs)
 
 
 # det(I + t*w) over the Weyl groups of G2 (dihedral of order 12) and F4
@@ -317,59 +315,47 @@ _EXCEPTIONAL_CLASSES: dict[str, Classes] = {
 
 
 @cache
-def _type_classes(kind: str | None, l: int) -> Rows:
-    """(det(I + t*w), multiplicity) over the Weyl group of the simple type
-    (kind, l), or of the trivial group without a kind, in no particular
-    order.
+def _type_classes(kind: str | None, l: int) -> Classes:
+    """(coefficients of det(I + t*w), multiplicity) over the Weyl group of
+    the simple type (kind, l), or of the trivial group without a kind, in
+    no particular order.
 
-    Type A_l: one class per partition of l + 1, of size (l + 1)!/z_lambda;
-    the reflection lattice drops one trivial summand (1 + t) from the
-    permutation lattice of S_(l+1).  Types B/C/D act on Z^l by signed
-    permutations: one class per pair (alpha, beta) of partitions of the
-    positive and negative cycle lengths, |alpha| + |beta| = l, of size
+    Type A_l: one class per partition lambda of l + 1, of size
+    (l + 1)!/z_lambda; the reflection lattice drops one trivial summand
+    (1 + t) from the permutation lattice of S_(l+1), which turns the first
+    cycle's 1 - (-t)^m into sum_(j<m) (-t)^j.  Types B/C/D act on Z^l by
+    signed permutations: one class per pair (alpha, beta) of partitions of
+    the positive and negative cycle lengths, |alpha| + |beta| = l, of size
     2^l l!/(z_alpha z_beta); type D keeps the pairs with an even number of
     negative cycles.  G2 and F4 read _EXCEPTIONAL_CLASSES.
     """
-    classes = Counter()
     if kind is None:
-        classes[ONE] = 1
-    elif kind in _EXCEPTIONAL_CLASSES:
-        classes.update({poly(cs): k for cs, k in _EXCEPTIONAL_CLASSES[kind]})
-    elif kind == "A":
+        return (((1,), 1),)
+    if kind in _EXCEPTIONAL_CLASSES:
+        return _EXCEPTIONAL_CLASSES[kind]
+    classes = Counter()
+    if kind == "A":
         for lam in _partitions(l + 1):
-            p = _cycles_poly(lam, 1).exact_div(poly([1, 1]))
-            classes[p] += factorial(l + 1) // _centralizer_order(lam)
+            first = [(-1) ** j for j in range(lam[0])] + [0] * (l + 1 - lam[0])
+            cs = _times_cycles(first, [(m, 1) for m in lam[1:]])
+            classes[cs] += factorial(l + 1) // _centralizer_order(lam)
     else:
         for a in range(l + 1):
             for alpha in _partitions(a):
                 for beta in _partitions(l - a):
                     if kind == "D" and len(beta) % 2:
                         continue
-                    p = _cycles_poly(alpha, 1) * _cycles_poly(beta, -1)
-                    classes[p] += (2 ** l * factorial(l)
-                                   // (_centralizer_order(alpha, 2)
-                                       * _centralizer_order(beta, 2)))
+                    cs = _times_cycles([1] + [0] * l,
+                                       [(m, 1) for m in alpha]
+                                       + [(m, -1) for m in beta])
+                    classes[cs] += (2 ** l * factorial(l)
+                                    // (_centralizer_order(alpha, 2)
+                                        * _centralizer_order(beta, 2)))
     return tuple(classes.items())
 
 
-def _semisimple_classes(f: Factor) -> tuple[Rows, int]:
-    """The rows of f's Cartan type (B and C share theirs) and f's
-    central-torus dimension."""
-    kind, l, central = f.cartan_type()
-    return _type_classes("B" if kind == "C" else kind, l), central
-
-
-def _factor_classes(f: Factor) -> Classes:
-    """(coefficients of det(I + t*w), multiplicity) over the Weyl group of
-    one catalog factor: W fixes the central torus, so every row of the
-    Cartan type gains a factor (1 + t) per central dimension."""
-    classes, central = _semisimple_classes(f)
-    torus = poly([1, 1]) ** central
-    return tuple(((p * torus).coefficients, k) for p, k in classes)
-
-
 # ---------------------------------------------------------------------------
-# Molien averages, multiplied across the factors
+# Molien averages per Cartan type, multiplied across the factors
 
 
 def _unpack(value: int, shift: int) -> GradedPoly:
@@ -387,43 +373,63 @@ def _unpack(value: int, shift: int) -> GradedPoly:
     return poly(digits)
 
 
-def _molien_sum(classes: Rows, degrees, r: int, shift: int) -> int:
-    """The value at t = T = 2^shift of the sum over the rows (p, k) of
-    k * q * p^r, p = det(I + t*w).  q is the coinvariant trace
+def _class_sums(classes: Classes, degrees, r: int,
+                shift: int) -> tuple[int, int]:
+    """The values at t = T = 2^shift of the sums over the rows (cs, k) of
+    k * p^r and of k * q * p^r, p = det(I + t*w) with coefficients cs: one
+    pass for both polynomials.  q is the coinvariant trace
     prod_d (1 - T^(2d)) / p(-T^2) over the given degrees, one exact
-    integer division per row, or 1 when degrees is None (the character
-    variety)."""
+    integer division per row."""
     t = 1 << shift
-    num = None if degrees is None else prod(1 - t ** (2 * d) for d in degrees)
-    total = 0
-    for p, k in classes:
-        term = k * p(t) ** r
-        if num is not None:
-            q, rem = divmod(num, p(-t * t))
-            if rem:
-                raise InexactDivision("coinvariant trace left a remainder")
-            term *= q
-        total += term
-    return total
+    u = -t * t
+    num = prod(1 - t ** (2 * d) for d in degrees)
+    char = hom = 0
+    for cs, k in classes:
+        at_t = at_u = 0
+        for c in reversed(cs):
+            at_t = at_t * t + c
+            at_u = at_u * u + c
+        q, rem = divmod(num, at_u)
+        if rem:
+            raise InexactDivision("coinvariant trace left a remainder")
+        term = k * at_t ** r
+        char += term
+        hom += q * term
+    return char, hom
+
+
+# bounded: a long-lived caller that sweeps r would otherwise keep every
+# (type, r) pair, and r * l <= OUTPUT_BOUND admits hundreds of them
+@lru_cache(maxsize=256)
+def _type_averages(kind: str | None, l: int, r: int) -> tuple[GradedPoly,
+                                                               GradedPoly]:
+    """The Molien averages over the Weyl group of the simple type (kind, l)
+    (B for C) of det(I + t*w)^r and of q * det(I + t*w)^r, q the
+    coinvariant trace: the character variety's and the hom component's
+    polynomial of the type, once per (type, r) and process.  Both sums
+    are packed above the bound |W| * 2^(l*r) on their coefficients
+    (module docstring) and divided by |W| once."""
+    degrees = _type_degrees(kind, l)
+    order = prod(degrees)
+    shift = (order << (l * r)).bit_length() + 1
+    char, hom = _class_sums(_type_classes(kind, l), degrees, r, shift)
+    return (_unpack(char, shift).divide_int(order),
+            _unpack(hom, shift).divide_int(order))
 
 
 def _molien_product(rd: RootDatum, r: int, hom: bool) -> GradedPoly:
     """prod over the factors f of rd of the Molien average over W_f of
     q * det(I + t*w)^r, q the coinvariant trace if hom and 1 otherwise: W
     acts block-diagonally, so the average over W is the product of these.
-    Each sum is packed above the bound |W| * 2^(rank*r) on its
-    coefficients (module docstring)."""
+    W fixes the central tori, so each of their dimensions multiplies
+    every class, and the product, by (1 + t)^r."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    out = ONE
-    for f in rd.factors:
-        classes, central = _semisimple_classes(f)
-        order = f.weyl_order()
-        shift = (order << (f.rank() * r)).bit_length() + 1
-        degrees = f.degrees()[central:] if hom else None
-        total = (_molien_sum(classes, degrees, r, shift)
-                 * ((1 << shift) + 1) ** (central * r))
-        out = out * _unpack(total, shift).divide_int(order)
+    types = [f.cartan_type() for f in rd.factors]
+    n = r * sum(central for _, _, central in types)
+    out = poly([comb(n, k) for k in range(n + 1)])
+    for kind, l, _ in types:
+        out = out * _type_averages("B" if kind == "C" else kind, l, r)[hom]
     return _finalize(out)
 
 

@@ -163,15 +163,6 @@ def _frozen(rows) -> Matrix:
     return tuple(map(tuple, rows))
 
 
-def _reflect(alpha: Vector, coroot: Vector, v: Vector) -> Vector:
-    """s(v) = v - <alpha, v> alpha^vee, which moves only the coordinates
-    where alpha^vee is not 0."""
-    n = sum(map(mul, alpha, v))
-    if not n:
-        return v
-    return tuple([x - n * c for x, c in zip(v, coroot)])
-
-
 def _cartan(kind: str, l: int) -> list[list[int]]:
     """Cartan matrix a[i][j] = <alpha_i, alpha_j^vee> of the given type and
     rank, simple roots numbered as in Bourbaki, Lie Groups and Lie
@@ -191,6 +182,10 @@ def _cartan(kind: str, l: int) -> list[list[int]]:
     if kind == "C" and l >= 2:
         a[l - 1][l - 2] = -2
     return a
+
+
+def _negative(v: Vector) -> Vector:
+    return tuple([-x for x in v])
 
 
 def _chain(n: int, count: int) -> list[Vector]:
@@ -226,10 +221,11 @@ class Block:
     (functionals on Z^rank, as integer vectors), its simple coroots, and
     the full (positive and negative) coroot system, built here as the
     orbit of the simple coroots under the simple reflections
-    s(v) = v - <alpha, v> alpha^vee.  Checked when built: each alpha and
-    alpha^vee lie in Z^rank and <alpha, alpha^vee> = 2, which makes s an
-    involution of Z^rank, hence a bijection that maps the finite orbit
-    into itself, so the Weyl group permutes the coroots."""
+    s(v) = v - <alpha, v> alpha^vee, one +- pair at a time.  Checked
+    when built: each alpha and alpha^vee lie in Z^rank and
+    <alpha, alpha^vee> = 2, which makes s an involution of Z^rank, hence
+    a bijection that maps the finite orbit into itself, so the Weyl group
+    permutes the coroots."""
 
     rank: int
     simple_roots: tuple[Vector, ...]
@@ -246,8 +242,25 @@ class Block:
         if any(sum(map(mul, alpha, v)) != 2 for alpha, v in pairs):
             raise ValueError("each simple root must pair to 2 with its "
                              "coroot")
-        object.__setattr__(self, "coroots", _orbit(
-            self.simple_coroots, pairs, lambda s, v: _reflect(*s, v)))
+        # s(v) = v - <alpha, v> alpha^vee is linear and maps alpha^vee to
+        # -alpha^vee, so the orbit is closed under v -> -v: reflect one
+        # vector of each +- pair and add its negative too
+        seen = set(self.simple_coroots)
+        seen.update(map(_negative, self.simple_coroots))
+        frontier = self.simple_coroots
+        while frontier:
+            fresh = []
+            for v in frontier:
+                for alpha, coroot in pairs:
+                    n = sum(map(mul, alpha, v))
+                    if n:
+                        y = tuple([x - n * c for x, c in zip(v, coroot)])
+                        if y not in seen:
+                            seen.add(y)
+                            seen.add(_negative(y))
+                            fresh.append(y)
+            frontier = fresh
+        object.__setattr__(self, "coroots", tuple(sorted(seen)))
 
     @cached_property
     def cokernel(self) -> AbelianInvariants:

@@ -10,11 +10,10 @@ from nilrep import invariants, rootdata
 from nilrep.cli import main
 from nilrep.errors import InexactDivision, NilrepError, TooLarge
 from nilrep.groups import FreeAbelian
-from nilrep.invariants import (GradedPoly, _coinvariant_numerator,
-                               _coinvariant_series, _factor_classes,
-                               _finalize, _molien_sum, _semisimple_classes,
-                               _type_classes, char_coefficients,
-                               coinvariant_char,
+from nilrep.invariants import (GradedPoly, _class_sums,
+                               _coinvariant_numerator, _coinvariant_series,
+                               _finalize, _type_averages, _type_classes,
+                               char_coefficients, coinvariant_char,
                                exterior_char, exterior_invariant_dims_oracle,
                                poincare_char_variety, poincare_hom_component,
                                poly)
@@ -27,6 +26,21 @@ from nilrep.snf import int_det
 
 def rd_of(*factors):
     return build_root_datum(reductive(*factors))
+
+
+def type_rows(f):
+    """The class rows of f's Cartan type (B and C share theirs)."""
+    kind, l, _ = f.cartan_type()
+    return _type_classes("B" if kind == "C" else kind, l)
+
+
+def factor_classes(f):
+    """(coefficients of det(I + t*w), multiplicity) over the Weyl group of
+    one catalog factor: W fixes the central torus, so every row of the
+    Cartan type gains a factor (1 + t) per central dimension."""
+    torus = poly([1, 1]) ** f.cartan_type()[2]
+    return tuple(((poly(cs) * torus).coefficients, k)
+                 for cs, k in type_rows(f))
 
 
 IDENT_1 = ((1,),)
@@ -183,7 +197,7 @@ def test_molien_sum_is_order_independent():
         elements = list(enumerate_weyl(rd))
         if len(rd.factors) == 1:
             buckets = Counter(tuple(char_coefficients(w)) for w in elements)
-            assert (sorted(_factor_classes(rd.factors[0]))
+            assert (sorted(factor_classes(rd.factors[0]))
                     == sorted(buckets.items())), factors
         rng.shuffle(elements)
         for r in range(4):
@@ -198,7 +212,7 @@ def test_molien_sum_is_order_independent():
                     == poincare_char_variety(rd, r)), (factors, r)
     # type A: det(I + t*w) determines the cycle type, so p(n) classes
     for n, partitions in zip(range(2, 7), (2, 3, 5, 7, 11)):
-        assert len(_factor_classes(Factor("SL", n))) == partitions
+        assert len(factor_classes(Factor("SL", n))) == partitions
 
 
 def test_class_sums_beyond_enumeration_range():
@@ -211,7 +225,7 @@ def test_class_sums_beyond_enumeration_range():
                     (("GL", 2), ("SO", 5), ("T", 2))]:
         rd = rd_of(*factors)
         for f in rd.factors:
-            assert sum(k for _, k in _factor_classes(f)) == f.weyl_order()
+            assert sum(k for _, k in factor_classes(f)) == f.weyl_order()
         assert poincare_hom_component(rd, 1) == hopf_product(rd.degrees), \
             factors
         assert (poincare_char_variety(rd, 1)
@@ -224,7 +238,7 @@ def dense_molien_product(rd, r, hom):
     out = poly([1])
     for f in rd.factors:
         total = poly([])
-        for cs, k in _factor_classes(f):
+        for cs, k in factor_classes(f):
             term = poly(cs) ** r * k
             if hom:
                 term = term * t_domain_coinvariant_series(cs, f.degrees())
@@ -277,7 +291,7 @@ def test_quotients_in_u_match_t_domain_division():
     # the division in u = t^2 behind coinvariant_char
     for f in PACKED_REFEREE_FACTORS:
         num = _coinvariant_numerator(f.degrees())
-        for cs, _ in _factor_classes(f):
+        for cs, _ in factor_classes(f):
             q = _coinvariant_series(cs, num)
             assert q == t_domain_coinvariant_series(cs, f.degrees()), str(f)
             # spread onto t^2: no odd degree
@@ -294,7 +308,7 @@ def test_packing_bound_holds_for_every_class_row():
     for f in PACKED_REFEREE_FACTORS:
         order, rank = f.weyl_order(), f.rank()
         identity = poly([1, 1]) ** rank
-        for cs, _ in _factor_classes(f):
+        for cs, _ in factor_classes(f):
             q = t_domain_coinvariant_series(cs, f.degrees())
             q_norm, cs_norm = (sum(map(abs, q.coefficients)),
                                sum(map(abs, cs)))
@@ -310,10 +324,11 @@ def test_packing_bound_holds_for_every_class_row():
 
 def test_class_rows_with_wrong_degrees_raise_inexact_division():
     # every pair of same-rank types with different degrees: where the
-    # t-domain division of some row leaves a remainder, the packed sum
-    # raises InexactDivision at every shift (never ZeroDivisionError, never
-    # a value); where every row divides, the packed sum is the value at
-    # t = 2^shift of the dense one
+    # t-domain division of some row leaves a remainder, the packed sums
+    # raise InexactDivision at every shift (never ZeroDivisionError, never
+    # a value); where every row divides, the packed hom sum is the value at
+    # t = 2^shift of the dense one, and the character variety's sum needs
+    # no degrees
     types = {}
     for f in PACKED_REFEREE_FACTORS:
         kind, l, central = f.cartan_type()
@@ -321,26 +336,28 @@ def test_class_rows_with_wrong_degrees_raise_inexact_division():
             types.setdefault(f.degrees()[central:], (l, f))
     pairs = rejected = 0
     for degrees, (l, f) in types.items():
-        rows, _ = _semisimple_classes(f)
+        rows = type_rows(f)
         for wrong, (l2, _) in types.items():
             if l2 != l or wrong == degrees:
                 continue
             pairs += 1
             try:
-                qs = [t_domain_coinvariant_series(p.coefficients, wrong)
-                      for p, _ in rows]
+                qs = [t_domain_coinvariant_series(cs, wrong)
+                      for cs, _ in rows]
             except InexactDivision:
                 qs = None
             rejected += qs is None
             for r, shift in ((0, 3), (1, 20), (2, 64)):
                 if qs is None:
                     with pytest.raises(InexactDivision):
-                        _molien_sum(rows, wrong, r, shift)
-                else:
-                    dense = sum((q * p ** r * k
-                                 for q, (p, k) in zip(qs, rows)), poly([]))
-                    assert (_molien_sum(rows, wrong, r, shift)
-                            == dense(2 ** shift)), (str(f), wrong)
+                        _class_sums(rows, wrong, r, shift)
+                    continue
+                char = sum((poly(cs) ** r * k for cs, k in rows), poly([]))
+                hom = sum((q * poly(cs) ** r * k
+                           for q, (cs, k) in zip(qs, rows)), poly([]))
+                assert (_class_sums(rows, wrong, r, shift)
+                        == (char(2 ** shift), hom(2 ** shift))), (str(f),
+                                                                  wrong)
     assert (pairs, rejected) == (48, 33)
 
 
@@ -350,7 +367,7 @@ def test_exceptional_tables_without_enumeration():
     # and -1 in W makes each table closed under t -> -t
     for name in ("G2", "F4"):
         f = Factor(name)
-        table = dict(_factor_classes(f))
+        table = dict(factor_classes(f))
         assert sum(table.values()) == f.weyl_order()
         l = f.rank()
         reflection = poly([1, 1]) ** (l - 1) * poly([1, -1])
@@ -367,8 +384,9 @@ def test_molien_path_enumerates_no_weyl_group(monkeypatch, capsys):
         raise AssertionError("Weyl group enumerated")
     monkeypatch.setattr(invariants, "enumerate_weyl", refuse)
     monkeypatch.setattr(rootdata, "enumerate_weyl", refuse)
-    # a cold Molien path: no class row or block cached yet
+    # a cold Molien path: no class row, average or block cached yet
     _type_classes.cache_clear()
+    _type_averages.cache_clear()
     rootdata._factor_block.cache_clear()
     for r in (1, 2, 3):
         report = analyze(FreeAbelian(r), reductive("G2", "F4"))
@@ -378,37 +396,42 @@ def test_molien_path_enumerates_no_weyl_group(monkeypatch, capsys):
 
 
 def test_cached_molien_sums_divide_no_polynomials(monkeypatch):
-    # once the class rows are cached, a Molien sum is integer arithmetic:
-    # no polynomial division and no coinvariant series, whatever r or
-    # product the factor is in
-    targets = [rd_of(("SO", 8)), rd_of(("SO", 8), ("SO", 8)),
-               rd_of(("GL", 4), "G2", ("T", 2)), rd_of("F4", ("Sp", 6))]
-    for rd in targets:
-        poincare_hom_component(rd, 1)
-
+    # class rows are built and both Molien sums taken with integer
+    # arithmetic: no polynomial division and no coinvariant series, cold
+    # or cached, whatever r or product the factor is in
     def refuse(*args):
         raise AssertionError("polynomial division in a Molien sum")
     monkeypatch.setattr(GradedPoly, "exact_div", refuse)
     monkeypatch.setattr(invariants, "_coinvariant_series", refuse)
-    for rd in targets:
-        for r in (0, 1, 2, 3):
-            poincare_hom_component(rd, r)
-            poincare_char_variety(rd, r)
-    # cached rows are tuples of frozen polynomials and ints
+    _type_classes.cache_clear()
+    _type_averages.cache_clear()
+    targets = [rd_of(("SO", 8)), rd_of(("SO", 8), ("SO", 8)),
+               rd_of(("GL", 4), "G2", ("T", 2)), rd_of("F4", ("Sp", 6))]
+    for _ in range(2):
+        for rd in targets:
+            for r in (0, 1, 2, 3):
+                poincare_hom_component(rd, r)
+                poincare_char_variety(rd, r)
+    # cached rows are tuples of int tuples and ints, and the two-sum
+    # helper returns the two packed integers
     for f in (Factor("SO", 8), Factor("F4"), Factor("T", 2)):
-        rows, _ = _semisimple_classes(f)
+        rows = type_rows(f)
         assert type(rows) is tuple
-        for p, k in rows:
-            assert type(p) is GradedPoly and type(p.coefficients) is tuple
+        for cs, k in rows:
+            assert type(cs) is tuple and all(type(c) is int for c in cs)
             assert type(k) is int
+        sums = _class_sums(rows, f.degrees()[f.cartan_type()[2]:], 2, 40)
+        assert [type(s) for s in sums] == [int, int]
+    # cached averages are frozen polynomials
     with pytest.raises(AttributeError):
-        rows[0][0].coefficients = ()
+        _type_averages("D", 4, 1)[1].coefficients = ()
 
 
 def test_class_rows_are_built_once_per_cartan_type():
     # SL_n, GL_n and PGL_n are A_(n-1); SO_(2l+1) and Sp_2l share B_l's
     # rows; SO_2l and Spin_2l are D_l
     _type_classes.cache_clear()
+    _type_averages.cache_clear()
     for group in ([("SL", 6), ("GL", 6), ("PGL", 6)], [("SO", 9), ("Sp", 8)],
                   [("SO", 10), ("Spin", 10)]):
         before = _type_classes.cache_info().misses
@@ -417,6 +440,38 @@ def test_class_rows_are_built_once_per_cartan_type():
                 poincare_hom_component(rd_of(factor), r)
                 poincare_char_variety(rd_of(factor), r)
         assert _type_classes.cache_info().misses == before + 1, group
+
+
+def test_molien_averages_are_computed_once_per_type_and_r(monkeypatch):
+    # both polynomials of every factor of one Cartan type come from one
+    # pass over the type's rows per r and process, and a repeated factor
+    # costs nothing more: each group below costs one miss per type and r
+    _type_averages.cache_clear()
+    groups = [([("SL", 6)], [("GL", 6)], [("PGL", 6)]),
+              ([("SO", 9)], [("Sp", 8)]), ([("SO", 10)], [("Spin", 10)]),
+              ([("SL", 3), ("SL", 3), "G2"],)]
+    for specs, types in zip(groups, (1, 1, 1, 2)):
+        for r in (1, 2, 3):
+            before = _type_averages.cache_info().misses
+            for factors in specs:
+                report = analyze(FreeAbelian(r), reductive(*factors))
+                assert report.poincare_hom is not None, (factors, r)
+            assert (_type_averages.cache_info().misses
+                    == before + types), (specs, r)
+    # the integer pass holds the divmods: the first analyze of a pair at
+    # a new r makes one pass per type, a second analyze none
+    passes = []
+    class_sums = invariants._class_sums
+
+    def counted(classes, degrees, r, shift):
+        passes.append(degrees)
+        return class_sums(classes, degrees, r, shift)
+    monkeypatch.setattr(invariants, "_class_sums", counted)
+    spec = reductive(("SL", 3), ("SL", 3), "G2")
+    first = analyze(FreeAbelian(4), spec)
+    assert sorted(passes) == [(2, 3), (2, 6)]
+    assert analyze(FreeAbelian(4), spec) == first
+    assert len(passes) == 2
 
 
 # ---------------------------------------------------------------------------

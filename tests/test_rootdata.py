@@ -163,53 +163,58 @@ def test_each_factor_has_one_block_per_process():
 
 
 def test_blocks_are_built_and_checked_once_per_factor(monkeypatch):
-    calls = {"reflect": 0, "check": 0}
-    reflect, check = rootdata._reflect, Block.__post_init__
+    calls = {"mul": 0, "check": 0}
+    check = Block.__post_init__
 
-    def counted_reflect(alpha, coroot, v):
-        calls["reflect"] += 1
-        return reflect(alpha, coroot, v)
+    def counted_mul(a, b):
+        calls["mul"] += 1
+        return a * b
 
     def counted_check(self):
         calls["check"] += 1
         check(self)
-    monkeypatch.setattr(rootdata, "_reflect", counted_reflect)
+    monkeypatch.setattr(rootdata, "mul", counted_mul)
     monkeypatch.setattr(Block, "__post_init__", counted_check)
     rootdata._factor_block.cache_clear()
     spec = reductive(("SL", 3), ("SL", 3), "G2")
     blocks = set(build_root_datum(spec).blocks)
     first = dict(calls)
-    # per block, each simple reflection is applied once to each coroot
-    # (the orbit) and never in the check: SL3 takes 2 * 6 and G2 2 * 12
+    # per block, each simple root pairs with its own coroot once (the
+    # check) and with one coroot of each +- pair once (the orbit), and a
+    # pairing is rank products: the orbit makes l * |coroots| / 2
+    # reflections, 2 * 3 for SL3 and 2 * 6 for G2
     assert first["check"] == 2
-    assert first["reflect"] == sum(
-        len(b.simple_roots) * len(b.coroots) for b in blocks) == 36
+    reflections = sum(len(b.simple_roots) * len(b.coroots) // 2
+                      for b in blocks)
+    assert reflections == 18
+    assert first["mul"] == sum(
+        b.rank * len(b.simple_roots) * (1 + len(b.coroots) // 2)
+        for b in blocks) == 2 * (4 + reflections)
     build_root_datum(spec)
     build_root_datum(reductive("G2", ("SL", 3)))
     assert calls == first
 
 
-def test_sparse_reflections_match_dense_products():
-    # referee: each simple reflection s(v) = v - <alpha, v> alpha^vee
-    # equals the dense product with I - alpha^vee alpha^T on every coroot
-    # and unit vector; it moves only the coordinates where the simple
-    # coroot is not 0, one coordinate for the simply connected factors
+def test_coroot_orbits_match_the_plain_closure():
+    # referee of the orbit by +- pairs: the plain closure of the simple
+    # coroots under every simple reflection s(v) = v - <alpha, v> alpha^vee,
+    # applied as the dense product with I - alpha^vee alpha^T, is the
+    # block's coroot system for every catalog factor of rank <= 12; the
+    # simply connected factors' simple coroots are unit vectors
     for f in CATALOG:
         b = rootdata._factor_block(f)
-        units = [tuple(int(i == j) for j in range(b.rank))
-                 for i in range(b.rank)]
+        matrices = []
         for alpha, simple in zip(b.simple_roots, b.simple_coroots):
-            matrix = [[(k == j) - simple[k] * alpha[j] for j in range(b.rank)]
-                      for k in range(b.rank)]
-            support = [k for k, c in enumerate(simple) if c]
+            matrices.append([[(k == j) - simple[k] * alpha[j]
+                              for j in range(b.rank)]
+                             for k in range(b.rank)])
             if f.family in ("SL", "Sp", "Spin", "G2", "F4"):
-                assert len(support) == 1, str(f)
-            for v in b.coroots + tuple(units):
-                image = rootdata._reflect(alpha, simple, v)
-                assert image == tuple(sum(map(mul, row, v))
-                                      for row in matrix), (str(f), v)
-                assert all(image[k] == v[k] for k in range(b.rank)
-                           if k not in support), (str(f), v)
+                assert sorted(simple) == [0] * (b.rank - 1) + [1], str(f)
+        closure = rootdata._orbit(
+            b.simple_coroots, matrices,
+            lambda m, v: tuple(sum(map(mul, row, v)) for row in m))
+        assert closure == b.coroots, str(f)
+        assert len(closure) == 2 * sum(d - 1 for d in f.degrees()), str(f)
 
 
 def _assert_immutable(value):
