@@ -48,7 +48,7 @@ order can never change a result.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations
 from math import comb, factorial, prod
 
@@ -398,9 +398,7 @@ def _class_sums(classes: Classes, degrees, r: int,
     return char, hom
 
 
-# bounded: a long-lived caller that sweeps r would otherwise keep every
-# (type, r) pair, and r * l <= OUTPUT_BOUND admits hundreds of them
-@lru_cache(maxsize=256)
+@cache
 def _type_averages(kind: str | None, l: int, r: int) -> tuple[GradedPoly,
                                                                GradedPoly]:
     """The Molien averages over the Weyl group of the simple type (kind, l)
