@@ -58,6 +58,7 @@ from .record import record
 # re-exported: perfbench/spans.py traces the referees' Weyl enumeration
 # as nilrep.invariants.enumerate_weyl
 from .rootdata import RootDatum, _type_degrees, enumerate_weyl  # noqa: F401
+from .rootdata import WEYL_ORDER_BOUND
 from .snf import int_det
 
 # (coefficients of det(I + t*w), number of Weyl elements w) pairs
@@ -406,9 +407,13 @@ def _type_averages(kind: str | None, l: int, r: int) -> tuple[GradedPoly,
     coinvariant trace: the character variety's and the hom component's
     polynomial of the type, once per (type, r) and process.  Both sums
     are packed above the bound |W| * 2^(l*r) on their coefficients
-    (module docstring) and divided by |W| once."""
+    (module docstring) and divided by |W| once.  Raises TooLarge past
+    WEYL_ORDER_BOUND, before any class row is built."""
     degrees = _type_degrees(kind, l)
     order = prod(degrees)
+    if order > WEYL_ORDER_BOUND:
+        raise TooLarge("Weyl group order %d exceeds the supported bound"
+                       % order)
     shift = (order << (l * r)).bit_length() + 1
     char, hom = _class_sums(_type_classes(kind, l), degrees, r, shift)
     return (_unpack(char, shift).divide_int(order),

@@ -38,12 +38,11 @@ from .snf import cokernel_invariants, identity_matrix, mat_mul
 # re-exported: perfbench/spans.py traces nilrep.rootdata.integer_rank
 from .snf import integer_rank  # noqa: F401
 
-# per factor, not per product: a factor's Molien class list grows with
-# the partition numbers (SL30: 5,604 rows); RANK_BOUND alone admits SL65
+# per factor, and only where the cost grows with W: the Molien sums (the
+# class list grows with the partition numbers, SL30: 5,604 rows) and the
+# referees' enumerate_weyl
 WEYL_ORDER_BOUND = 10**6
-# checked before any degree or lattice is built: a torus passes the Weyl
-# bound at any size, and a huge written subscript would build its degree
-# list first
+# the only bound on a ReductiveSpec, checked before anything is built
 RANK_BOUND = 64
 
 Vector = tuple[int, ...]
@@ -133,10 +132,6 @@ class ReductiveSpec:
         if rank > RANK_BOUND:
             raise TooLarge("total rank %d exceeds the supported bound %d"
                            % (rank, RANK_BOUND))
-        for f in self.factors:
-            if f.weyl_order() > WEYL_ORDER_BOUND:
-                raise TooLarge("Weyl group order %d exceeds the supported "
-                               "bound" % f.weyl_order())
 
     def __str__(self):
         return " x ".join(str(f) for f in self.factors)
@@ -323,8 +318,7 @@ class RootDatum:
 @cache
 def _factor_block(f: Factor) -> Block:
     """The factor's block in its own lattice model, built and checked once
-    per process; the catalog bounds (RANK_BOUND, WEYL_ORDER_BOUND) bound
-    the number of blocks.
+    per process; RANK_BOUND bounds the number of blocks and their size.
 
     The block stores each simple root alpha (a functional) with its coroot
     alpha^vee, the pair of s(v) = v - <alpha, v> alpha^vee.  The simply

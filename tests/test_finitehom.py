@@ -17,8 +17,7 @@ from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,
                            free_nilpotent_class2_presentation, gen,
                            merge_presentations, power)
 from nilrep.parsing import parse_group_spec
-from nilrep.rootdata import (WEYL_ORDER_BOUND, Factor, ReductiveSpec,
-                             reductive)
+from nilrep.rootdata import Factor, ReductiveSpec, reductive
 
 
 Q8 = q8()
@@ -585,14 +584,13 @@ def test_abelian_classical_verdicts():
 
 
 def test_abelian_verdicts_are_total():
-    # Z^r into a catalog factor of rank <= 8 (within the Weyl order bound)
-    # or a product of two such factors is always decided
+    # Z^r into a catalog factor of rank <= 8 or a product of two such
+    # factors is always decided
     factors = [Factor(fam, n) for fam, sizes in (
         ("SL", range(2, 10)), ("GL", range(1, 9)), ("PGL", range(2, 10)),
         ("Sp", range(2, 17, 2)), ("SO", range(3, 18)),
         ("Spin", range(3, 18)), ("T", range(1, 9))) for n in sizes]
-    factors = [f for f in factors + [Factor("G2"), Factor("F4")]
-               if f.weyl_order() <= WEYL_ORDER_BOUND]
+    factors += [Factor("G2"), Factor("F4")]
     specs = [ReductiveSpec((f,)) for f in factors] + list(
         map(ReductiveSpec, combinations_with_replacement(factors, 2)))
     for r in range(5):

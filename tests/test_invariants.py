@@ -247,7 +247,8 @@ def dense_molien_product(rd, r, hom):
     return out
 
 
-# every catalog factor of rank <= 8 inside rootdata.WEYL_ORDER_BOUND
+# every catalog factor of rank <= 8 whose Poincare polynomials are
+# computed (|W| <= rootdata.WEYL_ORDER_BOUND)
 PACKED_REFEREE_FACTORS = (
     [Factor("SL", n) for n in range(2, 10)]
     + [Factor("GL", n) for n in range(1, 9)]

@@ -360,14 +360,24 @@ def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "analyze", "--group", "H3",
                            "--target", "E8")
     assert code == 2
-    code, _, err = run_cli(capsys, "analyze", "--group", "H3",
-                           "--target", "SL12")
+    # past the Weyl order bound only the Poincare polynomials are refused
+    code, out, _ = run_cli(capsys, "analyze", "--group", "H3",
+                           "--target", "SL12", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["poincare_hom"] is report["poincare_char"] is None
+    assert report["caveats"][-1] == ("Poincare polynomials omitted: Weyl "
+                                     "group order 479001600 exceeds the "
+                                     "supported bound.")
+    code, out, _ = run_cli(capsys, "poincare", "--group", "H3",
+                           "--target", "SL12", "--json")
     assert code == 3
+    assert json.loads(out)["error"]["type"] == "TooLarge"
     code, _, err = run_cli(capsys, "analyze", "--group", "H3",
                            "--target", "Sp5")
     assert code == 3
     # the total rank is bounded before any degree or lattice is built
-    for target in ("SL12", "SL100000000", "T100000"):
+    for target in ("SL100000000", "T100000"):
         code, out, _ = run_cli(capsys, "analyze", "--group", "Z",
                                "--target", target, "--json")
         assert code == 3

@@ -7,7 +7,9 @@ import pytest
 from nilrep import record, rootdata
 from nilrep.errors import NilrepError, TooLarge, UnsupportedType
 from nilrep.finitehom import _dual_labels_one
-from nilrep.groups import AbelianInvariants
+from nilrep.groups import AbelianInvariants, FreeAbelian
+from nilrep.invariants import poincare_char_variety, poincare_hom_component
+from nilrep.report import analyze
 from nilrep.rootdata import (Block, Factor, ReductiveSpec, RootDatum,
                              build_root_datum, enumerate_weyl, pi1_G,
                              pi1_G_ab, reductive)
@@ -41,11 +43,6 @@ CATALOG = ([Factor("SL", n) for n in range(2, 14)]
            + [Factor("T", n) for n in range(1, 13)])
 
 
-def single_factor_datum(f):
-    """The datum of one factor, without the ReductiveSpec bounds."""
-    return RootDatum((f,), (rootdata._factor_block(f),))
-
-
 def dense_coroots(rd):
     """Every block's coroots, padded with zeros into the full rank."""
     out, offset = [], 0
@@ -68,13 +65,15 @@ def test_factor_validation():
 
 
 def test_weyl_order_bound_enforced():
-    # the bound applies to each factor: one refused factor refuses the
-    # product, and a product of admitted factors is admitted whatever its
-    # total Weyl order
-    with pytest.raises(TooLarge):
-        ReductiveSpec((Factor("SL", 12),))
-    with pytest.raises(TooLarge, match="479001600"):
-        reductive(("SL", 2), ("SL", 12), ("T", 1))
+    # the catalog bounds only the rank; the bound on each factor's Weyl
+    # order is paid by the Molien sums, so one factor past it refuses the
+    # product's Poincare polynomials and nothing else
+    for spec in (ReductiveSpec((Factor("SL", 12),)),
+                 reductive(("SL", 2), ("SL", 12), ("T", 1))):
+        rd = build_root_datum(spec)
+        for poincare in (poincare_char_variety, poincare_hom_component):
+            with pytest.raises(TooLarge, match="479001600"):
+                poincare(rd, 1)
     assert build_root_datum(reductive(("SL", 9), ("SL", 9))).weyl_order() \
         == 362880 ** 2
 
@@ -280,7 +279,32 @@ def classical_pi1(f):
 
 def test_pi1_classical_values():
     for f in CATALOG:
-        assert pi1_G(single_factor_datum(f)) == classical_pi1(f), str(f)
+        rd = build_root_datum(ReductiveSpec((f,)))
+        assert pi1_G(rd) == classical_pi1(f), str(f)
+
+
+def test_factors_past_the_weyl_order_bound():
+    # the catalog admits them: pi_1 and the Z^3 verdict need no Molien
+    # sum, and analyze omits the polynomials with a caveat; Spin129 is at
+    # RANK_BOUND
+    expected = {
+        ("SL", 12): "commuting_tuples_diagonalizable",
+        ("PGL", 12): "not_simply_connected",
+        ("Sp", 16): "commuting_tuples_diagonalizable",
+        ("SO", 16): "not_simply_connected",
+        ("Spin", 16): "nontoral_commuting_triples",
+        ("Spin", 129): "nontoral_commuting_triples",
+    }
+    for (fam, n), reason_code in expected.items():
+        f = Factor(fam, n)
+        assert f.weyl_order() > rootdata.WEYL_ORDER_BOUND
+        report = analyze(FreeAbelian(3), ReductiveSpec((f,)))
+        assert report.pi1_hom == classical_pi1(f).self_power(3), str(f)
+        assert report.verdict.reason_code == reason_code, str(f)
+        assert report.poincare_hom is report.poincare_char is None
+        assert report.caveats[-1] == (
+            "Poincare polynomials omitted: Weyl group order %d exceeds the "
+            "supported bound." % f.weyl_order())
 
 
 def uncached_dense_coroots(spec):
@@ -343,7 +367,7 @@ def test_coroot_counts():
     # the number of roots is 2 * sum(d - 1) over the degrees of the
     # semisimple part; a central degree 1 adds none
     for f in CATALOG:
-        rd = single_factor_datum(f)
+        rd = build_root_datum(ReductiveSpec((f,)))
         count = 2 * sum(d - 1 for d in f.degrees())
         assert len(rd.blocks[0].coroots) == count, str(f)
         assert rd.positive_coroot_count() * 2 == count, str(f)
