@@ -39,8 +39,8 @@ print("relevant group is pi_1 of the central torus G/[G,G], of rank %d for GL3."
       % pi1_G_ab(build_root_datum(parse_reductive_spec("GL3"))))
 
 print()
-print("pi_1 needs no Weyl group: past |W| = 10^6, where the Poincare")
-print("polynomials are refused, it is still one cokernel per factor.")
+print("pi_1 needs no Weyl group: past |W| = 10^6, where W is no longer")
+print("enumerated, it is still one cokernel per factor.")
 for text in ["PGL12", "SO16", "Spin16"]:
     rd = build_root_datum(parse_reductive_spec(text))
     print("  %-7s |W| = %-10d pi_1 = %s" % (text, rd.weyl_order(), pi1_G(rd)))

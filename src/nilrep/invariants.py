@@ -12,32 +12,51 @@ Molien averages giving the invariant dimensions degree by degree run
 over the classes of Weyl elements with equal det(I + t*w), weighted by
 class size.  A product's Weyl group is the product of its factors',
 acting block-diagonally, so (Kuenneth) both Poincare polynomials of a
-product are the products of its factors' polynomials, each averaged
-over the factor's own classes.  Those classes need no enumeration of W
-and the averages depend on the factor only through its Cartan type: for
-types A-D the classes are (signed) cycle types with closed-form sizes
-and characteristic polynomials (Carter, "Conjugacy classes in the Weyl
-group", 1972), for G2 and F4 they are literal tables, and W fixes a
-central torus, so it multiplies every class, and each average, by
-(1 + t) per dimension.  The rows are built once per type and process,
-B with C and SL_n, GL_n, PGL_n as A_(n-1), and both averages once per
-(type, r) and process, so a repeated factor or a second call costs a
-cache lookup and one product.
+product are the products of its factors' polynomials.  Those depend on
+the factor only through its Cartan type: W fixes a central torus, so it
+multiplies every det(I + t*w), and each average, by (1 + t) per
+dimension.  Both averages are computed once per (type, r) and process,
+B with C and SL_n, GL_n, PGL_n as A_(n-1), so a repeated factor or a
+second call costs a cache lookup and one product.
 
-A type's two Molien sums, over the classes of k * q * det(I + t*w)^r
-with k the class size and q its coinvariant trace (1 for the character
-variety), are taken in one pass over the integers at t = T = 2^shift:
-evaluation is a ring map Z[t] -> Z, so q(T) is the exact integer
-quotient prod_i (1 - T^(2*d_i)) / det(I - T^2 * w), and each class costs
-one division, one power and two products.  The packing bound needs no
-quotient: the coinvariant algebra is the regular representation of W
-(Chevalley, Amer. J. Math. 1955), so the W-invariants of its tensor
+A type's two Molien sums, of det(I + t*w)^r and of q * det(I + t*w)^r
+with q the coinvariant trace, are taken over the integers at t = T =
+2^shift: evaluation is a ring map Z[t] -> Z.  The packing bound needs
+no quotient: the coinvariant algebra is the regular representation of
+W (Chevalley, Amer. J. Math. 1955), so the W-invariants of its tensor
 product with H^*(T^r) have the dimension of H^*(T^r), 2^(l*r) for
 semisimple rank l.  The sum over W has coefficients
 |W| * (invariant dimension), each in [0, |W| * 2^(l*r)], and that bound
 holds for the character variety, whose invariants lie in H^*(T^r), too.
 With 2^(shift-1) above it the balanced base-2^shift digits of the
 integer sum are its coefficients, divided by |W| once.
+
+Types A-D list no classes.  S_n = W(A_(n-1)) permutes Z^n, and
+W(B_n) = W(C_n) and W(D_n) act on it by signed permutations; a positive
+m-cycle puts 1 - (-t)^m into det(I + t*w) and 1 - u^m into
+det(I - u*w), u = t^2, and a negative one 1 + (-t)^m and 1 + u^m.  So
+both sums are cycle-index sums (Polya; Stanley, "Enumerative
+Combinatorics" 2, sec. 5.1): the sum E_n over S_n of a product over the
+cycles of f(length) satisfies
+
+    E_n = sum_(k<=n) (n-1)!/(n-k)! * f(k) * E_(n-k),
+
+and over signed permutations the same holds with 2^(k-1) more and f(k)
+the sum of a positive and a negative k-cycle's factors.  For the hom sum
+a k-cycle's factor is divided by its 1 -+ u^k.  Over the common
+denominator 1 - y^k, y = u for S_n and u^2 for signed permutations,
+a positive signed cycle's numerator gains 1 + u^k and a negative one's
+1 - u^k.  Times the coinvariant numerator prod_(d<=n) (1 - y^d), step
+(n, k) then carries prod_(n-k<d<=n) (1 - y^d) / (1 - y^k), a
+polynomial: the k consecutive d hold one multiple jk of k, and
+(1 - y^(jk)) / (1 - y^k) is a geometric sum.  Every factor is then
+sparse, 1 +- 2^b, and each step a shift and an add.  A_(n-1)'s sums are
+U(n)'s over (1 + T)^r, the factor of the trivial summand of Z^n in
+every det(I + T*w).  D_n's are the half-sums of B_n's and of B_n's
+twisted by (-1)^(negative cycles), the hom sum over 1 + T^(2n), which
+is B_n's coinvariant numerator over D_n's.  Every division is exact and
+checked.  G2 and F4 read literal class tables, one exact division per
+row.
 
 No Molien sum enumerates a Weyl group; only the referees do (the
 projector oracle at the end, given rootdata.enumerate_weyl, and the
@@ -47,10 +66,9 @@ order can never change a result.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, prod
 
 from .errors import InexactDivision, NilrepError, TooLarge
 from .groups import OUTPUT_BOUND
@@ -58,7 +76,6 @@ from .record import record
 # re-exported: perfbench/spans.py traces the referees' Weyl enumeration
 # as nilrep.invariants.enumerate_weyl
 from .rootdata import RootDatum, _type_degrees, enumerate_weyl  # noqa: F401
-from .rootdata import WEYL_ORDER_BOUND
 from .snf import int_det
 
 # (coefficients of det(I + t*w), number of Weyl elements w) pairs
@@ -258,35 +275,7 @@ def _coinvariant_series(cs, num: GradedPoly) -> GradedPoly:
 
 
 # ---------------------------------------------------------------------------
-# classes of det(I + t*w), Cartan type by Cartan type
-
-
-def _partitions(n: int, largest: int | None = None):
-    """Partitions of n as non-increasing tuples."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _centralizer_order(parts, base: int = 1) -> int:
-    """prod_m (base*m)^(a_m) * a_m!, with a_m parts equal to m: z_lambda
-    for base 1, and the signed-cycle factor of type B/C for base 2."""
-    return prod((base * m) ** a * factorial(a)
-                for m, a in Counter(parts).items())
-
-
-def _times_cycles(cs: list[int], cycles) -> tuple[int, ...]:
-    """cs times det(I + t*w) for disjoint signed cycles, given as (length
-    m, sign of the cycle) pairs: prod (1 - sign * (-t)^m), one sparse
-    factor at a time, in place in a list long enough for the product."""
-    for m, sign in cycles:
-        c = -sign * (-1) ** m
-        for i in range(len(cs) - 1 - m, -1, -1):
-            cs[i + m] += c * cs[i]
-    return tuple(cs)
+# Molien sums per Cartan type, multiplied across the factors
 
 
 # det(I + t*w) over the Weyl groups of G2 (dihedral of order 12) and F4
@@ -314,49 +303,10 @@ _EXCEPTIONAL_CLASSES: dict[str, Classes] = {
     ),
 }
 
-
-@cache
-def _type_classes(kind: str | None, l: int) -> Classes:
-    """(coefficients of det(I + t*w), multiplicity) over the Weyl group of
-    the simple type (kind, l), or of the trivial group without a kind, in
-    no particular order.
-
-    Type A_l: one class per partition lambda of l + 1, of size
-    (l + 1)!/z_lambda; the reflection lattice drops one trivial summand
-    (1 + t) from the permutation lattice of S_(l+1), which turns the first
-    cycle's 1 - (-t)^m into sum_(j<m) (-t)^j.  Types B/C/D act on Z^l by
-    signed permutations: one class per pair (alpha, beta) of partitions of
-    the positive and negative cycle lengths, |alpha| + |beta| = l, of size
-    2^l l!/(z_alpha z_beta); type D keeps the pairs with an even number of
-    negative cycles.  G2 and F4 read _EXCEPTIONAL_CLASSES.
-    """
-    if kind is None:
-        return (((1,), 1),)
-    if kind in _EXCEPTIONAL_CLASSES:
-        return _EXCEPTIONAL_CLASSES[kind]
-    classes = Counter()
-    if kind == "A":
-        for lam in _partitions(l + 1):
-            first = [(-1) ** j for j in range(lam[0])] + [0] * (l + 1 - lam[0])
-            cs = _times_cycles(first, [(m, 1) for m in lam[1:]])
-            classes[cs] += factorial(l + 1) // _centralizer_order(lam)
-    else:
-        for a in range(l + 1):
-            for alpha in _partitions(a):
-                for beta in _partitions(l - a):
-                    if kind == "D" and len(beta) % 2:
-                        continue
-                    cs = _times_cycles([1] + [0] * l,
-                                       [(m, 1) for m in alpha]
-                                       + [(m, -1) for m in beta])
-                    classes[cs] += (2 ** l * factorial(l)
-                                    // (_centralizer_order(alpha, 2)
-                                        * _centralizer_order(beta, 2)))
-    return tuple(classes.items())
-
-
-# ---------------------------------------------------------------------------
-# Molien averages per Cartan type, multiplied across the factors
+# the bound on _type_shift's work estimate: the slowest sums it admits
+# take about 2 s, and it is 11 times the largest estimate with
+# |W| <= 10^6 and r * rank <= OUTPUT_BOUND (D7 at r = 73)
+MOLIEN_WORK_BOUND = 3 * 10**11
 
 
 def _unpack(value: int, shift: int) -> GradedPoly:
@@ -372,6 +322,13 @@ def _unpack(value: int, shift: int) -> GradedPoly:
         digits.append(digit)
         value = (value - digit) >> shift
     return poly(digits)
+
+
+def _exact(value: int, divisor: int) -> int:
+    q, rem = divmod(value, divisor)
+    if rem:
+        raise InexactDivision("Molien sum left a remainder")
+    return q
 
 
 def _class_sums(classes: Classes, degrees, r: int,
@@ -390,34 +347,131 @@ def _class_sums(classes: Classes, degrees, r: int,
         for c in reversed(cs):
             at_t = at_t * t + c
             at_u = at_u * u + c
-        q, rem = divmod(num, at_u)
-        if rem:
-            raise InexactDivision("coinvariant trace left a remainder")
         term = k * at_t ** r
         char += term
-        hom += q * term
+        hom += _exact(num, at_u) * term
     return char, hom
 
 
+def _cycle_sums(n: int, r: int, shift: int,
+                twists: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The values at t = T = 2^shift of sum_w p^r and sum_w q * p^r, p =
+    det(I + t*w) and q the coinvariant trace, over S_n permuting Z^n (no
+    twists), or over the signed permutations of Z^n with w weighted by
+    twist^(number of negative cycles), one (char, hom) pair per twist.
+    Both come from the cycle-index recurrence of the module docstring,
+    in one loop for all twists; every factor is sparse, 1 +- 2^b, so
+    each step is a shift and an add."""
+    signed = bool(twists)
+    # the coinvariant numerator's variable y, T^2 or T^4 for signed
+    # permutations, in bits
+    w = (4 if signed else 2) * shift
+    seqs = [([1], [1]) for _ in twists or (1,)]
+    for m in range(1, n + 1):
+        for (chars, homs), twist in zip(seqs, twists or (1,)):
+            char = hom = 0
+            coef = 1
+            for k in range(1, m + 1):
+                # a k-cycle puts 1 - (-T)^k into p, a negative one
+                # 1 + (-T)^k; their y-parts are 1 + T^(2k) and 1 - T^(2k)
+                b = k * shift
+                c, h = _powers(chars[m - k], homs[m - k], b, r, k % 2)
+                if signed:
+                    c_neg, h_neg = _powers(chars[m - k], homs[m - k], b, r,
+                                           not k % 2)
+                    h += h << 2 * b
+                    h_neg -= h_neg << 2 * b
+                    if twist > 0:
+                        c, h = c + c_neg, h + h_neg
+                    else:
+                        c, h = c - c_neg, h - h_neg
+                # h * prod_(m-k < d <= m) (1 - y^d) / (1 - y^k): the k
+                # consecutive d hold one multiple jk of k, whose factor
+                # over 1 - y^k is the sum of y^(ik), i < jk/k
+                jk = m - m % k
+                for d in range(m - k + 1, m + 1):
+                    if d != jk:
+                        h -= h << w * d
+                g = h
+                for _ in range(jk // k - 1):
+                    g = h + (g << w * k)
+                char += coef * c
+                hom += coef * g
+                coef *= (m - k) << signed
+            chars.append(char)
+            homs.append(hom)
+    return [(chars[n], homs[n]) for chars, homs in seqs]
+
+
+def _powers(c: int, h: int, b: int, r: int, plus: bool) -> tuple[int, int]:
+    """c and h times (1 + 2^b)^r if plus, else times (1 - 2^b)^r."""
+    if plus:
+        for _ in range(r):
+            c += c << b
+            h += h << b
+    else:
+        for _ in range(r):
+            c -= c << b
+            h -= h << b
+    return c, h
+
+
 @cache
-def _type_averages(kind: str | None, l: int, r: int) -> tuple[GradedPoly,
-                                                               GradedPoly]:
+def _type_shift(kind: str, l: int, r: int) -> int:
+    """The packing shift of the simple type (kind, l) at r (module
+    docstring).  Raises TooLarge when the sums would pass
+    MOLIEN_WORK_BOUND."""
+    degrees = _type_degrees(kind, l)
+    shift = (prod(degrees) << (l * r)).bit_length() + 1
+    # the recurrence over n letters makes about n^2 / 2 steps (m, k), each
+    # about k shifts and adds for the window and 2r to 4r for the powers,
+    # on integers of up to shift * degree bits; D runs two twists.  The
+    # weight 12 on r is fitted to timings, and G2 and F4, whose tables
+    # are cheaper, are bounded alike.
+    n = l + (kind == "A")
+    degree = 2 * sum(d - 1 for d in degrees) + l * r
+    work = (1 + (kind == "D")) * n * n * (n + 12 * r) * shift * degree
+    if work > MOLIEN_WORK_BOUND:
+        raise TooLarge("Molien sums of the Weyl group of type %s%d at "
+                       "r = %d exceed the supported work bound"
+                       % (kind, l, r))
+    return shift
+
+
+def _type_sums(kind: str, l: int, r: int, shift: int) -> tuple[int, int]:
+    """The values at t = T = 2^shift of the sums over the Weyl group of
+    the simple type (kind, l), B for C, of det(I + t*w)^r and of
+    q * det(I + t*w)^r, q the coinvariant trace: by the cycle-index
+    recurrence for types A-D, by the class tables for G2 and F4 (module
+    docstring)."""
+    t = 1 << shift
+    if kind in _EXCEPTIONAL_CLASSES:
+        return _class_sums(_EXCEPTIONAL_CLASSES[kind], _type_degrees(kind, l),
+                           r, shift)
+    if kind == "A":
+        (char, hom), = _cycle_sums(l + 1, r, shift, ())
+        return _exact(char, (1 + t) ** r), _exact(hom, (1 + t) ** r)
+    if kind in ("B", "C"):
+        return _cycle_sums(l, r, shift, (1,))[0]
+    (char, hom), (char_tw, hom_tw) = _cycle_sums(l, r, shift, (1, -1))
+    return (_exact(char + char_tw, 2),
+            _exact(hom + hom_tw, 2 * (1 + t ** (2 * l))))
+
+
+@cache
+def _type_averages(kind: str, l: int, r: int) -> tuple[GradedPoly,
+                                                       GradedPoly]:
     """The Molien averages over the Weyl group of the simple type (kind, l)
     (B for C) of det(I + t*w)^r and of q * det(I + t*w)^r, q the
     coinvariant trace: the character variety's and the hom component's
     polynomial of the type, once per (type, r) and process.  Both sums
     are packed above the bound |W| * 2^(l*r) on their coefficients
     (module docstring) and divided by |W| once.  Raises TooLarge past
-    WEYL_ORDER_BOUND, before any class row is built."""
-    degrees = _type_degrees(kind, l)
-    order = prod(degrees)
-    if order > WEYL_ORDER_BOUND:
-        raise TooLarge("Weyl group order %d exceeds the supported bound"
-                       % order)
-    shift = (order << (l * r)).bit_length() + 1
-    char, hom = _class_sums(_type_classes(kind, l), degrees, r, shift)
-    return (_unpack(char, shift).divide_int(order),
-            _unpack(hom, shift).divide_int(order))
+    MOLIEN_WORK_BOUND, before any sum is taken."""
+    shift = _type_shift(kind, l, r)
+    order = prod(_type_degrees(kind, l))
+    return tuple(_unpack(s, shift).divide_int(order)
+                 for s in _type_sums(kind, l, r, shift))
 
 
 def _molien_product(rd: RootDatum, r: int, hom: bool) -> GradedPoly:
@@ -425,14 +479,22 @@ def _molien_product(rd: RootDatum, r: int, hom: bool) -> GradedPoly:
     q * det(I + t*w)^r, q the coinvariant trace if hom and 1 otherwise: W
     acts block-diagonally, so the average over W is the product of these.
     W fixes the central tori, so each of their dimensions multiplies
-    every class, and the product, by (1 + t)^r."""
+    every class, and the product, by (1 + t)^r.  Every factor is checked
+    against MOLIEN_WORK_BOUND before the first sum is taken."""
     if r < 0:
         raise ValueError("r must be non-negative")
     types = [f.cartan_type() for f in rd.factors]
-    n = r * sum(central for _, _, central in types)
-    out = poly([comb(n, k) for k in range(n + 1)])
     for kind, l, _ in types:
-        out = out * _type_averages("B" if kind == "C" else kind, l, r)[hom]
+        if kind is not None:
+            _type_shift(kind, l, r)
+    polys = [_type_averages("B" if kind == "C" else kind, l, r)[hom]
+             for kind, l, _ in types if kind is not None]
+    n = r * sum(central for _, _, central in types)
+    if n or not polys:
+        polys.append(poly([comb(n, k) for k in range(n + 1)]))
+    out = polys[0]
+    for p in polys[1:]:
+        out = out * p
     return _finalize(out)
 
 

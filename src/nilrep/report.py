@@ -91,8 +91,9 @@ class AnalysisReport:
 def analyze(g: GroupSpec, spec: ReductiveSpec) -> AnalysisReport:
     """Full report for one pair; Poincare polynomials are skipped (with a
     stated caveat) when r * rank exceeds invariants.OUTPUT_BOUND or a
-    factor's |W| exceeds rootdata.WEYL_ORDER_BOUND; H_1, pi_1 and the
-    verdict are given for every target that ReductiveSpec admits."""
+    factor's Molien sums exceed invariants.MOLIEN_WORK_BOUND; H_1, pi_1
+    and the verdict are given for every target that ReductiveSpec
+    admits."""
     ab = abelianize(g)
     r = ab.rank
     rd = build_root_datum(spec)

@@ -38,9 +38,7 @@ from .snf import cokernel_invariants, identity_matrix, mat_mul
 # re-exported: perfbench/spans.py traces nilrep.rootdata.integer_rank
 from .snf import integer_rank  # noqa: F401
 
-# per factor, and only where the cost grows with W: the Molien sums (the
-# class list grows with the partition numbers, SL30: 5,604 rows) and the
-# referees' enumerate_weyl
+# the referees' enumerate_weyl, the only code whose cost grows with |W|
 WEYL_ORDER_BOUND = 10**6
 # the only bound on a ReductiveSpec, checked before anything is built
 RANK_BOUND = 64

@@ -2,7 +2,9 @@
 
 import random
 from collections import Counter
+from functools import cache
 from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -10,10 +12,10 @@ from nilrep import invariants, rootdata
 from nilrep.cli import main
 from nilrep.errors import InexactDivision, NilrepError, TooLarge
 from nilrep.groups import FreeAbelian
-from nilrep.invariants import (GradedPoly, _class_sums,
+from nilrep.invariants import (_EXCEPTIONAL_CLASSES, GradedPoly, _class_sums,
                                _coinvariant_numerator, _coinvariant_series,
-                               _finalize, _type_averages, _type_classes,
-                               char_coefficients, coinvariant_char,
+                               _finalize, _type_averages, _type_shift,
+                               _type_sums, char_coefficients, coinvariant_char,
                                exterior_char, exterior_invariant_dims_oracle,
                                poincare_char_variety, poincare_hom_component,
                                poly)
@@ -28,10 +30,84 @@ def rd_of(*factors):
     return build_root_datum(reductive(*factors))
 
 
+# ---------------------------------------------------------------------------
+# the class-row referee: (signed) cycle types with closed-form sizes and
+# characteristic polynomials (Carter, "Conjugacy classes in the Weyl
+# group", 1972)
+
+
+def _partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _centralizer_order(parts, base=1):
+    """prod_m (base*m)^(a_m) * a_m!, with a_m parts equal to m: z_lambda
+    for base 1, and the signed-cycle factor of type B/C for base 2."""
+    return prod((base * m) ** a * factorial(a)
+                for m, a in Counter(parts).items())
+
+
+def _times_cycles(cs, cycles):
+    """cs times det(I + t*w) for disjoint signed cycles, given as (length
+    m, sign of the cycle) pairs: prod (1 - sign * (-t)^m), one sparse
+    factor at a time, in place in a list long enough for the product."""
+    for m, sign in cycles:
+        c = -sign * (-1) ** m
+        for i in range(len(cs) - 1 - m, -1, -1):
+            cs[i + m] += c * cs[i]
+    return tuple(cs)
+
+
+@cache
+def type_classes(kind, l):
+    """(coefficients of det(I + t*w), multiplicity) over the Weyl group of
+    the simple type (kind, l), B for C, in no particular order.
+
+    Type A_l: one class per partition lambda of l + 1, of size
+    (l + 1)!/z_lambda; the reflection lattice drops one trivial summand
+    (1 + t) from the permutation lattice of S_(l+1), which turns the first
+    cycle's 1 - (-t)^m into sum_(j<m) (-t)^j.  Types B/C/D act on Z^l by
+    signed permutations: one class per pair (alpha, beta) of partitions of
+    the positive and negative cycle lengths, |alpha| + |beta| = l, of size
+    2^l l!/(z_alpha z_beta); type D keeps the pairs with an even number of
+    negative cycles.  G2 and F4 read the package's literal tables.
+    """
+    if kind in _EXCEPTIONAL_CLASSES:
+        return _EXCEPTIONAL_CLASSES[kind]
+    classes = Counter()
+    if kind == "A":
+        for lam in _partitions(l + 1):
+            first = [(-1) ** j for j in range(lam[0])] + [0] * (l + 1 - lam[0])
+            cs = _times_cycles(first, [(m, 1) for m in lam[1:]])
+            classes[cs] += factorial(l + 1) // _centralizer_order(lam)
+    else:
+        for a in range(l + 1):
+            for alpha in _partitions(a):
+                for beta in _partitions(l - a):
+                    if kind == "D" and len(beta) % 2:
+                        continue
+                    cs = _times_cycles([1] + [0] * l,
+                                       [(m, 1) for m in alpha]
+                                       + [(m, -1) for m in beta])
+                    classes[cs] += (2 ** l * factorial(l)
+                                    // (_centralizer_order(alpha, 2)
+                                        * _centralizer_order(beta, 2)))
+    return tuple(classes.items())
+
+
 def type_rows(f):
-    """The class rows of f's Cartan type (B and C share theirs)."""
+    """The class rows of f's Cartan type (B and C share theirs); a torus
+    has the trivial group's one row."""
     kind, l, _ = f.cartan_type()
-    return _type_classes("B" if kind == "C" else kind, l)
+    if kind is None:
+        return (((1,), 1),)
+    return type_classes("B" if kind == "C" else kind, l)
 
 
 def factor_classes(f):
@@ -215,17 +291,35 @@ def test_molien_sum_is_order_independent():
         assert len(factor_classes(Factor("SL", n))) == partitions
 
 
+def catalog_factors(max_rank):
+    """Every catalog factor of rank at most max_rank."""
+    out = [Factor(name) for name in ("G2", "F4")]
+    for family, low in (("SL", 2), ("GL", 1), ("PGL", 2), ("SO", 3),
+                        ("Spin", 3), ("T", 1)):
+        n = low
+        while Factor(family, n).rank() <= max_rank:
+            out.append(Factor(family, n))
+            n += 1
+    out += [Factor("Sp", n) for n in range(2, 2 * max_rank + 1, 2)]
+    return out
+
+
 def test_class_sums_beyond_enumeration_range():
     # Hom(Z, G)_1 = G: its Poincare polynomial is prod (1 + t^(2d - 1)),
     # and the character variety G/G ~ T/W contributes only the central
-    # torus, one (1 + t) per degree-1 invariant
-    for factors in [(("SL", 9),), (("GL", 9),), (("PGL", 9),), (("Sp", 14),),
-                    (("SO", 14),), (("SO", 15),), (("Spin", 14),),
-                    (("Spin", 15),), ("F4", ("SL", 6)),
-                    (("GL", 2), ("SO", 5), ("T", 2))]:
+    # torus, one (1 + t) per degree-1 invariant; for every catalog factor
+    # up to rank 20 and some products, and the referee's class rows count
+    # W where they are few
+    catalog = catalog_factors(20)
+    # G2, F4, 20 each of SL, GL, PGL, Sp and T, 39 each of SO and Spin
+    assert len(catalog) == 2 + 5 * 20 + 2 * 39
+    for factors in [(f,) for f in catalog] + [
+            ("F4", ("SL", 6)), (("GL", 2), ("SO", 5), ("T", 2)),
+            (("SL", 3), ("SL", 4))]:
         rd = rd_of(*factors)
         for f in rd.factors:
-            assert sum(k for _, k in factor_classes(f)) == f.weyl_order()
+            if f.weyl_order() <= 10**6:
+                assert sum(k for _, k in factor_classes(f)) == f.weyl_order()
         assert poincare_hom_component(rd, 1) == hopf_product(rd.degrees), \
             factors
         assert (poincare_char_variety(rd, 1)
@@ -247,8 +341,8 @@ def dense_molien_product(rd, r, hom):
     return out
 
 
-# every catalog factor of rank <= 8 whose Poincare polynomials are
-# computed (|W| <= rootdata.WEYL_ORDER_BOUND)
+# every catalog factor of rank <= 8 with |W| <= 10^6, where the class
+# rows are few
 PACKED_REFEREE_FACTORS = (
     [Factor("SL", n) for n in range(2, 10)]
     + [Factor("GL", n) for n in range(1, 9)]
@@ -385,26 +479,24 @@ def test_molien_path_enumerates_no_weyl_group(monkeypatch, capsys):
         raise AssertionError("Weyl group enumerated")
     monkeypatch.setattr(invariants, "enumerate_weyl", refuse)
     monkeypatch.setattr(rootdata, "enumerate_weyl", refuse)
-    # a cold Molien path: no class row, average or block cached yet
-    _type_classes.cache_clear()
+    # a cold Molien path: no average or block cached yet
     _type_averages.cache_clear()
     rootdata._factor_block.cache_clear()
     for r in (1, 2, 3):
-        report = analyze(FreeAbelian(r), reductive("G2", "F4"))
+        report = analyze(FreeAbelian(r), reductive("G2", "F4", ("SO", 10)))
         assert report.poincare_hom is not None, r
     assert main(["poincare", "--group", "Z^2", "--target", "G2 x F4"]) == 0
     assert "poincare_hom" in capsys.readouterr().out
 
 
 def test_cached_molien_sums_divide_no_polynomials(monkeypatch):
-    # class rows are built and both Molien sums taken with integer
-    # arithmetic: no polynomial division and no coinvariant series, cold
-    # or cached, whatever r or product the factor is in
+    # both Molien sums are taken with integer arithmetic: no polynomial
+    # division and no coinvariant series, cold or cached, whatever r or
+    # product the factor is in
     def refuse(*args):
         raise AssertionError("polynomial division in a Molien sum")
     monkeypatch.setattr(GradedPoly, "exact_div", refuse)
     monkeypatch.setattr(invariants, "_coinvariant_series", refuse)
-    _type_classes.cache_clear()
     _type_averages.cache_clear()
     targets = [rd_of(("SO", 8)), rd_of(("SO", 8), ("SO", 8)),
                rd_of(("GL", 4), "G2", ("T", 2)), rd_of("F4", ("Sp", 6))]
@@ -413,40 +505,54 @@ def test_cached_molien_sums_divide_no_polynomials(monkeypatch):
             for r in (0, 1, 2, 3):
                 poincare_hom_component(rd, r)
                 poincare_char_variety(rd, r)
-    # cached rows are tuples of int tuples and ints, and the two-sum
-    # helper returns the two packed integers
-    for f in (Factor("SO", 8), Factor("F4"), Factor("T", 2)):
-        rows = type_rows(f)
-        assert type(rows) is tuple
-        for cs, k in rows:
-            assert type(cs) is tuple and all(type(c) is int for c in cs)
-            assert type(k) is int
-        sums = _class_sums(rows, f.degrees()[f.cartan_type()[2]:], 2, 40)
+    # the recurrence and the class tables return the two packed integers
+    for kind, l in (("A", 3), ("B", 3), ("D", 4), ("F4", 4)):
+        sums = _type_sums(kind, l, 2, 40)
         assert [type(s) for s in sums] == [int, int]
     # cached averages are frozen polynomials
     with pytest.raises(AttributeError):
         _type_averages("D", 4, 1)[1].coefficients = ()
 
 
-def test_class_rows_are_built_once_per_cartan_type():
-    # SL_n, GL_n and PGL_n are A_(n-1); SO_(2l+1) and Sp_2l share B_l's
-    # rows; SO_2l and Spin_2l are D_l
-    _type_classes.cache_clear()
+def counted_passes(monkeypatch):
+    """A list that gains the (n, r) of every cycle-index recurrence pass
+    and the degrees of every class-table pass."""
+    passes = []
+    cycle_sums, class_sums = invariants._cycle_sums, invariants._class_sums
+
+    def counted_cycles(n, r, shift, twists):
+        passes.append((n, r))
+        return cycle_sums(n, r, shift, twists)
+
+    def counted_classes(classes, degrees, r, shift):
+        passes.append(degrees)
+        return class_sums(classes, degrees, r, shift)
+    monkeypatch.setattr(invariants, "_cycle_sums", counted_cycles)
+    monkeypatch.setattr(invariants, "_class_sums", counted_classes)
+    return passes
+
+
+def test_recurrence_runs_once_per_cartan_type_and_r(monkeypatch):
+    # SL_n, GL_n and PGL_n are A_(n-1), the recurrence over n letters;
+    # SO_(2l+1) and Sp_2l share B_l's sums; SO_2l and Spin_2l are D_l,
+    # whose two twists run in one pass
+    passes = counted_passes(monkeypatch)
     _type_averages.cache_clear()
-    for group in ([("SL", 6), ("GL", 6), ("PGL", 6)], [("SO", 9), ("Sp", 8)],
-                  [("SO", 10), ("Spin", 10)]):
-        before = _type_classes.cache_info().misses
+    for group, n in (([("SL", 6), ("GL", 6), ("PGL", 6)], 6),
+                     ([("SO", 9), ("Sp", 8)], 4),
+                     ([("SO", 10), ("Spin", 10)], 5)):
+        passes.clear()
         for factor in group:
             for r in (1, 2):
                 poincare_hom_component(rd_of(factor), r)
                 poincare_char_variety(rd_of(factor), r)
-        assert _type_classes.cache_info().misses == before + 1, group
+        assert passes == [(n, 1), (n, 2)], group
 
 
 def test_molien_averages_are_computed_once_per_type_and_r(monkeypatch):
     # both polynomials of every factor of one Cartan type come from one
-    # pass over the type's rows per r and process, and a repeated factor
-    # costs nothing more: each group below costs one miss per type and r
+    # pass per r and process, and a repeated factor costs nothing more:
+    # each group below costs one miss per type and r
     _type_averages.cache_clear()
     groups = [([("SL", 6)], [("GL", 6)], [("PGL", 6)]),
               ([("SO", 9)], [("Sp", 8)]), ([("SO", 10)], [("Spin", 10)]),
@@ -459,20 +565,53 @@ def test_molien_averages_are_computed_once_per_type_and_r(monkeypatch):
                 assert report.poincare_hom is not None, (factors, r)
             assert (_type_averages.cache_info().misses
                     == before + types), (specs, r)
-    # the integer pass holds the divmods: the first analyze of a pair at
-    # a new r makes one pass per type, a second analyze none
-    passes = []
-    class_sums = invariants._class_sums
-
-    def counted(classes, degrees, r, shift):
-        passes.append(degrees)
-        return class_sums(classes, degrees, r, shift)
-    monkeypatch.setattr(invariants, "_class_sums", counted)
+    # the first analyze of a pair at a new r makes one pass per type, the
+    # recurrence for A2 and the table for G2, and a second analyze none
+    passes = counted_passes(monkeypatch)
     spec = reductive(("SL", 3), ("SL", 3), "G2")
     first = analyze(FreeAbelian(4), spec)
-    assert sorted(passes) == [(2, 3), (2, 6)]
+    assert passes == [(3, 4), (2, 6)]
     assert analyze(FreeAbelian(4), spec) == first
     assert len(passes) == 2
+
+
+def test_every_factor_is_checked_before_the_first_sum(monkeypatch):
+    # Sp14 is admitted at r = 2 and SL58 is not: in either order no sum
+    # runs, and analyze omits both polynomials, naming the refused type
+    passes = counted_passes(monkeypatch)
+    _type_averages.cache_clear()
+    _type_shift("C", 7, 2)
+    with pytest.raises(TooLarge):
+        _type_shift("A", 57, 2)
+    for factors in ((("Sp", 14), ("SL", 58)), (("SL", 58), ("Sp", 14))):
+        report = analyze(FreeAbelian(2), reductive(*factors))
+        assert report.poincare_hom is report.poincare_char is None
+        assert report.caveats[-1] == (
+            "Poincare polynomials omitted: Molien sums of the Weyl group of "
+            "type A57 at r = 2 exceed the supported work bound.")
+    assert passes == []
+    assert _type_averages.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# referees of the recurrence
+
+
+def test_recurrence_matches_class_rows():
+    # both packed integers, for A1-A12, B1-B9 and D2-D9 at r = 0..5, at
+    # the shift of _type_averages
+    cases = 0
+    for kind, ranks in (("A", range(1, 13)), ("B", range(1, 10)),
+                        ("D", range(2, 10))):
+        for l in ranks:
+            degrees = rootdata._type_degrees(kind, l)
+            for r in range(6):
+                shift = _type_shift(kind, l, r)
+                assert (_type_sums(kind, l, r, shift)
+                        == _class_sums(type_classes(kind, l), degrees, r,
+                                       shift)), (kind, l, r)
+                cases += 1
+    assert cases == 174
 
 
 # ---------------------------------------------------------------------------

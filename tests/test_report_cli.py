@@ -360,17 +360,23 @@ def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "analyze", "--group", "H3",
                            "--target", "E8")
     assert code == 2
-    # past the Weyl order bound only the Poincare polynomials are refused
-    code, out, _ = run_cli(capsys, "analyze", "--group", "H3",
+    # past |W| = 10^6 the Poincare polynomials are computed; past the
+    # Molien work bound only they are refused
+    code, out, _ = run_cli(capsys, "poincare", "--group", "H3",
                            "--target", "SL12", "--json")
+    assert code == 0
+    assert sum(json.loads(out)["poincare_hom"]) == 2 ** 22
+    code, out, _ = run_cli(capsys, "analyze", "--group", "H3",
+                           "--target", "SL64", "--json")
     assert code == 0
     report = json.loads(out)
     assert report["poincare_hom"] is report["poincare_char"] is None
-    assert report["caveats"][-1] == ("Poincare polynomials omitted: Weyl "
-                                     "group order 479001600 exceeds the "
-                                     "supported bound.")
+    assert report["caveats"][-1] == ("Poincare polynomials omitted: Molien "
+                                     "sums of the Weyl group of type A63 at "
+                                     "r = 2 exceed the supported work "
+                                     "bound.")
     code, out, _ = run_cli(capsys, "poincare", "--group", "H3",
-                           "--target", "SL12", "--json")
+                           "--target", "SL64", "--json")
     assert code == 3
     assert json.loads(out)["error"]["type"] == "TooLarge"
     code, _, err = run_cli(capsys, "analyze", "--group", "H3",

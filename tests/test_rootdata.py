@@ -65,15 +65,20 @@ def test_factor_validation():
 
 
 def test_weyl_order_bound_enforced():
-    # the catalog bounds only the rank; the bound on each factor's Weyl
-    # order is paid by the Molien sums, so one factor past it refuses the
-    # product's Poincare polynomials and nothing else
-    for spec in (ReductiveSpec((Factor("SL", 12),)),
-                 reductive(("SL", 2), ("SL", 12), ("T", 1))):
+    # only enumerate_weyl reads the Weyl order bound: the catalog bounds
+    # the rank, and the Molien sums bound their own work, so one factor
+    # past that refuses the product's Poincare polynomials and nothing
+    # else
+    rd = build_root_datum(ReductiveSpec((Factor("SL", 12),)))
+    with pytest.raises(TooLarge, match="479001600"):
+        enumerate_weyl(rd)
+    assert poincare_hom_component(rd, 1)(1) == 2 ** 11
+    for spec, kind in ((ReductiveSpec((Factor("SL", 64),)), "A63"),
+                       (reductive(("SL", 2), ("SL", 60), ("T", 1)), "A59")):
         rd = build_root_datum(spec)
         for poincare in (poincare_char_variety, poincare_hom_component):
-            with pytest.raises(TooLarge, match="479001600"):
-                poincare(rd, 1)
+            with pytest.raises(TooLarge, match="type %s at r = 2 " % kind):
+                poincare(rd, 2)
     assert build_root_datum(reductive(("SL", 9), ("SL", 9))).weyl_order() \
         == 362880 ** 2
 
@@ -284,9 +289,11 @@ def test_pi1_classical_values():
 
 
 def test_factors_past_the_weyl_order_bound():
-    # the catalog admits them: pi_1 and the Z^3 verdict need no Molien
-    # sum, and analyze omits the polynomials with a caveat; Spin129 is at
-    # RANK_BOUND
+    # the catalog admits them, and the Molien sums list no Weyl group
+    # elements: Z^3 gets pi_1, the verdict and both polynomials, and
+    # P_hom(1) = 2^(r * rank) at r = 2 and 3; Spin129, at RANK_BOUND, is
+    # past the Molien work bound, and analyze omits its polynomials with
+    # a caveat
     expected = {
         ("SL", 12): "commuting_tuples_diagonalizable",
         ("PGL", 12): "not_simply_connected",
@@ -301,10 +308,16 @@ def test_factors_past_the_weyl_order_bound():
         report = analyze(FreeAbelian(3), ReductiveSpec((f,)))
         assert report.pi1_hom == classical_pi1(f).self_power(3), str(f)
         assert report.verdict.reason_code == reason_code, str(f)
-        assert report.poincare_hom is report.poincare_char is None
-        assert report.caveats[-1] == (
-            "Poincare polynomials omitted: Weyl group order %d exceeds the "
-            "supported bound." % f.weyl_order())
+        if n == 129:
+            assert report.poincare_hom is report.poincare_char is None
+            assert report.caveats[-1] == (
+                "Poincare polynomials omitted: Molien sums of the Weyl group "
+                "of type B64 at r = 3 exceed the supported work bound.")
+        else:
+            assert report.poincare_hom(1) == 2 ** (3 * f.rank()), str(f)
+            assert report.poincare_char is not None, str(f)
+            rd = build_root_datum(ReductiveSpec((f,)))
+            assert poincare_hom_component(rd, 2)(1) == 2 ** (2 * f.rank())
 
 
 def uncached_dense_coroots(spec):
