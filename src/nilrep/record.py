@@ -1,17 +1,16 @@
 """Frozen value records: the one class decorator behind every value type.
 
 @record reads a class's fields from its annotations (a record base's
-fields first) and installs closures over them: __init__ (positional and
-keyword arguments with defaults, then __post_init__ when the class has
-one), a class-exact __eq__ and a __hash__ over the init fields' values
+fields first) and installs: an __init__ written as source for the class
+and compiled once, as dataclasses does (the init fields as parameters
+with their defaults, then __post_init__ when the class has one), a
+class-exact __eq__ and a __hash__ over the init fields' values
 (operator.attrgetter), a Name(field=value, ...) __repr__ unless the
-class writes its own, and a __setattr__ and __delattr__ that refuse.  No
-code is generated, so decorating a class costs a few dictionary
-operations.  A field whose default is DERIVED is left out of __init__;
-__post_init__ sets it with object.__setattr__, and since it is a
-function of the init fields, equality and hashing leave it out.
-cached_property works, since it writes to the instance __dict__
-directly.
+class writes its own, and a __setattr__ and __delattr__ that refuse.  A
+field whose default is DERIVED is left out of __init__; __post_init__
+sets it with object.__setattr__, and since it is a function of the init
+fields, equality and hashing leave it out.  cached_property works, since
+it writes to the instance __dict__ directly.
 
 >>> @record
 ... class Pair:
@@ -48,36 +47,7 @@ def record(cls):
             delattr(cls, name)
     names = tuple(fields)
     init = tuple(name for name in names if fields[name] is not DERIVED)
-    signature = (init, tuple(fields[name] for name in init))
-    has_post_init = hasattr(cls, "__post_init__")
-
-    # A call that passes every field of a one- or two-field record by
-    # position (GradedPoly in a Molien sum, Factor, AbelianInvariants)
-    # sets them without _assign's loop, whose overhead would cost as much
-    # again.
-    first, second, *_ = init + (None, None)
-    if len(init) == 1:
-        def __init__(self, *args, **kwargs):
-            if len(args) == 1 and not kwargs:
-                _setattr(self, first, args[0])
-            else:
-                _assign(self, signature, args, kwargs)
-            if has_post_init:
-                self.__post_init__()   # looked up per call, as patched
-    elif len(init) == 2:
-        def __init__(self, *args, **kwargs):
-            if len(args) == 2 and not kwargs:
-                _setattr(self, first, args[0])
-                _setattr(self, second, args[1])
-            else:
-                _assign(self, signature, args, kwargs)
-            if has_post_init:
-                self.__post_init__()
-    else:
-        def __init__(self, *args, **kwargs):
-            _assign(self, signature, args, kwargs)
-            if has_post_init:
-                self.__post_init__()
+    __init__ = _make_init(init, fields, hasattr(cls, "__post_init__"))
 
     get = attrgetter(*init)
     if len(init) == 1:   # attrgetter returns a lone field bare
@@ -109,25 +79,22 @@ def record(cls):
     return cls
 
 
-def _assign(self, signature, args, kwargs) -> None:
-    """Set every init field from the arguments: the positional ones
-    first, then each remaining field from its keyword or its default.
-    signature is (init fields, their defaults or _REQUIRED)."""
-    init, defaults = signature
-    if len(args) > len(init):
-        raise TypeError("%s() takes %d fields, not %d"
-                        % (type(self).__name__, len(init), len(args)))
-    for name, value in zip(init, args):
-        _setattr(self, name, value)
-    for name, default in zip(init[len(args):], defaults[len(args):]):
-        value = kwargs.pop(name, default)
-        if value is _REQUIRED:
-            raise TypeError("%s() missing field %r"
-                            % (type(self).__name__, name))
-        _setattr(self, name, value)
-    if kwargs:
-        raise TypeError("%s() got unknown or repeated fields %s"
-                        % (type(self).__name__, ", ".join(sorted(kwargs))))
+def _make_init(init, fields, post_init):
+    """The __init__ of a record with these init fields, compiled from
+    source: each field a parameter, a default bound in the def line, and
+    __post_init__ looked up per call (tests patch it)."""
+    defaults = {"_default_" + name: fields[name] for name in init
+                if fields[name] is not _REQUIRED}
+    params = [name if fields[name] is _REQUIRED else
+              "%s=_default_%s" % (name, name) for name in init]
+    body = ["_setattr(self, %r, %s)" % (name, name) for name in init]
+    if post_init:
+        body.append("self.__post_init__()")
+    source = "def __init__(%s):\n    %s\n" % (", ".join(["self"] + params),
+                                           "\n    ".join(body))
+    namespace = {"_setattr": _setattr, **defaults}
+    exec(source, namespace)
+    return namespace["__init__"]
 
 
 def _refuse(self, name, *value):

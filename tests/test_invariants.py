@@ -614,6 +614,38 @@ def test_recurrence_matches_class_rows():
     assert cases == 174
 
 
+def _stable_block(small, large, r):
+    """The length of the common leading block of the hom-component
+    polynomials of two targets at r."""
+    a = poincare_hom_component(rd_of(small), r).coefficients
+    b = poincare_hom_component(rd_of(large), r).coefficients
+    k = 0
+    while k < min(len(a), len(b)) and a[k] == b[k]:
+        k += 1
+    return k
+
+
+def test_hom_components_stabilize_with_the_rank():
+    # homological stability (Ramras and Stafa, "Homological stability
+    # for spaces of commuting elements in Lie groups"): consecutive
+    # ranks share a leading block, here pinned at its observed exact
+    # length, which was not checked against the paper's range
+    for r in (2, 3):
+        for n in range(1, 14):
+            block = 2 if (n, r) == (1, 3) else 2 * n - (r == 3)
+            assert _stable_block(("GL", n), ("GL", n + 1), r) == block, \
+                (n, r)
+        for l in range(1, 10):
+            assert _stable_block(("Sp", 2 * l), ("Sp", 2 * l + 2), r) \
+                == 2 * l + 2, (l, r)
+            assert _stable_block(("SO", 2 * l + 1), ("SO", 2 * l + 3), r) \
+                == 2 * l + 2, (l, r)
+        for l in range(2, 11):
+            block = 2 if (l, r) == (2, 3) else 2 * l - 2 - (r == 3)
+            assert _stable_block(("SO", 2 * l), ("SO", 2 * l + 2), r) \
+                == block, (l, r)
+
+
 # ---------------------------------------------------------------------------
 # the projector oracle
 

@@ -96,16 +96,19 @@ def test_pruned_cokernel_matches_sympy_on_padded_matrices(m):
 def packable_polys(draw):
     """(coefficients, shift) with every coefficient a balanced
     base-2^shift digit, the edges -2^(shift-1) and +-(2^(shift-1) - 1)
-    drawn often."""
+    drawn often; the long lists pass the 128 digits that _unpack peels
+    one at a time, so it splits them in halves."""
     shift = draw(st.integers(1, 80))
     half = 1 << (shift - 1)
     digit = st.one_of(st.sampled_from((half - 1, 1 - half, -half)),
                       st.integers(-half, half - 1))
-    return draw(st.lists(digit, max_size=12)), shift
+    size = draw(st.integers(0, 12) | st.integers(128, 400))
+    return draw(st.lists(digit, min_size=size, max_size=size)), shift
 
 
 @PROPERTY
 @given(packable_polys())
+@example(([-(1 << 79)] * 300, 80))   # every split at its carry's edge
 def test_unpack_inverts_pack(case):
     coefficients, shift = case
     p = poly(coefficients)

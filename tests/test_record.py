@@ -107,12 +107,14 @@ def test_arguments_bind_like_a_signature():
         == AbelianInvariants(1, torsion=())
     assert Verdict("a", "b", "c") == Verdict("a", "b", "c", witness=None)
     assert Word() == Word(()) == Word(letters=())
+    # a wrong call names the record
     for bad in (lambda: FreeNilpotent(2), lambda: FreeNilpotent(2, 2, 2),
                 lambda: FreeNilpotent(2, c=2, d=1),
-                lambda: FreeNilpotent(2, n=2),
-                lambda: Block(1, ((2,),), ((1,),), ((1,), (-1,)))):
-        with pytest.raises(TypeError):
+                lambda: FreeNilpotent(2, n=2)):
+        with pytest.raises(TypeError, match="FreeNilpotent"):
             bad()
+    with pytest.raises(TypeError, match="Block"):
+        Block(1, ((2,),), ((1,),), ((1,), (-1,)))
     with pytest.raises(ValueError):
         FreeNilpotent(n=0, c=1)    # checked on the keyword path too
 
