@@ -1,5 +1,6 @@
 """Finite groups, homomorphism counting, witnesses, verdicts, the bound."""
 
+import random
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -191,6 +192,24 @@ def referee_value(word, images, group):
         for _ in range(abs(e)):
             value = group.mul(value, x)
     return value
+
+
+@pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6),
+                                    cyclic(256), dihedral(128)],
+                         ids=lambda t: t.name)
+def test_evaluate_matches_the_referee(target):
+    # random words with exponents of either sign, some past the order,
+    # reduced modulo the order as enumerate_homs reduces them
+    rng = random.Random(target.order)
+    for _ in range(200):
+        gens = rng.randint(1, 4)
+        word = groups.free_reduce(
+            [(rng.randrange(gens), rng.choice((-1, 1)) * rng.randint(1, 600))
+             for _ in range(rng.randint(0, 8))])
+        images = [rng.randrange(target.order) for _ in range(gens)]
+        letters = tuple((g, e % target.order) for g, e in word.letters)
+        assert (finitehom._evaluate(letters, images, target)
+                == referee_value(word, images, target))
 
 
 def test_witness_validates_against_relators():
@@ -443,6 +462,41 @@ def test_free_nilpotent_on_one_generator_is_searched_as_z(target):
     assert want.total == target.order
 
 
+def product_homs(pres, target):
+    """Referee for enumerate_homs on pres: every tuple of images in
+    lexicographic order, kept when referee_value sends every relator to
+    the identity; surjective when the images close up to the whole
+    table, and the witness is the first kept tuple whose images do not
+    all commute."""
+    total = surjective = 0
+    witness = None
+    for images in product(range(target.order),
+                          repeat=pres.generator_count):
+        if any(referee_value(w, images, target) != target.identity
+               for w in pres.relators):
+            continue
+        total += 1
+        if len(target.closure(images)) == target.order:
+            surjective += 1
+        if witness is None and not all(target.mul(a, b) == target.mul(b, a)
+                                       for a in images for b in images):
+            witness = images
+    return total, surjective, witness
+
+
+@pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6)],
+                         ids=lambda t: t.name)
+def test_search_matches_the_product_referee(target):
+    # heis3 and filiform4 as quotient-verdicts writes them
+    for text in ("Z", "Z^2", "Z^3", "H3", "F(2,2)", "F(2,3)", "H3 x Z/2",
+                 "<x,y,z | [x,y]z^-1, [x,z], [y,z]>",
+                 "<a,b,c,d | [a,b]c^-1, [a,c]d^-1, [b,c], [a,d], [b,d], "
+                 "[c,d]>"):
+        result = enumerate_homs(parse_group_spec(text), target)
+        assert ((result.total, result.surjective, result.witness)
+                == product_homs(result.presentation, target)), text
+
+
 def test_search_closes_once_per_new_subgroup_step(monkeypatch):
     calls = [0]
     closure = FiniteGroup.closure
@@ -460,16 +514,16 @@ def test_search_closes_once_per_new_subgroup_step(monkeypatch):
 
 def test_relator_exponents_are_reduced_once_per_search(monkeypatch):
     # the same 2^17-leaf search with a 1-digit and a 3,600-digit torsion
-    # relator; every power taken at a node has an exponent below the
+    # relator; every letter evaluated at a node has an exponent below the
     # target's order, so the big one costs no big-integer reduction
     exponents = set()
-    power_of = FiniteGroup.power
+    evaluate = finitehom._evaluate
 
-    def recorded(self, g, e):
-        exponents.add(e)
-        return power_of(self, g, e)
+    def recorded(letters, images, target):
+        exponents.update(e for _, e in letters)
+        return evaluate(letters, images, target)
 
-    monkeypatch.setattr(FiniteGroup, "power", recorded)
+    monkeypatch.setattr(finitehom, "_evaluate", recorded)
     for torsion in ((FiniteAbelian((6,)),),
                     (FiniteAbelian((2**7300,)), FiniteAbelian((3**4600,)))):
         result = enumerate_homs(DirectProduct((FreeAbelian(16), *torsion)),
