@@ -27,7 +27,6 @@ from __future__ import annotations
 from functools import cache, cached_property
 from itertools import accumulate, product, repeat
 
-from .arith import totient
 from .errors import NilrepError, TooLarge, UnsupportedGroup
 from .groups import (DirectProduct, FiniteAbelian, FreeNilpotent, GroupSpec,
                      Presentation, Presented, abelianize,
@@ -435,14 +434,20 @@ def central_image_order_bound(m: int) -> int:
 
     The top layer acts by roots of unity of order at most m on each
     eigenspace, so it fits inside the diagonal matrices with such
-    entries; there are (sum_{k<=m} phi(k))^m of those.
+    entries; there are (sum_{k<=m} phi(k))^m of those.  Euler's phi on
+    1..m comes from one sieve, run only once m is known to be in range.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > ORDER_BOUND_M_LIMIT:
         raise TooLarge("m = %d exceeds the supported bound %d"
                        % (m, ORDER_BOUND_M_LIMIT))
-    return sum(totient(k) for k in range(1, m + 1)) ** m
+    phi = list(range(m + 1))
+    for p in range(2, m + 1):
+        if phi[p] == p:   # p is prime: no smaller prime has touched it
+            for k in range(p, m + 1, p):
+                phi[k] -= phi[k] // p
+    return sum(phi[1:]) ** m
 
 
 # ---------------------------------------------------------------------------

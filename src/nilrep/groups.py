@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .arith import divisors, mobius
 from .errors import NilrepError, TooLarge, UnsupportedQuotient
 from .record import record, replace
 from .snf import cokernel_of_columns
@@ -434,16 +433,19 @@ def abelianize(g: GroupSpec) -> AbelianInvariants:
 def free_nilpotent_lcs_ranks(n: int, c: int) -> list[int]:
     """Ranks of the lower-central layers of the free nilpotent group F(n, c).
 
-    Layer i is free abelian of rank (1/i) * sum_{d | i} mu(d) * n^(i/d),
-    the number of Lyndon words of length i on n letters.
+    Layer i is free abelian of rank M_i, the number of Lyndon words of
+    length i on n letters (Witt).  Every word of length i is a power of
+    exactly one Lyndon word of length d | i, up to its d rotations, which
+    is the necklace identity n^i = sum_{d | i} d * M_d; it gives
+    M_i = (n^i - sum_{d | i, d < i} d * M_d) / i from the smaller ranks.
     """
     if n < 1 or c < 1:
         raise ValueError("need n >= 1 and c >= 1")
     out = []
     for i in range(1, c + 1):
-        total = sum(mobius(d) * n ** (i // d) for d in divisors(i))
+        total = n ** i - sum(d * out[d - 1] for d in range(1, i) if i % d == 0)
         if total % i:
-            raise NilrepError("Witt formula sum %d not divisible by %d"
+            raise NilrepError("necklace sum %d not divisible by %d"
                               % (total, i))
         out.append(total // i)
     return out

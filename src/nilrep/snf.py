@@ -74,7 +74,10 @@ def smith_normal_form(m, transforms: bool = True):
     Returns (d, u, v) with u*m*v = d, where u and v are unimodular and d is
     diagonal (same shape as m) with non-negative entries, each dividing the
     next.  Total on all integer matrices, including empty ones.  With
-    transforms=False only d is computed, and u and v are None.
+    transforms=False only d is computed, and u and v are None: the
+    cokernels need only d, and v alone would hold cols**2 entries on a
+    block of a few rows and many relators.  Both modes run the same
+    operations on d.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -98,16 +101,6 @@ def smith_normal_form(m, transforms: bool = True):
                 p, q = row[c1], row[c2]
                 row[c1] = x * p + y * q
                 row[c2] = z * p + w * q
-
-    def row_add(dst, src, k):
-        for mat in row_mats:
-            for j in range(len(mat[dst])):
-                mat[dst][j] += k * mat[src][j]
-
-    def col_add(dst, src, k):
-        for mat in col_mats:
-            for row in mat:
-                row[dst] += k * row[src]
 
     def find_pivot(t):
         best = None
@@ -138,7 +131,7 @@ def smith_normal_form(m, transforms: bool = True):
                 for i in range(t + 1, rows):
                     if a[i][t] != 0:
                         if a[i][t] % a[t][t] == 0:
-                            row_add(i, t, -(a[i][t] // a[t][t]))
+                            row_combine(i, t, 1, -(a[i][t] // a[t][t]), 0, 1)
                         else:
                             g, x, y = _xgcd(a[t][t], a[i][t])
                             row_combine(t, i, x, y,
@@ -147,7 +140,7 @@ def smith_normal_form(m, transforms: bool = True):
                 for j in range(t + 1, cols):
                     if a[t][j] != 0:
                         if a[t][j] % a[t][t] == 0:
-                            col_add(j, t, -(a[t][j] // a[t][t]))
+                            col_combine(j, t, 1, -(a[t][j] // a[t][t]), 0, 1)
                         else:
                             g, x, y = _xgcd(a[t][t], a[t][j])
                             col_combine(t, j, x, y,
@@ -166,7 +159,7 @@ def smith_normal_form(m, transforms: bool = True):
                     break
             if offender is None:
                 break
-            row_add(t, offender, 1)
+            row_combine(t, offender, 1, 1, 0, 1)
 
     for t in range(min(rows, cols)):
         if a[t][t] < 0:

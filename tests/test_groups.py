@@ -160,6 +160,22 @@ def test_central_torsion_survives_pruning(monkeypatch):
     assert blocks == [[[4]]]
 
 
+def test_wide_block_builds_no_transforms(monkeypatch):
+    # <x | x^2, x^4, ..., x^10000>: no unit pivot, so one 1 x 5000 block
+    # reaches the Smith form; the cokernel needs only its diagonal, and a
+    # 5000 x 5000 column transform would cost time and memory quadratic
+    # in the relator count
+    real = snf.identity_matrix
+
+    def guarded(n):
+        assert n <= 1, "identity_matrix(%d) built" % n
+        return real(n)
+
+    monkeypatch.setattr(snf, "identity_matrix", guarded)
+    p = Presentation(1, tuple(power(gen(0), 2 * k) for k in range(1, 5001)))
+    assert abelianize(Presented(p)) == AbelianInvariants(0, (2,))
+
+
 def _smith_invariants(m):
     """(free rank, torsion) read off the Smith diagonal of the whole
     matrix, transforms included: the dense referee."""
@@ -252,6 +268,31 @@ def test_witt_ranks_match_lyndon_brute_force():
     assert free_nilpotent_lcs_ranks(2, 5) == [2, 1, 2, 3, 6]
     assert free_nilpotent_lcs_ranks(2, 1) == [2]
     assert free_nilpotent_lcs_ranks(3, 2) == [3, 3]
+
+
+def mobius(n):
+    """Moebius function by trial division."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def test_witt_ranks_match_the_moebius_formula():
+    # Witt's formula M_i = (1/i) * sum_{d | i} mu(d) * n^(i/d)
+    assert [mobius(k) for k in range(1, 13)] == [
+        1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    for n in range(1, 7):
+        for c in range(1, 13):
+            want = [sum(mobius(d) * n ** (i // d)
+                        for d in range(1, i + 1) if i % d == 0) // i
+                    for i in range(1, c + 1)]
+            assert free_nilpotent_lcs_ranks(n, c) == want, (n, c)
 
 
 def test_necklace_identity():

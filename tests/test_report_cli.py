@@ -5,12 +5,12 @@ import os
 import subprocess
 import sys
 import time
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from nilrep import cli, finitehom, groups, selftest
-from nilrep.arith import totient
 from nilrep.cli import main
 from nilrep.groups import (AbelianInvariants, FreeAbelian, FreeNilpotent,
                            Heisenberg, Presented,
@@ -257,13 +257,15 @@ def test_cli_bound(capsys, monkeypatch):
     limit = finitehom.ORDER_BOUND_M_LIMIT
     code, out, _ = run_cli(capsys, "bound", "--m", str(limit))
     assert code == 0
-    assert out.splitlines()[1] == "bound: %d" % (
-        sum(totient(k) for k in range(1, limit + 1)) ** limit)
-    # m is bounded before any totient is computed
-    def no_totient(k):
-        raise AssertionError("totient(%d) computed" % k)
-    monkeypatch.setattr(finitehom, "totient", no_totient)
-    for m in (limit + 1, 10**8):
+    phi_sum = sum(1 for k in range(1, limit + 1) for j in range(1, k + 1)
+                  if gcd(j, k) == 1)
+    assert out.splitlines()[1] == "bound: %d" % phi_sum ** limit
+    # m is bounded before any work of size m: finitehom may not even
+    # build a range, and no list of 10^18 totients could be allocated
+    def no_range(*args):
+        raise AssertionError("range%r built" % (args,))
+    monkeypatch.setattr(finitehom, "range", no_range, raising=False)
+    for m in (limit + 1, 10**8, 10**18):
         code, out, _ = run_cli(capsys, "bound", "--m", str(m), "--json")
         assert code == 3, m
         assert json.loads(out)["error"]["type"] == "TooLarge"
