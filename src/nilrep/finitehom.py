@@ -25,7 +25,7 @@ quotient is the quotient of the identity component.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import accumulate, product, repeat
+from itertools import accumulate, repeat
 
 from .errors import NilrepError, TooLarge, UnsupportedGroup
 from .groups import (DirectProduct, FiniteAbelian, FreeNilpotent, GroupSpec,
@@ -77,9 +77,13 @@ class FiniteGroup:
         self.identity = self._find_identity()
         self.inverse = tuple(self._find_inverse(g) for g in range(self.order))
         if self.order <= 24:
-            for a, b, c in product(range(self.order), repeat=3):
-                if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                    raise ValueError("table is not associative")
+            # (ab)c = a(bc) for every c at once: row ab of the table
+            # against row b read through row a
+            t = self.table
+            for row in t:
+                for ab, row_b in zip(row, t):
+                    if t[ab] != tuple(map(row.__getitem__, row_b)):
+                        raise ValueError("table is not associative")
         # powers[g][k] = g^k, one multiplication per entry, so a row costs
         # order - 1 products even for a table whose associativity was not
         # checked

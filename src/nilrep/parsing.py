@@ -22,8 +22,14 @@ A word is read as a plain list of (generator, exponent) letters, kept
 freely reduced as each item joins it.  The letter helpers are those of
 groups (reduce_onto, power_letters, commutator_letters), which its Word
 helpers wrap for the catalog; a presentation builds one Word per relator.
-A generator item with its exponent is one regular-expression match
-against the declared names, longest name first.
+Items are read with one fixed pattern, the same for every input: a run
+of ASCII name characters with an exponent of at most 18 digits, or a
+plain commutator [u^i, v^j] of two such runs with no power after it,
+each in one match.  A run that is not a declared name is split at its
+longest declared prefixes in one pass, so x1x2 reads as x1 x2 and a run
+costs work linear in its length.  Every other bracket (nested, powered,
+or holding a run to split) and every error goes through the one
+recursive reader.
 """
 
 from __future__ import annotations
@@ -51,6 +57,13 @@ LETTER_BUDGET = 2 * POWER_LETTER_CAP
 
 
 _SPACE = re.compile(r"\s*")   # \s is exactly str.isspace
+# one item after its spaces: a run of ASCII name characters with an
+# exponent of at most 18 ASCII digits (_Scanner.integer reads any other);
+# or an opening bracket, with the plain commutator [u^i, v^j] that may
+# follow it when no "^" follows its "]"; or nothing.  _presentation
+# compiles it on first use, so importing this module compiles nothing
+_RUN = r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]{1,18}))?"
+_ITEM = r"\s*(?:%s|(\[)(?:\s*%s\s*,\s*%s\s*\](?!\^))?|)" % (_RUN, _RUN, _RUN)
 # the empty word is "1" and its spaces, when the separator that follows
 # it is one that may end the word there
 _EMPTY_WORD = re.compile(r"1\s*")
@@ -61,6 +74,10 @@ class _Scanner:
         self.text = text
         self.pos = 0
         self.letters = 0
+        # the generators of the presentation being read, and the lengths
+        # of their names, longest first
+        self.index: dict[str, int] = {}
+        self.lengths: list[int] = []
 
     def skip_ws(self):
         self.pos = _SPACE.match(self.text, self.pos).end()
@@ -182,18 +199,14 @@ def _presentation(s: _Scanner) -> Presented:
             break
     s.skip_ws()
     s.expect("|")
-    index = {name: i for i, name in enumerate(names)}
+    s.index = index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise ParseError("duplicate generator name", s.pos)
-    # one match per item after its spaces: a declared name, the longest
-    # first so that x1x2 tokenizes right, with an exponent of at most 18
-    # ASCII digits (_Scanner.integer reads any other); or an opening
-    # bracket; or nothing
-    item = re.compile(r"\s*(?:(%s)(?:\^(-?[0-9]{1,18}))?|(\[)|)" % "|".join(
-        map(re.escape, sorted(names, key=len, reverse=True))))
+    s.lengths = sorted({len(name) for name in names}, reverse=True)
+    item = re.compile(_ITEM)
     relators = []
     while True:
-        relators.append(Word(tuple(_word(s, index, item, (",", ">")))))
+        relators.append(Word(tuple(_word(s, item, (",", ">")))))
         if not s.try_literal(","):
             break
     s.expect(">")
@@ -201,44 +214,72 @@ def _presentation(s: _Scanner) -> Presented:
                                   names=tuple(names)))
 
 
-def _word(s: _Scanner, index: dict[str, int], item: re.Pattern,
-          ends: tuple[str, ...], depth: int = 0) -> list[tuple[int, int]]:
+def _word(s: _Scanner, item: re.Pattern, ends: tuple[str, ...],
+          depth: int = 0) -> list[tuple[int, int]]:
     """The freely reduced letters of one word, read with the spaces
     before and after it; ends are the separators that may follow it.
     Each item is charged to the letter budget at its reduced length,
     inside brackets too."""
-    text = s.text
+    text, index = s.text, s.index
     word: list[tuple[int, int]] = []
     items = 0
     while True:
         m = item.match(text, s.pos)
         s.pos = m.end()
-        name, digits, bracket = m.groups()
-        if name is not None:
-            if digits is not None and not text[s.pos:s.pos + 1].isdigit():
-                e = int(digits)
-            elif text.startswith("^", m.end(1)):   # any other exponent
-                s.pos = m.end(1) + 1
-                e = s.integer(signed=True)
-            else:
-                e = 1
-            base = [(index[name], e)] if e else []
-        elif bracket is not None:
+        run, digits, bracket, u, i, v, j = m.groups()
+        if bracket is not None:
             if depth == NESTING_BOUND:
                 raise ParseError("commutator brackets nested deeper than %d"
                                  % NESTING_BOUND, m.start(3))
-            a = _word(s, index, item, (",",), depth + 1)
-            s.expect(",")
-            b = _word(s, index, item, ("]",), depth + 1)
-            s.expect("]")
+            if u in index and v in index:
+                # a plain commutator: its two entries are charged as the
+                # one-item words they are, then the bracket itself
+                e, f = int(i) if i else 1, int(j) if j else 1
+                a = [(index[u], e)] if e else []
+                b = [(index[v], f)] if f else []
+                s.letters += len(a) + len(b)
+            else:
+                s.pos = m.end(3)
+                a = _word(s, item, (",",), depth + 1)
+                s.expect(",")
+                b = _word(s, item, ("]",), depth + 1)
+                s.expect("]")
             base = commutator_letters(a, b)
             if s.try_literal("^"):
                 base = power_letters(base, s.integer(signed=True))
         else:
-            ch = s.peek()
-            if ch.isalpha() or ch == "_":
-                raise ParseError("unknown generator", s.pos, tuple(index))
-            break
+            # a declared run is the longest declared name there, unless
+            # a letter or digit beyond ASCII goes on where a name may
+            if run in index and not text[m.end(1):m.end(1) + 1].isalnum():
+                end = m.end(1)
+            elif run is not None or s.peek().isalpha():
+                # split the run at its longest declared prefixes in one
+                # pass, as far as a digit, where no name starts; each
+                # piece but the last is a letter of its own, charged here
+                # while the budget lasts (the last charge below passes it)
+                end = m.start(1) if run is not None else s.pos
+                stop = m.end(1)   # -1 for a name that starts past ASCII
+                while True:
+                    run = _declared_prefix(s, end)
+                    end += len(run)
+                    if (end >= stop or text[end].isdigit()
+                            or s.letters == LETTER_BUDGET):
+                        break
+                    s.letters += 1
+                    reduce_onto(word, [(index[run], 1)])
+                if end != stop:
+                    digits = None
+            else:
+                break
+            if digits is not None and not text[s.pos:s.pos + 1].isdigit():
+                e = int(digits)
+            elif text.startswith("^", end):   # any other exponent
+                s.pos = end + 1
+                e = s.integer(signed=True)
+            else:
+                s.pos = end
+                e = 1
+            base = [(index[run], e)] if e else []
         s.letters += len(base)   # against LETTER_BUDGET for the whole input
         if s.letters > LETTER_BUDGET:
             raise TooLarge("the words of this group input pass %d letters"
@@ -252,6 +293,15 @@ def _word(s: _Scanner, index: dict[str, int], item: re.Pattern,
                              ("generator", "[word,word]"))
         s.pos = empty.end()
     return word
+
+
+def _declared_prefix(s: _Scanner, start: int) -> str:
+    """The longest declared name that the text has at start."""
+    for n in s.lengths:
+        name = s.text[start:start + n]
+        if name in s.index:
+            return name
+    raise ParseError("unknown generator", start, tuple(s.index))
 
 
 # ---------------------------------------------------------------------------

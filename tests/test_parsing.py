@@ -2,6 +2,7 @@
 
 import pytest
 
+from nilrep import parsing
 from nilrep.errors import ParseError, UnsupportedType
 from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,
                            FreeNilpotent, Heisenberg, Presented, Word,
@@ -59,6 +60,58 @@ def test_multicharacter_generator_names():
     with pytest.raises(ParseError) as info:
         parse_group_spec("<x1,x2 | x1y>")
     assert (info.value.position, info.value.expected) == (11, ("x1", "x2"))
+    # names past ASCII: a² is one name, though its ASCII part a is another
+    g = parse_group_spec("<a,a²,β | a²a^2, [β,a²]β>")
+    assert g.presentation.relators == (
+        concat(gen(1), power(gen(0), 2)),
+        concat(commutator(gen(2), gen(1)), gen(2)))
+
+
+def test_presentations_compile_no_pattern_of_their_names(monkeypatch):
+    compiled = []
+    compile_ = parsing.re.compile
+
+    def recording_compile(pattern, *args, **kwargs):
+        compiled.append(pattern)
+        return compile_(pattern, *args, **kwargs)
+
+    monkeypatch.setattr(parsing.re, "compile", recording_compile)
+    g = parse_group_spec("<alpha,beta | [alpha,beta]alpha^2>")
+    first, compiled[:] = compiled[:], []
+    h = parse_group_spec("<gamma1,gamma12 | gamma1gamma12, [gamma12,gamma1]>")
+    assert compiled == first
+    assert not any(name in str(pattern) for pattern in compiled
+                   for name in ("alpha", "beta", "gamma"))
+    assert g.presentation.relators == (
+        concat(commutator(gen(0), gen(1)), power(gen(0), 2)),)
+    assert h.presentation.relators == (concat(gen(0), gen(1)),
+                                       commutator(gen(1), gen(0)))
+
+
+def test_runs_are_split_in_one_pass(monkeypatch):
+    # a run that is not a declared name is split without matching the
+    # rest of it again for every piece: the item matches span the text
+    # about once, not once per letter
+    spans = []
+    compile_ = parsing.re.compile
+
+    class Spanning:
+        def __init__(self, pattern):
+            self.pattern = pattern
+
+        def match(self, text, pos):
+            m = self.pattern.match(text, pos)
+            spans.append(m.end() - pos)
+            return m
+
+    monkeypatch.setattr(parsing.re, "compile",
+                        lambda *args: Spanning(compile_(*args)))
+    text = "<a,b | " + "ab" * 10000 + ", " + "ab" * 10000 + "a^2>"
+    g = parse_group_spec(text)
+    assert g.presentation.relators == (
+        power(concat(gen(0), gen(1)), 10000),
+        concat(power(concat(gen(0), gen(1)), 10000), power(gen(0), 2)))
+    assert sum(spans) <= len(text)
 
 
 def test_group_round_trips():

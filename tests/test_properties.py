@@ -272,6 +272,21 @@ def written_words(draw, depth=0):
 @example(["[a,b]^25000 [a,b]^25000"])         # past the letter budget
 @example(["[a,b]^25000", "[a,b]^25000"])      # the budget spans relators
 @example(["[" * 16 + "a" + ",b]" * 16])       # past the commutator cap
+# plain commutators [u^i, v^j], read in one match, and the brackets that
+# only look plain, read by the recursive reader
+@example(["[a,a]", "[a^0,b]", "[a,b]^2"])
+@example(["[ab,b]", "[a b,b]", "[abba , ba^-2]"])   # names begin others
+@example(["[a^1234567890123456789,b]", "[a,b^-1234567890123456789]"])
+@example(["[a\n,\nb^2\n]x"])
+@example(["[a,b]^24999 [a,b]^24999 [a,a]"])   # 2 letters short of it
+@example(["[a,b]^24999 [a,b]^24999 [a,b]"])   # past it in a plain bracket
+@example(["[" * 63 + "[a,b]" + ",a^0]" * 63])  # 64 brackets deep
+@example(["[" * 64 + "[a,b]" + ",a^0]" * 64])  # 65: one too deep
+# runs split at their longest declared prefixes: up to a digit, and up
+# to the letter budget, which a run passes before an unknown name in it
+@example(["xyx1abbab^2", "x1x12x2", "x12x3"])
+@example(["y" * 200_000 + "q"])
+@example(["y" * 200_001 + "q"])
 def test_word_parser_matches_the_word_helpers(words):
     names = GENERATOR_NAMES[:8]
     text = "<%s | %s>" % (",".join(names), ",".join(words))
