@@ -133,13 +133,10 @@ class FiniteGroup:
         return sum(1 for h in range(self.order)
                    if self.mul(g, h) == self.mul(h, g))
 
+    @cached_property
     def nilpotency_class(self):
         """Length of the lower central series, or None if not nilpotent;
         computed once per table, since every search asks for it."""
-        return self._nilpotency_class
-
-    @cached_property
-    def _nilpotency_class(self):
         everything = list(range(self.order))
         layer = frozenset(everything)
         depth = 0
@@ -268,7 +265,7 @@ def presentation_for_homs(g, target: FiniteGroup) -> Presentation:
     """
     if isinstance(g, Presentation):
         g = Presented(g)
-    k = target.nilpotency_class()
+    k = target.nilpotency_class
     if k == 1:
         rank, torsion = h1_invariants(g)
         _check_search(max(rank + len(torsion), 1), target)
@@ -501,7 +498,7 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
     r = ab.rank
     blocks = (rd or build_root_datum(spec)).blocks
 
-    if not any(b.coroots for b in blocks):
+    if not any(b.simple_coroots for b in blocks):
         if not ab.torsion:
             return Verdict(CONNECTED, "torus_target",
                            "the target is an algebraic torus and H_1 is "

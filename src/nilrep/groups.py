@@ -15,6 +15,7 @@ AbelianInvariants(rank=2, torsion=())
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd
 
 from .errors import NilrepError, TooLarge, UnsupportedQuotient
 from .record import record, replace
@@ -324,8 +325,9 @@ class Presented(GroupSpec):
         p = self.presentation
         names = p.generator_names()
         tails = name_tails(names)
+        # no relators print as the one empty word, the same group
         rels = ", ".join(word_str(w, names, tails) for w in p.relators)
-        return "<%s | %s>" % (",".join(names), rels)
+        return "<%s | %s>" % (",".join(names), rels or "1")
 
 
 def _check_chain(chain):
@@ -395,12 +397,21 @@ class AbelianInvariants:
 
 
 def _merge_chain(entries) -> tuple[int, ...]:
-    """Invariant-factor chain of a direct sum of cyclic groups Z/e."""
-    entries = [e for e in entries if e >= 2]
-    if len(entries) < 2:   # already a chain
-        return tuple(entries)
-    return cokernel_of_columns(len(entries),
-                               [{i: e} for i, e in enumerate(entries)])[1]
+    """Invariant-factor chain of a direct sum of cyclic groups Z/e, e >= 2.
+    Each e enters the chain from its largest factor down, as
+    Z/c + Z/e = Z/lcm(c, e) + Z/gcd(c, e): the lcm stays and the gcd goes
+    on down, which keeps every prime's exponents sorted along the chain,
+    and a gcd of 1 leaves the smaller factors as they are."""
+    chain = []   # the invariant factors so far, largest first
+    for e in entries:
+        for i, c in enumerate(chain):
+            if e == 1:
+                break
+            g = gcd(c, e)
+            chain[i], e = c // g * e, g
+        if e > 1:
+            chain.append(e)
+    return tuple(reversed(chain))
 
 
 def h1_invariants(g: GroupSpec) -> tuple[int, tuple[int, ...]]:

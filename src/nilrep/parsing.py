@@ -102,9 +102,9 @@ class _Scanner:
         start = self.pos
         if signed and self.peek() == "-":
             self.pos += 1
-        if not self.peek().isdigit():
+        if not self.peek().isdecimal():
             raise ParseError("expected an integer", self.pos, ("integer",))
-        while self.peek().isdigit():
+        while self.peek().isdecimal():
             self.pos += 1
         try:
             return int(self.text[start:self.pos])
@@ -262,7 +262,7 @@ def _word(s: _Scanner, item: re.Pattern, ends: tuple[str, ...],
                 while True:
                     run = _declared_prefix(s, end)
                     end += len(run)
-                    if (end >= stop or text[end].isdigit()
+                    if (end >= stop or text[end].isdecimal()
                             or s.letters == LETTER_BUDGET):
                         break
                     s.letters += 1
@@ -271,7 +271,7 @@ def _word(s: _Scanner, item: re.Pattern, ends: tuple[str, ...],
                     digits = None
             else:
                 break
-            if digits is not None and not text[s.pos:s.pos + 1].isdigit():
+            if digits is not None and not text[s.pos:s.pos + 1].isdecimal():
                 e = int(digits)
             elif text.startswith("^", end):   # any other exponent
                 s.pos = end + 1

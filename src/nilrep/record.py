@@ -1,16 +1,15 @@
 """Frozen value records: the one class decorator behind every value type.
 
-@record reads a class's fields from its annotations (a record base's
-fields first) and installs: an __init__ written as source for the class
-and compiled once, as dataclasses does (the init fields as parameters
-with their defaults, then __post_init__ when the class has one), a
-class-exact __eq__ and a __hash__ over the init fields' values
-(operator.attrgetter), a Name(field=value, ...) __repr__ unless the
-class writes its own, and a __setattr__ and __delattr__ that refuse.  A
-field whose default is DERIVED is left out of __init__; __post_init__
-sets it with object.__setattr__, and since it is a function of the init
-fields, equality and hashing leave it out.  cached_property works, since
-it writes to the instance __dict__ directly.
+@record reads a class's fields from its annotations and installs: an
+__init__ written as source for the class and compiled once, as
+dataclasses does (the fields as parameters with their defaults, then
+__post_init__ when the class has one), a class-exact __eq__ and a
+__hash__ over the fields' values (operator.attrgetter), a
+Name(field=value, ...) __repr__, and a __setattr__ and __delattr__ that
+refuse.  A record's fields are exactly its __init__ parameters; a value
+computed from them is a functools.cached_property, which works since it
+writes to the instance __dict__ directly, and which equality, hashing
+and the repr leave out.
 
 >>> @record
 ... class Pair:
@@ -24,8 +23,6 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-# the default of a field that __post_init__ sets
-DERIVED = object()
 _REQUIRED = object()
 # writes past the refusing __setattr__, keeping the instance's compact
 # attribute storage (writing to __dict__ would materialize a dict)
@@ -38,19 +35,13 @@ class FrozenInstanceError(AttributeError):
 
 def record(cls):
     """Make cls a frozen value record; see the module docstring."""
-    fields = {}
-    for base in reversed(cls.__mro__[1:]):
-        fields.update(base.__dict__.get("__record_fields__", {}))
-    for name in cls.__annotations__:
-        fields[name] = cls.__dict__.get(name, _REQUIRED)
-        if fields[name] is DERIVED:
-            delattr(cls, name)
+    fields = {name: cls.__dict__.get(name, _REQUIRED)
+              for name in cls.__annotations__}
     names = tuple(fields)
-    init = tuple(name for name in names if fields[name] is not DERIVED)
-    __init__ = _make_init(init, fields, hasattr(cls, "__post_init__"))
+    __init__ = _make_init(names, fields, hasattr(cls, "__post_init__"))
 
-    get = attrgetter(*init)
-    if len(init) == 1:   # attrgetter returns a lone field bare
+    get = attrgetter(*names)
+    if len(names) == 1:   # attrgetter returns a lone field bare
         def __hash__(self):
             return hash((get(self),))
     else:
@@ -66,12 +57,11 @@ def record(cls):
         return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
             "%s=%r" % (name, getattr(self, name)) for name in names))
 
-    cls.__record_fields__ = fields
+    cls.__record_fields__ = names
     cls.__init__ = __init__
     cls.__eq__ = __eq__
     cls.__hash__ = __hash__
-    if "__repr__" not in cls.__dict__:
-        cls.__repr__ = __repr__
+    cls.__repr__ = __repr__
     cls.__setattr__ = _refuse
     cls.__delattr__ = _refuse
     for method in (__init__, __eq__, __hash__, __repr__):
@@ -103,21 +93,17 @@ def _refuse(self, name, *value):
 
 
 def fields(obj) -> tuple[str, ...]:
-    """The field names of a record or record class, in __init__ order
-    with derived fields in place."""
+    """The field names of a record or record class: the parameters of its
+    __init__, in order."""
     try:
-        return tuple(obj.__record_fields__)
+        return obj.__record_fields__
     except AttributeError:
         raise TypeError("not a record: %r" % (obj,)) from None
 
 
 def replace(obj, **changes):
     """A new record of obj's class with the given fields changed; the
-    class's __post_init__ checks the result.  Derived fields cannot be
-    changed: __post_init__ recomputes them."""
-    cls = type(obj)
-    kwargs = {name: getattr(obj, name)
-              for name, default in cls.__record_fields__.items()
-              if default is not DERIVED}
+    class's __post_init__ checks the result."""
+    kwargs = {name: getattr(obj, name) for name in obj.__record_fields__}
     kwargs.update(changes)
-    return cls(**kwargs)
+    return type(obj)(**kwargs)

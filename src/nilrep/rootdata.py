@@ -2,8 +2,8 @@
 
 Each catalog factor is realized by the cocharacter lattice of a maximal
 torus (identified with Z^rank), its simple roots (functionals on that
-lattice) and simple coroots, and the set of all coroots inside it; a
-product is one such block per factor, and every fact here is computed
+lattice) and simple coroots, and the set of all coroots inside it,
+computed when first read; a product is one such block per factor, and every fact here is computed
 block by block.  A factor enters only through its Cartan type,
 semisimple rank and central-torus dimension (Factor.cartan_type).  Its
 degrees are the type's, with one degree-1 entry per central torus
@@ -33,7 +33,7 @@ from operator import mul
 
 from .errors import NilrepError, TooLarge, UnsupportedType
 from .groups import AbelianInvariants
-from .record import DERIVED, record
+from .record import record
 from .snf import cokernel_invariants, identity_matrix, mat_mul
 # re-exported: perfbench/spans.py traces nilrep.rootdata.integer_rank
 from .snf import integer_rank  # noqa: F401
@@ -211,19 +211,16 @@ def _orbit(start, generators, act) -> tuple:
 @record
 class Block:
     """One factor's cocharacter lattice Z^rank with its simple roots
-    (functionals on Z^rank, as integer vectors), its simple coroots, and
-    the full (positive and negative) coroot system, built here as the
-    orbit of the simple coroots under the simple reflections
-    s(v) = v - <alpha, v> alpha^vee, one +- pair at a time.  Checked
-    when built: each alpha and alpha^vee lie in Z^rank and
-    <alpha, alpha^vee> = 2, which makes s an involution of Z^rank, hence
-    a bijection that maps the finite orbit into itself, so the Weyl group
-    permutes the coroots."""
+    (functionals on Z^rank, as integer vectors) and its simple coroots.
+    Checked when built: each alpha and alpha^vee lie in Z^rank and
+    <alpha, alpha^vee> = 2, which makes each simple reflection
+    s(v) = v - <alpha, v> alpha^vee an involution of Z^rank, hence a
+    bijection that maps the finite orbit of the simple coroots into
+    itself, so the Weyl group permutes the coroots."""
 
     rank: int
     simple_roots: tuple[Vector, ...]
     simple_coroots: tuple[Vector, ...]
-    coroots: tuple[Vector, ...] = DERIVED
 
     def __post_init__(self):
         if len(self.simple_roots) != len(self.simple_coroots):
@@ -235,12 +232,18 @@ class Block:
         if any(sum(map(mul, alpha, v)) != 2 for alpha, v in pairs):
             raise ValueError("each simple root must pair to 2 with its "
                              "coroot")
+
+    @cached_property
+    def coroots(self) -> tuple[Vector, ...]:
+        """The full (positive and negative) coroot system, sorted: the
+        orbit of the simple coroots under the simple reflections."""
         # s(v) = v - <alpha, v> alpha^vee is linear and maps alpha^vee to
         # -alpha^vee, so the orbit is closed under v -> -v: reflect one
         # vector of each +- pair and add its negative too.  Not _orbit of
         # canon(v) = max(v, -v) under v -> canon(s(v)): that closes the
         # same pairs but pays a call and a negation per reflection, and
         # is about a third slower on the catalog blocks (CHANGES.md)
+        pairs = tuple(zip(self.simple_roots, self.simple_coroots))
         seen = set(self.simple_coroots)
         seen.update(map(_negative, self.simple_coroots))
         frontier = self.simple_coroots
@@ -256,7 +259,7 @@ class Block:
                             seen.add(_negative(y))
                             fresh.append(y)
             frontier = fresh
-        object.__setattr__(self, "coroots", tuple(sorted(seen)))
+        return tuple(sorted(seen))
 
     @cached_property
     def cokernel(self) -> AbelianInvariants:
@@ -293,7 +296,8 @@ class RootDatum:
             if b.rank != f.rank():
                 raise ValueError("block of rank %d for %s of rank %d"
                                  % (b.rank, f, f.rank()))
-            # the roots number 2 * sum(d - 1) over the degrees
+            # the roots number 2 * sum(d - 1) over the degrees; this
+            # read builds the block's coroots, once per block
             if len(b.coroots) != 2 * sum(d - 1 for d in f.degrees()):
                 raise ValueError("block with %d coroots for %s"
                                  % (len(b.coroots), f))

@@ -55,7 +55,7 @@ def test_q8_structure():
     center = [g for g in range(8) if Q8.centralizer_size(g) == 8]
     assert sorted(center) == [0, 1]
     assert not Q8.is_abelian_subset(range(8))
-    assert Q8.nilpotency_class() == 2
+    assert Q8.nilpotency_class == 2
 
 
 def test_q8_against_symbolic_quaternions():
@@ -126,9 +126,9 @@ def test_power_table_of_an_unchecked_table_is_finite():
 
 
 def test_nilpotency_classes():
-    assert cyclic(6).nilpotency_class() == 1
-    assert dihedral(4).nilpotency_class() == 2
-    assert dihedral(3).nilpotency_class() is None  # S3 is not nilpotent
+    assert cyclic(6).nilpotency_class == 1
+    assert dihedral(4).nilpotency_class == 2
+    assert dihedral(3).nilpotency_class is None  # S3 is not nilpotent
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,7 @@ def written_presentation(g, target):
     were searched on H_1: g as written, with each free nilpotent factor
     replaced by its quotient by the target's class."""
     return finitehom._presentation(
-        finitehom._searched(g, target.nilpotency_class()))
+        finitehom._searched(g, target.nilpotency_class))
 
 
 def leaf_closure_homs(g, target):
@@ -371,7 +371,7 @@ H1_SOURCES = (
 def test_abelian_targets_are_searched_on_h1(target):
     # catalog, product and written groups, each against the written
     # presentation that the search used before; V4 is dihedral(2)
-    assert target.nilpotency_class() == 1
+    assert target.nilpotency_class == 1
     for text in H1_SOURCES:
         g = parse_group_spec(text)
         got = enumerate_homs(g, target)
@@ -437,7 +437,7 @@ def test_largest_admitted_abelian_searches_match_closed_forms(m, n):
 def test_non_abelian_targets_keep_the_two_limit_rule(target):
     # every non-abelian target has order >= 6 and 6^7 > 8^6, so SEARCH_LIMIT
     # alone admits what "at most 6 generators and order^gens <= 8^6" did
-    assert target.nilpotency_class() != 1
+    assert target.nilpotency_class != 1
     largest = min(6, max(k for k in range(20)
                          if target.order**k <= finitehom.SEARCH_LIMIT))
     for gens in range(1, 40):

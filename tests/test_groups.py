@@ -9,7 +9,7 @@ from nilrep.errors import TooLarge, UnsupportedQuotient
 from nilrep.groups import (POWER_LETTER_CAP, AbelianInvariants, DirectProduct,
                            FiniteAbelian, FreeAbelian, FreeNilpotent,
                            Heisenberg, Presentation, Presented, Word,
-                           abelianize, commutator, concat,
+                           _merge_chain, abelianize, commutator, concat,
                            free_nilpotent_class2_presentation,
                            free_nilpotent_lcs_ranks, free_reduce, gen,
                            heisenberg_presentation, inverse, is_abelian,
@@ -229,6 +229,48 @@ def test_torsion_merge_renormalizes():
     assert abelianize(g) == AbelianInvariants(0, (6,))
     g = DirectProduct((FiniteAbelian((2, 4)), FiniteAbelian((6,))))
     assert abelianize(g) == AbelianInvariants(0, (2, 2, 12))
+
+
+def _prime_power_chain(orders):
+    """The invariant factors of the direct sum of the Z/e, e in orders,
+    from each prime's exponents: the i-th largest factor takes every
+    prime to its i-th largest exponent."""
+    exponents = {}   # prime -> its exponent in each order it divides
+    for e in orders:
+        p = 2
+        while e > 1:
+            k = 0
+            while e % p == 0:
+                e //= p
+                k += 1
+            if k:
+                exponents.setdefault(p, []).append(k)
+            p += 1
+    chain = [1] * max(map(len, exponents.values()), default=0)
+    for p, ks in exponents.items():
+        for i, k in enumerate(sorted(ks, reverse=True)):
+            chain[i] *= p ** k
+    return tuple(reversed(chain))
+
+
+def test_merge_chain_matches_prime_powers():
+    rng = random.Random(1979)
+    for _ in range(1500):
+        orders = [rng.choice((rng.randint(2, 12), rng.randint(2, 400)))
+                  for _ in range(rng.randint(0, 12))]
+        assert _merge_chain(orders) == _prime_power_chain(orders), orders
+    assert _merge_chain([]) == () and _merge_chain([7]) == (7,)
+    assert _merge_chain([2**70, 3**40, 6]) == (6, 2**70 * 3**40)
+
+
+def test_product_of_many_cyclic_groups_needs_no_smith_form(monkeypatch):
+    def refuse(m):
+        raise AssertionError("a Smith form of %d rows" % len(m))
+    monkeypatch.setattr(snf, "smith_normal_form", refuse)
+    for orders in ([2] * 2000, [2 + i % 5 for i in range(2000)]):
+        g = DirectProduct(tuple(FiniteAbelian((d,)) for d in orders))
+        assert abelianize(g) == AbelianInvariants(
+            0, _prime_power_chain(orders))
 
 
 def test_invariants_self_power():

@@ -5,7 +5,8 @@ import pytest
 from nilrep import parsing
 from nilrep.errors import ParseError, UnsupportedType
 from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,
-                           FreeNilpotent, Heisenberg, Presented, Word,
+                           FreeNilpotent, Heisenberg, Presentation,
+                           Presented, Word,
                            abelianize, commutator, concat, gen,
                            heisenberg_presentation, power)
 from nilrep.parsing import parse_group_spec, parse_reductive_spec
@@ -216,6 +217,17 @@ def test_word_parse_errors_are_literal(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_group_spec, "<a | a^\u00b2>"), (parse_group_spec, "Z/\u00b2"),
+    (parse_reductive_spec, "SL\u00b2")])
+def test_a_non_decimal_digit_starts_no_integer(parse, text):
+    # "\u00b2" (superscript two) passes str.isdigit() but is no decimal
+    # digit, so int() refuses it: the integer is missing, not too long
+    with pytest.raises(ParseError, match="expected an integer") as info:
+        parse(text)
+    assert "too many digits" not in str(info.value)
+
+
 def test_nesting_bound_is_inclusive():
     # 64 levels parse; [a,a] = 1 keeps every level empty
     g = parse_group_spec("<a,b | " + "[" * 64 + "a,a]" + ",b]" * 63 + ">")
@@ -244,3 +256,13 @@ def test_printed_empty_relator_re_parses():
     g = parse_group_spec("<a,b | [ 1 ,a] b, [a,1\n], 1 >")
     assert g.presentation.relators == (gen(1), Word(), Word())
     assert parse_group_spec("<a | 1>") == parse_group_spec("<a | [a,a]>")
+
+
+def test_presentation_without_relators_re_parses():
+    # no relators print as the one empty relator, a presentation of the
+    # same group
+    free = Presented(Presentation(2, ()))
+    assert str(free) == "<g1,g2 | 1>"
+    again = parse_group_spec(str(free))
+    assert again.presentation == Presentation(2, (Word(),), ("g1", "g2"))
+    assert abelianize(again) == abelianize(free) == abelianize(FreeAbelian(2))

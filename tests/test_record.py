@@ -2,9 +2,11 @@
 repr, class-exact equality, field-tuple hashing and refused assignment,
 and replace re-runs each class's checks."""
 
+import inspect
+
 import pytest
 
-from nilrep import record
+from nilrep import finitehom, groups, invariants, record, report, rootdata
 from nilrep.errors import UnsupportedType
 from nilrep.finitehom import HomSearchResult, Verdict
 from nilrep.groups import (AbelianInvariants, DirectProduct, FiniteAbelian,
@@ -39,12 +41,10 @@ VALUES = [
     (lambda: ReductiveSpec((Factor("G2"),)),
      "ReductiveSpec(factors=(Factor(family='G2', param=0),))"),
     (lambda: Block(1, ((2,),), ((1,),)),
-     "Block(rank=1, simple_roots=((2,),), simple_coroots=((1,),), "
-     "coroots=((-1,), (1,)))"),
+     "Block(rank=1, simple_roots=((2,),), simple_coroots=((1,),))"),
     (lambda: build_root_datum(reductive(("SL", 2))),
      "RootDatum(factors=(Factor(family='SL', param=2),), blocks=(Block("
-     "rank=1, simple_roots=((2,),), simple_coroots=((1,),), "
-     "coroots=((-1,), (1,))),))"),
+     "rank=1, simple_roots=((2,),), simple_coroots=((1,),)),))"),
     (lambda: HomSearchResult(2, 1, None, Presentation(1, (gen(0, 2),))),
      "HomSearchResult(total=2, surjective=1, witness=None, presentation="
      "Presentation(generator_count=1, relators=(Word(letters=((0, 2),)),), "
@@ -98,7 +98,7 @@ def test_hash_is_the_init_field_tuple_hash():
     assert hash(Factor("SL", 3)) == hash(("SL", 3))
     assert hash(GradedPoly((1, 2))) == hash(((1, 2),))
     assert hash(AbelianInvariants(1)) == hash((1, ()))
-    # a derived field is a function of the others and is left out
+    # a cached property is a function of the fields and is left out
     assert hash(Block(1, ((2,),), ((1,),))) == hash((1, ((2,),), ((1,),)))
 
 
@@ -119,9 +119,20 @@ def test_arguments_bind_like_a_signature():
         FreeNilpotent(n=0, c=1)    # checked on the keyword path too
 
 
-def test_fields_include_derived_ones_in_place():
-    assert record.fields(Block) == ("rank", "simple_roots", "simple_coroots",
-                                    "coroots")
+def test_fields_are_the_init_parameters():
+    # every record class of the package, each with a value in VALUES
+    classes = {cls for module in (finitehom, groups, invariants, report,
+                                  rootdata)
+               for cls in vars(module).values()
+               if "__record_fields__" in getattr(cls, "__dict__", ())}
+    assert classes == {type(make()) for make, _ in VALUES} - {
+        Heisenberg, FreeAbelian}
+    assert len(classes) == 16
+    for cls in classes:
+        params = tuple(inspect.signature(cls.__init__).parameters)
+        assert record.fields(cls) == params[1:], cls
+    assert record.fields(Block) == ("rank", "simple_roots", "simple_coroots")
+    # the catalog's named free groups are undecorated subclasses
     assert record.fields(Heisenberg()) == ("n", "c")
     with pytest.raises(TypeError):
         record.fields(object())
@@ -143,7 +154,7 @@ def test_replace_keeps_the_class_and_rechecks():
                           simple_coroots=((-1,),)).coroots == block.coroots
     with pytest.raises(ValueError):
         record.replace(block, rank=2)
-    # a derived field is recomputed, never passed
+    # a cached property is no field: it is recomputed, never passed
     with pytest.raises(TypeError):
         record.replace(block, coroots=())
 
@@ -153,5 +164,6 @@ def test_cached_properties_still_cache():
     assert g.h1 is g.h1 == (1, (4,))
     block = Block(1, ((2,),), ((1,),))
     assert block.cokernel is block.cokernel == AbelianInvariants(0)
+    assert block.coroots is block.coroots == ((-1,), (1,))
     # the cache lives outside the fields
     assert block == Block(1, ((2,),), ((1,),))
