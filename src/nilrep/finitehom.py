@@ -1,18 +1,23 @@
 """Finite quotients and connectivity of representation spaces.
 
-Homomorphisms from a finitely presented nilpotent group into a finite
-group are enumerated by depth-first search over generator images with
+Homomorphisms from a finitely generated nilpotent group into a finite
+group are counted in one of two ways.  When every image is abelian,
+because the group is certified abelian or the target is abelian, a map
+is a tuple of pairwise commuting elements, one per generator of H_1,
+and the tuples are counted by a recursion over the subgroup the images
+so far generate and its centralizer, with no leaf visited.  Every other
+pair is enumerated by depth-first search over generator images with
 relator pruning; each depth carries down the subgroup its images
 generate, grown one generator at a time, so surjectivity and the
 witness test are read at the leaves without closing any image there.
-A finite group tabulates the powers of its elements once, so each
-letter g^e of a relator costs one lookup and one product at any e, both
-read straight from the target's tables.
+A finite group tabulates the powers and the centralizers of its
+elements once, so each letter g^e of a relator costs one lookup and one
+product at any e, both read straight from the target's tables.
 Every map into an abelian target factors through H_1, so such a target
-is searched on H_1's presentation: one free generator per unit of rank,
+is counted on H_1's presentation: one free generator per unit of rank,
 one generator with the relator g^d per torsion divisor d, and no
 commutator relators.  One bound, SEARCH_LIMIT on the leaves, limits
-every search.
+every count.
 A homomorphism onto the quaternion group, which sits in SL_2,
 certifies that the representation variety and the character variety
 are both disconnected when the target contains a root SL_2.
@@ -25,7 +30,8 @@ quotient is the quotient of the identity component.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
+from operator import eq
 
 from .errors import NilrepError, TooLarge, UnsupportedGroup
 from .groups import (DirectProduct, FiniteAbelian, FreeNilpotent, GroupSpec,
@@ -37,9 +43,10 @@ from .rootdata import (Factor, ReductiveSpec, RootDatum, _orbit,
                        build_root_datum)
 
 # leaves of one search, every target order below 2 counted as 2: at most
-# 6 generators into Q8 and 18 into C2; Z^3 into c100 (10^6 leaves, and
-# no relators, since it is searched on H_1) takes about 0.6 s in-process
-# with the limit lifted (2-core Xeon), all of it in the depth-first walk
+# 6 generators into Q8 and 18 into C2.  Maps with abelian image are
+# counted with no leaf visited, yet sized by the same bound: Z^3 into
+# c100 (10^6 maps) takes about 0.07 s in-process with the limit lifted
+# (2-core x86 Linux container), against 0.6 s for the depth-first walk
 SEARCH_LIMIT = 8**6
 # the largest m that central_image_order_bound accepts: the bound has
 # 2,510 digits at m = 512, and past about 700 it has more digits than
@@ -129,9 +136,12 @@ class FiniteGroup:
         return all(self.mul(a, b) == self.mul(b, a)
                    for a in elems for b in elems)
 
-    def centralizer_size(self, g) -> int:
-        return sum(1 for h in range(self.order)
-                   if self.mul(g, h) == self.mul(h, g))
+    @cached_property
+    def centralizers(self) -> tuple[frozenset, ...]:
+        """centralizers[g] = C(g), the elements that commute with g: row g
+        of the table against column g, computed once per table."""
+        return tuple(frozenset(compress(range(self.order), map(eq, row, col)))
+                     for row, col in zip(self.table, zip(*self.table)))
 
     @cached_property
     def nilpotency_class(self):
@@ -250,9 +260,11 @@ class HomSearchResult:
 
 
 def presentation_for_homs(g, target: FiniteGroup) -> Presentation:
-    """A finite presentation with the same maps into target as g.
+    """A finite presentation with the same maps into target as g: the one
+    enumerate_homs reports, and sizes against SEARCH_LIMIT, whether it
+    counts the maps by the centralizer recursion or searches them.
 
-    An abelian target is searched on H_1 (_abelian_presentation); H_1
+    An abelian target is counted on H_1 (_abelian_presentation); H_1
     never needs more generators than any presentation of g, and the maps,
     surjections and (absent) witnesses are the same.  Otherwise a map
     into a target of nilpotency class k kills the (k + 1)-st lower-central
@@ -352,12 +364,66 @@ def _evaluate(letters, images, target: FiniteGroup) -> int:
     return out
 
 
-def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
-    """Exact count of homomorphisms by DFS over generator images.
+def _count_commuting(target: FiniteGroup, orders) -> tuple[int, int]:
+    """(total, surjective) over the tuples (x_1, ..., x_n) of pairwise
+    commuting elements of target with x_i^orders[i] = 1, an order of 0
+    meaning no condition: the maps from Z^r + Z/d_1 + ... + Z/d_k.
 
-    Relators are checked as soon as all their generators have images, so
-    dead branches are pruned early; generator images are tried in element
-    index order, which makes the reported witness deterministic.
+    The count recurses on (depth, the subgroup S of the images so far),
+    which fixes their common centralizer C(S): the next image is any
+    allowed element x of C(S), and moves to <S, x>, whose centralizer
+    is C(S) & C(x).  Each state is counted once per search, and each
+    (subgroup, new element) pair is closed once, as in the depth-first
+    search.  For r free generators and no torsion this is
+    |Hom(Z^r, G)| = sum over g of |Hom(Z^(r-1), C(g))| (Erdos and
+    Turan, Statistical group theory IV, 1968).
+    """
+    n = target.order
+    # x^d = 1 exactly when x^(d mod n) = 1, so each d is reduced once
+    allowed = [frozenset(x for x in range(n)
+                         if target.powers[x][d % n] == target.identity)
+               for d in orders]
+    counted: dict[tuple[int, frozenset], tuple[int, int]] = {}
+    # (subgroup, new element) -> (subgroup, its generators, centralizer)
+    grown: dict[tuple[frozenset, int], tuple] = {}
+
+    def count(depth, node):
+        sub, generators, common = node
+        if depth == len(orders):
+            return 1, int(len(sub) == n)
+        key = (depth, sub)
+        if key not in counted:
+            total = surjective = 0
+            for x in common & allowed[depth]:
+                if x in sub:
+                    child = node
+                elif (child := grown.get((sub, x))) is None:
+                    child = grown[sub, x] = (
+                        target.closure((*generators, x)), (*generators, x),
+                        common & target.centralizers[x])
+                t, s = count(depth + 1, child)
+                total += t
+                surjective += s
+            counted[key] = total, surjective
+        return counted[key]
+
+    return count(0, (frozenset({target.identity}), (), frozenset(range(n))))
+
+
+def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
+    """Exact count of homomorphisms, with the first witness.
+
+    When every image is abelian, because the group is certified abelian
+    or the target is abelian, the maps are those from H_1, and they are
+    counted by _count_commuting with no leaf visited; no witness exists.
+    presentation_for_homs sizes every case first, so both paths refuse
+    the same inputs.
+
+    Otherwise the homomorphisms are enumerated by DFS over generator
+    images.  Relators are checked as soon as all their generators have
+    images, so dead branches are pruned early; generator images are tried
+    in element index order, which makes the reported witness
+    deterministic.
 
     Each depth passes down the subgroup its images generate, so no leaf
     closes its image again.  An image already in the parent subgroup
@@ -367,7 +433,13 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     subgroup is the whole target, and is a witness when its subgroup is
     not abelian, which is when its images do not commute pairwise.
     """
+    if isinstance(g, Presentation):
+        g = Presented(g)
     pres = presentation_for_homs(g, target)
+    if target.nilpotency_class == 1 or is_abelian(g):
+        rank, torsion = h1_invariants(g)
+        total, surjective = _count_commuting(target, (0,) * rank + torsion)
+        return HomSearchResult(total, surjective, None, pres)
     gens = pres.generator_count
     # each relator's letters with exponents reduced modulo the target's
     # order once, not at every node: a written exponent may have

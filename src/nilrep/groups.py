@@ -15,11 +15,10 @@ AbelianInvariants(rank=2, torsion=())
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
 
 from .errors import NilrepError, TooLarge, UnsupportedQuotient
 from .record import record, replace
-from .snf import cokernel_of_columns
+from .snf import _merge_chain, cokernel_of_columns
 # re-exported: perfbench/spans.py traces both in this module
 from .snf import cokernel_invariants, smith_normal_form  # noqa: F401
 
@@ -394,24 +393,6 @@ class AbelianInvariants:
             parts.append("Z^%d" % self.rank)
         parts.extend("Z/%d" % d for d in self.torsion)
         return " x ".join(parts) if parts else "1"
-
-
-def _merge_chain(entries) -> tuple[int, ...]:
-    """Invariant-factor chain of a direct sum of cyclic groups Z/e, e >= 2.
-    Each e enters the chain from its largest factor down, as
-    Z/c + Z/e = Z/lcm(c, e) + Z/gcd(c, e): the lcm stays and the gcd goes
-    on down, which keeps every prime's exponents sorted along the chain,
-    and a gcd of 1 leaves the smaller factors as they are."""
-    chain = []   # the invariant factors so far, largest first
-    for e in entries:
-        for i, c in enumerate(chain):
-            if e == 1:
-                break
-            g = gcd(c, e)
-            chain[i], e = c // g * e, g
-        if e > 1:
-            chain.append(e)
-    return tuple(reversed(chain))
 
 
 def h1_invariants(g: GroupSpec) -> tuple[int, tuple[int, ...]]:

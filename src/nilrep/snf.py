@@ -7,13 +7,19 @@ fixed-width or floating-point arithmetic.  Cokernels are computed from
 sparse columns (cokernel_of_columns): a written presentation's exponent
 matrix is mostly empty columns (commutator relators) and columns with a
 single +-1 (a central generator named by its commutator), so every +-1
-entry is used as a pivot and eliminated, with its row and column, before
-the Smith form runs on the dense block that is left (Dumas, Heckenbach,
-Saunders and Welker, Computing simplicial homology based on efficient
-Smith normal form algorithms, 2003).
+entry is used as a pivot and eliminated, with its row and column, and
+every entry then alone in its row and its column (a torsion relator g^d)
+is read off as a cyclic summand, before the Smith form runs on the dense
+block that is left (Dumas, Heckenbach, Saunders and Welker, Computing
+simplicial homology based on efficient Smith normal form algorithms,
+2003).  Cyclic summands merge into one invariant-factor chain by
+pairwise gcd and lcm (_merge_chain).
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from math import gcd
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -217,27 +223,54 @@ def _eliminate_unit_pivots(columns) -> tuple[list[dict], int]:
     return list(live.values()), pivots
 
 
+def _merge_chain(entries) -> tuple[int, ...]:
+    """Invariant-factor chain of a direct sum of cyclic groups Z/e, e >= 1.
+    Each e enters the chain from its largest factor down, as
+    Z/c + Z/e = Z/lcm(c, e) + Z/gcd(c, e): the lcm stays and the gcd goes
+    on down, which keeps every prime's exponents sorted along the chain,
+    and a gcd of 1 leaves the smaller factors as they are."""
+    chain = []   # the invariant factors so far, largest first
+    for e in entries:
+        for i, c in enumerate(chain):
+            if e == 1:
+                break
+            g = gcd(c, e)
+            chain[i], e = c // g * e, g
+        if e > 1:
+            chain.append(e)
+    return tuple(reversed(chain))
+
+
 def cokernel_of_columns(rows: int, columns) -> tuple[int, tuple[int, ...]]:
     """Invariants (free rank, torsion chain) of Z^rows modulo the span of
     the columns, each a {row: non-zero int} dict.
 
-    Unit pivots are eliminated first; the Smith form runs only on the
-    dense block that is left, with rows and columns that hold nothing
-    dropped.  The free rank is rows - unit pivots - non-zero Smith
-    entries, and the torsion chain lists the Smith entries >= 2 in
-    divisibility order.
+    Unit pivots are eliminated first.  An entry e left alone in both its
+    row and its column is then a summand Z/|e| already, and joins the
+    torsion chain by _merge_chain; the Smith form runs only on the dense
+    block that is left, with rows and columns that hold nothing dropped.
+    The free rank is rows less the unit pivots, the lone entries and the
+    non-zero Smith entries.
     """
     live = [col for col in columns if col]
     pivots = 0
     if any(1 in col.values() or -1 in col.values() for col in live):
         live, pivots = _eliminate_unit_pivots(live)
-    if not live:
-        return rows - pivots, ()
-    block = [[col.get(r, 0) for col in live]
-             for r in {r for col in live for r in col}]
-    d, _, _ = smith_normal_form(block, False)
-    nonzero = [e for e in diagonal_of(d) if e != 0]
-    return rows - pivots - len(nonzero), tuple(e for e in nonzero if e >= 2)
+    holders = Counter(r for col in live for r in col)
+    lone, dense = [], []
+    for col in live:
+        if len(col) == 1 and holders[next(iter(col))] == 1:
+            lone.extend(map(abs, col.values()))
+        else:
+            dense.append(col)
+    nonzero = []
+    if dense:
+        block = [[col.get(r, 0) for col in dense]
+                 for r in {r for col in dense for r in col}]
+        d, _, _ = smith_normal_form(block, False)
+        nonzero = [e for e in diagonal_of(d) if e != 0]
+    return (rows - pivots - len(lone) - len(nonzero),
+            _merge_chain(lone + nonzero))
 
 
 def cokernel_invariants(m) -> tuple[int, tuple[int, ...]]:

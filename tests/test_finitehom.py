@@ -2,7 +2,7 @@
 
 import random
 from itertools import combinations_with_replacement, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -52,7 +52,7 @@ def test_q8_is_built_once_per_process():
 def test_q8_structure():
     commutators = {Q8.commutator(a, b) for a in range(8) for b in range(8)}
     assert Q8.closure(commutators) == frozenset({0, 1})
-    center = [g for g in range(8) if Q8.centralizer_size(g) == 8]
+    center = [g for g in range(8) if len(Q8.centralizers[g]) == 8]
     assert sorted(center) == [0, 1]
     assert not Q8.is_abelian_subset(range(8))
     assert Q8.nilpotency_class == 2
@@ -150,8 +150,7 @@ def test_commuting_pair_counts_match_double_loop():
         double_loop = sum(1 for a in range(group.order)
                           for b in range(group.order)
                           if group.mul(a, b) == group.mul(b, a))
-        centralizers = sum(group.centralizer_size(g)
-                           for g in range(group.order))
+        centralizers = sum(map(len, group.centralizers))
         assert counted == double_loop == centralizers
 
 
@@ -508,14 +507,18 @@ def test_search_closes_once_per_new_subgroup_step(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "closure", counted)
     result = enumerate_homs(FreeAbelian(3), cyclic(64))
     assert (result.total, result.surjective) == (64**3, 64**3 - 32**3)
-    # one closure per leaf would be 262,144 calls
+    # one closure per leaf would be 262,144 calls; one per (subgroup, new
+    # element) pair is 63 from the trivial subgroup and 64 - |S| from
+    # each of the five others below the whole group, 321 in all
     assert calls[0] <= 400
 
 
 def test_relator_exponents_are_reduced_once_per_search(monkeypatch):
-    # the same 2^17-leaf search with a 1-digit and a 3,600-digit torsion
-    # relator; every letter evaluated at a node has an exponent below the
-    # target's order, so the big one costs no big-integer reduction
+    # the depth-first search, on a written group that is not certified
+    # abelian, into the non-abelian Q8: the same search with a^8 and with
+    # a^N, N a 2,198-digit power of 2 written out in decimal; every letter
+    # evaluated at a node has an exponent below the target's order, so
+    # the big one costs no big-integer reduction
     exponents = set()
     evaluate = finitehom._evaluate
 
@@ -524,12 +527,140 @@ def test_relator_exponents_are_reduced_once_per_search(monkeypatch):
         return evaluate(letters, images, target)
 
     monkeypatch.setattr(finitehom, "_evaluate", recorded)
+    for n in (8, 2**7300):
+        g = parse_group_spec("<a,b | a^%d, [a,b]>" % n)
+        assert g.presentation.relators[0].letters == ((0, n),)
+        result = enumerate_homs(g, Q8)
+        assert (result.total, result.surjective, result.witness) \
+            == (40, 0, None)
+    assert exponents and max(exponents) < Q8.order
+
+
+def test_torsion_orders_are_reduced_once_per_count():
+    # the abelian-image count of a 2^17-map group with a 1-digit and a
+    # 3,600-digit torsion order: each order is reduced modulo the
+    # target's once, to read one power per element, not at every state
+    reads = []
+
+    class RecordedRow(tuple):
+        def __getitem__(self, k):
+            reads.append(k)
+            return tuple.__getitem__(self, k)
+
     for torsion in ((FiniteAbelian((6,)),),
                     (FiniteAbelian((2**7300,)), FiniteAbelian((3**4600,)))):
+        target = cyclic(2)
+        target.powers = tuple(map(RecordedRow, target.powers))
+        reads.clear()
         result = enumerate_homs(DirectProduct((FreeAbelian(16), *torsion)),
-                                cyclic(2))
+                                target)
         assert (result.total, result.surjective) == (2**17, 2**17 - 1)
-    assert max(exponents) < 2
+        # one read per element for each of the 17 generators of H_1
+        assert len(reads) == 17 * target.order
+        assert max(reads) < target.order
+
+
+# ---------------------------------------------------------------------------
+# counting maps with abelian image
+
+
+ABELIAN_SOURCES = ("Z/1", "Z", "Z^2", "Z^3", "Z^4", "F(1,3)", "Z/2", "Z/6",
+                   "Z/2 x Z/4", "Z/4 x Z/6", "Z/2 x Z/2 x Z/2", "Z^2 x Z/3",
+                   "Z/2 x Z/4 x Z^2")
+
+
+@pytest.mark.parametrize("target", [Q8, *map(cyclic, (1, 6, 12)),
+                                    *map(dihedral, (1, 2, 3, 4, 6))],
+                         ids=lambda t: t.name)
+def test_abelian_image_count_matches_the_search(target):
+    # a catalog abelian group is counted on H_1; its written form is not
+    # certified abelian, so into a non-abelian target it takes the
+    # depth-first search, and the product referee checks both
+    for text in ABELIAN_SOURCES:
+        g = parse_group_spec(text)
+        assert groups.is_abelian(g)
+        got = enumerate_homs(g, target)
+        written = Presented(got.presentation)
+        assert not groups.is_abelian(written)
+        assert enumerate_homs(written, target) == got, (text, target.name)
+        assert ((got.total, got.surjective, got.witness)
+                == product_homs(got.presentation, target)), (text, target.name)
+
+
+def subgroup_table(group, elements):
+    """The subgroup on the given elements as a table of its own."""
+    elements = sorted(elements)
+    index = {g: i for i, g in enumerate(elements)}
+    return FiniteGroup([[index[group.mul(a, b)] for b in elements]
+                        for a in elements])
+
+
+def free_abelian(r):
+    return FreeAbelian(r) if r else FiniteAbelian(())
+
+
+@pytest.mark.parametrize("target", [Q8, cyclic(6),
+                                    *map(dihedral, (3, 4, 6, 8))],
+                         ids=lambda t: t.name)
+def test_commuting_tuples_satisfy_the_centralizer_identity(target):
+    # h_r(G) = sum over g of h_(r-1)(C(g)), each centralizer a table of
+    # its own; at r = 2 this is k(G) * |G| (Erdos and Turan), with the
+    # conjugacy classes counted from the table
+    n = target.order
+    centralizers = [subgroup_table(target, target.centralizers[g])
+                    for g in range(n)]
+    for r in range(1, 5):
+        want = sum(enumerate_homs(free_abelian(r - 1), c).total
+                   for c in centralizers)
+        assert enumerate_homs(FreeAbelian(r), target).total == want, r
+    classes = {frozenset(target.mul(target.mul(target.inverse[h], g), h)
+                         for h in range(n)) for g in range(n)}
+    assert enumerate_homs(FreeAbelian(2), target).total == len(classes) * n
+
+
+def mobius(k):
+    out = 1
+    for p in range(2, k + 1):
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            out = -out
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cyclic_target_counts_match_closed_forms(n):
+    # Hom(Z^r + Z/d_1 + ... , C_m) has m^r * prod gcd(d_i, m) maps; the
+    # maps onto C_n are sum over m | n of mu(n / m) times those into C_m
+    def into(m, rank, divisors):
+        return m**rank * prod(gcd(d, m) for d in divisors)
+
+    for rank, divisors in ((0, ()), (1, ()), (4, ()), (0, (4,)), (1, (6,)),
+                           (2, (2, 6)), (0, (3, 9, 12)), (1, (5, 10)),
+                           (0, (7, 2**7300))):
+        factors = [FiniteAbelian((d,)) for d in divisors]
+        if rank:
+            factors.append(FreeAbelian(rank))
+        g = DirectProduct(tuple(factors)) if factors else FiniteAbelian(())
+        result = enumerate_homs(g, cyclic(n))
+        onto = sum(mobius(n // m) * into(m, rank, divisors)
+                   for m in range(1, n + 1) if n % m == 0)
+        assert ((result.total, result.surjective, result.witness)
+                == (into(n, rank, divisors), onto, None)), (rank, divisors)
+
+
+def test_trivial_group_and_trivial_target():
+    for target in (Q8, cyclic(1), cyclic(6), dihedral(4), dihedral(3)):
+        result = enumerate_homs(FiniteAbelian(()), target)
+        assert (result.total, result.surjective, result.witness) \
+            == (1, int(target.order == 1), None)
+    # every group has the one map onto the group of order 1
+    for text in ("Z^5", "Z/2 x Z/4 x Z^2", "H3", "F(2,3)", "F(3,2)",
+                 "<a,b,c | [a,b]c^-1, [a,c], [b,c]>"):
+        result = enumerate_homs(parse_group_spec(text), cyclic(1))
+        assert (result.total, result.surjective, result.witness) \
+            == (1, 1, None), text
 
 
 def test_search_limits():

@@ -14,6 +14,7 @@ from nilrep.groups import (POWER_LETTER_CAP, AbelianInvariants, DirectProduct,
                            free_nilpotent_lcs_ranks, free_reduce, gen,
                            heisenberg_presentation, inverse, is_abelian,
                            lower_central_data, power, quotient_by_lcs)
+from nilrep.parsing import parse_group_spec
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +151,36 @@ def test_written_class2_reduces_only_its_live_block(monkeypatch):
 
 def test_central_torsion_survives_pruning(monkeypatch):
     # <a, b, c, z | [a, b] z^-1, c^4, [a, z], [b, z], [c, z], [a, c], [b, c]>:
-    # z^-1 is a unit pivot, the five commutators are empty columns
+    # z^-1 is a unit pivot, the five commutators are empty columns, and
+    # c^4 is then alone in its row and its column: a summand Z/4 read off
+    # with no Smith form
     a, b, c, z = (gen(i) for i in range(4))
     p = Presentation(4, (concat(commutator(a, b), inverse(z)), power(c, 4),
                          commutator(a, z), commutator(b, z), commutator(c, z),
                          commutator(a, c), commutator(b, c)))
     blocks = _recording_smith_form(monkeypatch)
     assert abelianize(Presented(p)) == AbelianInvariants(2, (4,))
-    assert blocks == [[[4]]]
+    assert blocks == []
+
+
+def test_lone_torsion_entries_skip_the_smith_form(monkeypatch):
+    # <a0, ..., a399 | a_i^(2 + i mod 5)>: every column is one entry alone
+    # in its row, so H_1 is merged by gcd and lcm as for the catalog's
+    # Z/2 x Z/3 x ... x Z/6, where a 400 x 400 Smith form took seconds;
+    # a shared row sends the rest to the Smith form as before
+    blocks = _recording_smith_form(monkeypatch)
+    names = ["a%d" % i for i in range(400)]
+    written = parse_group_spec("<%s | %s>" % (",".join(names), ", ".join(
+        "%s^%d" % (x, 2 + i % 5) for i, x in enumerate(names))))
+    catalog = parse_group_spec(" x ".join("Z/%d" % (2 + i % 5)
+                                          for i in range(400)))
+    assert abelianize(written) == abelianize(catalog) == AbelianInvariants(
+        0, (2,) * 80 + (6,) * 80 + (60,) * 80)
+    assert blocks == []
+    shared = Presentation(2, (power(gen(0), 4), power(gen(1), 6),
+                              concat(power(gen(0), 2), power(gen(1), 2))))
+    assert abelianize(Presented(shared)) == AbelianInvariants(0, (2, 2))
+    assert blocks == [[[4, 0, 2], [0, 6, 2]]]
 
 
 def test_wide_block_builds_no_transforms(monkeypatch):
