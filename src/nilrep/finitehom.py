@@ -1,15 +1,17 @@
 """Finite quotients and connectivity of representation spaces.
 
 Homomorphisms from a finitely generated nilpotent group into a finite
-group are counted in one of two ways.  When every image is abelian,
+group are counted in one of two ways, both carrying down one search
+node: the subgroup S that the images so far generate, its generators
+and its centralizer C(S), grown by _grow one new image at a time and
+closed once per (S, image) in a count.  When every image is abelian,
 because the group is certified abelian or the target is abelian, a map
 is a tuple of pairwise commuting elements, one per generator of H_1,
-and the tuples are counted by a recursion over the subgroup the images
-so far generate and its centralizer, with no leaf visited.  Every other
-pair is enumerated by depth-first search over generator images with
-relator pruning; each depth carries down the subgroup its images
-generate, grown one generator at a time, so surjectivity and the
-witness test are read at the leaves without closing any image there.
+and the tuples are counted by a recursion over the nodes, each next
+image drawn from C(S), with no leaf visited.  Every other pair is
+enumerated by depth-first search over generator images with relator
+pruning; a leaf is onto when S is the target, and a witness when S is
+not abelian, that is when S does not lie in C(S).
 A finite group tabulates the powers and the centralizers of its
 elements once, so each letter g^e of a relator costs one lookup and one
 product at any e, both read straight from the target's tables.
@@ -130,11 +132,6 @@ class FiniteGroup:
         # every inverse is a positive power
         return frozenset(_orbit({self.identity, *generators}, generators,
                                 lambda h, g: self.table[g][h]))
-
-    def is_abelian_subset(self, elems) -> bool:
-        elems = list(elems)
-        return all(self.mul(a, b) == self.mul(b, a)
-                   for a in elems for b in elems)
 
     @cached_property
     def centralizers(self) -> tuple[frozenset, ...]:
@@ -364,44 +361,51 @@ def _evaluate(letters, images, target: FiniteGroup) -> int:
     return out
 
 
+def _grow(target: FiniteGroup, grown: dict, node, x):
+    """The search node of <S, x> for x outside S, from S's node
+    (S, generators of S, C(S)): the generators gain x, the centralizer
+    narrows to C(S) & C(x), and <S, x> is closed once per (S, x) in
+    grown, the dict of one count."""
+    sub, generators, common = node
+    child = grown.get((sub, x))
+    if child is None:
+        generators = (*generators, x)
+        child = grown[sub, x] = (target.closure(generators), generators,
+                                 common & target.centralizers[x])
+    return child
+
+
 def _count_commuting(target: FiniteGroup, orders) -> tuple[int, int]:
     """(total, surjective) over the tuples (x_1, ..., x_n) of pairwise
     commuting elements of target with x_i^orders[i] = 1, an order of 0
     meaning no condition: the maps from Z^r + Z/d_1 + ... + Z/d_k.
 
-    The count recurses on (depth, the subgroup S of the images so far),
-    which fixes their common centralizer C(S): the next image is any
-    allowed element x of C(S), and moves to <S, x>, whose centralizer
-    is C(S) & C(x).  Each state is counted once per search, and each
-    (subgroup, new element) pair is closed once, as in the depth-first
-    search.  For r free generators and no torsion this is
+    The count recurses on (depth, the node (S, generators, C(S)) of the
+    images so far): the next image is any allowed element x of C(S), and
+    moves to the node of <S, x> (_grow).  Each (depth, S) is counted
+    once per count.  For r free generators and no torsion this is
     |Hom(Z^r, G)| = sum over g of |Hom(Z^(r-1), C(g))| (Erdos and
     Turan, Statistical group theory IV, 1968).
     """
     n = target.order
-    # x^d = 1 exactly when x^(d mod n) = 1, so each d is reduced once
+    # one power read per element and order: x^d = 1 exactly when
+    # x^(d mod n) = 1
     allowed = [frozenset(x for x in range(n)
-                         if target.powers[x][d % n] == target.identity)
+                         if target.power(x, d) == target.identity)
                for d in orders]
     counted: dict[tuple[int, frozenset], tuple[int, int]] = {}
-    # (subgroup, new element) -> (subgroup, its generators, centralizer)
-    grown: dict[tuple[frozenset, int], tuple] = {}
+    grown: dict = {}
 
     def count(depth, node):
-        sub, generators, common = node
+        sub, _, common = node
         if depth == len(orders):
             return 1, int(len(sub) == n)
         key = (depth, sub)
         if key not in counted:
             total = surjective = 0
             for x in common & allowed[depth]:
-                if x in sub:
-                    child = node
-                elif (child := grown.get((sub, x))) is None:
-                    child = grown[sub, x] = (
-                        target.closure((*generators, x)), (*generators, x),
-                        common & target.centralizers[x])
-                t, s = count(depth + 1, child)
+                t, s = count(depth + 1, node if x in sub
+                             else _grow(target, grown, node, x))
                 total += t
                 surjective += s
             counted[key] = total, surjective
@@ -425,13 +429,12 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     in element index order, which makes the reported witness
     deterministic.
 
-    Each depth passes down the subgroup its images generate, so no leaf
-    closes its image again.  An image already in the parent subgroup
-    keeps it; otherwise the grown subgroup is closed over the images so
-    far (at most 18 of them, by SEARCH_LIMIT), once per search for each
-    (parent subgroup, new image) pair.  A leaf is surjective when its
-    subgroup is the whole target, and is a witness when its subgroup is
-    not abelian, which is when its images do not commute pairwise.
+    Each depth passes down the node (S, generators, C(S)) of the
+    subgroup S its images generate, as _count_commuting does: an image
+    in S keeps the node, any other grows it by _grow, so no leaf closes
+    its image again.  A leaf is surjective when S is the whole target,
+    and is a witness when S is not abelian, which is when S does not lie
+    in its own centralizer C(S).
     """
     if isinstance(g, Presentation):
         g = Presented(g)
@@ -452,46 +455,30 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
                 tuple((g, e % target.order) for g, e in w.letters))
 
     images = [target.identity] * gens
-    counts = {"total": 0, "surjective": 0}
-    found: list[tuple[int, ...] | None] = [None]
-    trivial = frozenset({target.identity})
-    # per search: one (subgroup, is abelian) node per distinct subgroup,
-    # and the node grown from each (parent subgroup, new image) pair
-    nodes = {trivial: (trivial, True)}
-    grown: dict[tuple[frozenset, int], tuple[frozenset, bool]] = {}
-
-    def grow(parent, depth):
-        key = (parent, images[depth])
-        node = grown.get(key)
-        if node is None:
-            generators = images[:depth + 1]
-            sub = target.closure(generators)
-            # commuting generators generate an abelian group
-            node = nodes.setdefault(
-                sub, (sub, target.is_abelian_subset(generators)))
-            grown[key] = node
-        return node
+    grown: dict = {}
+    total = surjective = 0
+    witness = None
 
     def dfs(depth, node):
-        sub, commutative = node
+        nonlocal total, surjective, witness
+        sub, _, common = node
         if depth == gens:
-            counts["total"] += 1
+            total += 1
             if len(sub) == target.order:
-                counts["surjective"] += 1
-            if found[0] is None and not commutative:
-                found[0] = tuple(images)
+                surjective += 1
+            if witness is None and not sub <= common:
+                witness = tuple(images)
             return
         for candidate in range(target.order):
             images[depth] = candidate
             if all(_evaluate(letters, images, target) == target.identity
                    for letters in by_depth[depth]):
-                dfs(depth + 1,
-                    node if candidate in sub else grow(sub, depth))
+                dfs(depth + 1, node if candidate in sub
+                    else _grow(target, grown, node, candidate))
         images[depth] = target.identity
 
-    dfs(0, nodes[trivial])
-    return HomSearchResult(counts["total"], counts["surjective"],
-                           found[0], pres)
+    dfs(0, (frozenset({target.identity}), (), frozenset(range(target.order))))
+    return HomSearchResult(total, surjective, witness, pres)
 
 
 def surjection_witness(g, target: FiniteGroup):

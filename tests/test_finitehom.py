@@ -25,6 +25,14 @@ Q8 = q8()
 I, J, K = 2, 4, 6  # element indices in the canonical ordering
 
 
+def commute_pairwise(target, elems):
+    """Whether the elements commute pairwise, by brute force over the
+    table: the referee for the search's centralizer test."""
+    elems = list(elems)
+    return all(target.mul(a, b) == target.mul(b, a)
+               for a in elems for b in elems)
+
+
 # ---------------------------------------------------------------------------
 # the quaternion group
 
@@ -54,7 +62,7 @@ def test_q8_structure():
     assert Q8.closure(commutators) == frozenset({0, 1})
     center = [g for g in range(8) if len(Q8.centralizers[g]) == 8]
     assert sorted(center) == [0, 1]
-    assert not Q8.is_abelian_subset(range(8))
+    assert not commute_pairwise(Q8, range(8))
     assert Q8.nilpotency_class == 2
 
 
@@ -218,7 +226,7 @@ def test_witness_validates_against_relators():
     for relator in pres.relators:
         assert referee_value(relator, images, Q8) == Q8.identity
     image = Q8.closure(images)
-    assert not Q8.is_abelian_subset(image)
+    assert not commute_pairwise(Q8, image)
     assert len(image) == 8
 
 
@@ -323,7 +331,7 @@ def leaf_closure_homs(g, target):
         image = target.closure(images)
         if len(image) == target.order:
             surjective += 1
-        if witness is None and not target.is_abelian_subset(image):
+        if witness is None and not commute_pairwise(target, image):
             witness = images
     return total, surjective, witness
 
@@ -351,6 +359,35 @@ def test_carried_subgroups_match_leaf_closure(target):
         got = enumerate_homs(g, target)
         assert (got.total, got.surjective, got.witness) == want, \
             (text, target.name)
+
+
+def test_every_search_node_is_its_subgroup_and_centralizer(monkeypatch):
+    # every node _grow builds, on the sources and targets above: C6 and
+    # C8 reach the centralizer recursion, Q8, D4 and S3 the search
+    grow = finitehom._grow
+    built = []
+
+    def recorded(target, grown, node, x):
+        child = grow(target, grown, node, x)
+        built.append((target, child))
+        return child
+
+    monkeypatch.setattr(finitehom, "_grow", recorded)
+    targets = (Q8, dihedral(4), cyclic(6), cyclic(8), dihedral(3))
+    for target in targets:
+        for text in HOMCOUNT_SOURCES:
+            try:
+                enumerate_homs(parse_group_spec(text), target)
+            except UnsupportedGroup:   # F(2,3) into S3
+                pass
+    assert {target.name for target, _ in built} \
+        == {target.name for target in targets}
+    for target, (sub, generators, common) in built:
+        assert sub == target.closure(generators)
+        assert common == frozenset(
+            x for x in range(target.order)
+            if all(target.mul(x, s) == target.mul(s, x) for s in sub))
+        assert (sub <= common) == commute_pairwise(target, sub)
 
 
 ABELIAN_TARGETS = (*(cyclic(n) for n in range(1, 13)), dihedral(1),
