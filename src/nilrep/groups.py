@@ -37,26 +37,28 @@ class Word:
     exponents and no two adjacent pairs on the same generator.  Build words
     through the module helpers (gen, concat, inverse, power, commutator).
     They wrap the letter-list functions reduce_onto, inverse_letters,
-    power_letters and commutator_letters, the one word algebra, which the
-    parser uses directly.  All reduce as they go, so commutator nesting
-    disappears into plain letters at construction time.
+    power_letters, commutator_letters and letter_commutator, the one word
+    algebra, which the parser uses directly.  All reduce as they go, so
+    commutator nesting disappears into plain letters at construction time.
     """
 
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        last = -1
         for g, e in self.letters:
             if g < 0:
                 raise ValueError("generator indices must be non-negative")
             if e == 0:
                 raise ValueError("exponents must be non-zero")
-        for (g1, _), (g2, _) in zip(self.letters, self.letters[1:]):
-            if g1 == g2:
+            if g == last:
                 raise ValueError("word is not freely reduced")
+            last = g
 
     def max_generator(self) -> int:
-        """Largest generator index used, or -1 for the empty word."""
-        return max((g for g, _ in self.letters), default=-1)
+        """Largest generator index used, or -1 for the empty word; the
+        largest letter has the largest generator."""
+        return max(self.letters, default=(-1,))[0]
 
     def exponent_sums(self, generator_count: int) -> list[int]:
         """Total exponent per generator; a commutator sums to zero."""
@@ -104,6 +106,12 @@ def commutator_letters(a, b) -> list:
         raise TooLarge("commutator of %d letters exceeds %d letters"
                        % (letters, POWER_LETTER_CAP))
     return reduce_onto([], [*inverse_letters(a), *inverse_letters(b), *a, *b])
+
+
+def letter_commutator(g: int, e: int, h: int, f: int) -> list:
+    """commutator_letters([(g, e)], [(h, f)]) without the reduction pass:
+    no letters when g = h or an exponent is 0, else four."""
+    return [(g, -e), (h, -f), (g, e), (h, f)] if e and f and g != h else []
 
 
 def free_reduce(letters) -> Word:

@@ -20,8 +20,9 @@ writes a relator that reduces to the identity.
 
 A word is read as a plain list of (generator, exponent) letters, kept
 freely reduced as each item joins it.  The letter helpers are those of
-groups (reduce_onto, power_letters, commutator_letters), which its Word
-helpers wrap for the catalog; a presentation builds one Word per relator.
+groups (reduce_onto, power_letters, commutator_letters and, for a plain
+commutator of two names, letter_commutator), which its Word helpers wrap
+for the catalog; a presentation builds one Word per relator.
 Items are read with one fixed pattern, the same for every input: a run
 of ASCII name characters with an exponent of at most 18 digits, or a
 plain commutator [u^i, v^j] of two such runs with no power after it,
@@ -29,7 +30,9 @@ each in one match.  A run that is not a declared name is split at its
 longest declared prefixes in one pass, so x1x2 reads as x1 x2 and a run
 costs work linear in its length.  Every other bracket (nested, powered,
 or holding a run to split) and every error goes through the one
-recursive reader.
+recursive reader.  A word ends where its next character is one of the
+separators that may follow it (",", "]" or ">"), or where no item
+starts after its spaces.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import ParseError, TooLarge
 from .groups import (POWER_LETTER_CAP, DirectProduct, FiniteAbelian,
                      FreeAbelian, FreeNilpotent, GroupSpec, Heisenberg,
                      Presentation, Presented, Word, commutator_letters,
-                     power_letters, reduce_onto)
+                     letter_commutator, power_letters, reduce_onto)
 from .rootdata import Factor, ReductiveSpec
 
 # deepest bracket nesting in a word.  Each level can double the word, so
@@ -223,7 +226,7 @@ def _word(s: _Scanner, item: re.Pattern, ends: tuple[str, ...],
     text, index = s.text, s.index
     word: list[tuple[int, int]] = []
     items = 0
-    while True:
+    while not text.startswith(ends, s.pos):
         m = item.match(text, s.pos)
         s.pos = m.end()
         run, digits, bracket, u, i, v, j = m.groups()
@@ -232,21 +235,20 @@ def _word(s: _Scanner, item: re.Pattern, ends: tuple[str, ...],
                 raise ParseError("commutator brackets nested deeper than %d"
                                  % NESTING_BOUND, m.start(3))
             if u in index and v in index:
-                # a plain commutator: its two entries are charged as the
-                # one-item words they are, then the bracket itself
+                # a plain commutator, never powered: its entries are
+                # charged as one-item words, then the bracket itself
                 e, f = int(i) if i else 1, int(j) if j else 1
-                a = [(index[u], e)] if e else []
-                b = [(index[v], f)] if f else []
-                s.letters += len(a) + len(b)
+                s.letters += (e != 0) + (f != 0)
+                base = letter_commutator(index[u], e, index[v], f)
             else:
                 s.pos = m.end(3)
                 a = _word(s, item, (",",), depth + 1)
                 s.expect(",")
                 b = _word(s, item, ("]",), depth + 1)
                 s.expect("]")
-            base = commutator_letters(a, b)
-            if s.try_literal("^"):
-                base = power_letters(base, s.integer(signed=True))
+                base = commutator_letters(a, b)
+                if s.try_literal("^"):
+                    base = power_letters(base, s.integer(signed=True))
         else:
             # a declared run is the longest declared name there, unless
             # a letter or digit beyond ASCII goes on where a name may
@@ -284,7 +286,12 @@ def _word(s: _Scanner, item: re.Pattern, ends: tuple[str, ...],
         if s.letters > LETTER_BUDGET:
             raise TooLarge("the words of this group input pass %d letters"
                            % LETTER_BUDGET)
-        reduce_onto(word, base)
+        # every item is freely reduced, so only its first letter can
+        # cancel against the word
+        if word and base and word[-1][0] == base[0][0]:
+            reduce_onto(word, base)
+        else:
+            word += base
         items += 1
     if not items:
         empty = _EMPTY_WORD.match(text, s.pos)

@@ -9,11 +9,13 @@ from nilrep.errors import TooLarge, UnsupportedQuotient
 from nilrep.groups import (POWER_LETTER_CAP, AbelianInvariants, DirectProduct,
                            FiniteAbelian, FreeAbelian, FreeNilpotent,
                            Heisenberg, Presentation, Presented, Word,
-                           _merge_chain, abelianize, commutator, concat,
+                           _merge_chain, abelianize, commutator,
+                           commutator_letters, concat,
                            free_nilpotent_class2_presentation,
                            free_nilpotent_lcs_ranks, free_reduce, gen,
                            heisenberg_presentation, inverse, is_abelian,
-                           lower_central_data, power, quotient_by_lcs)
+                           letter_commutator, lower_central_data, power,
+                           quotient_by_lcs)
 from nilrep.parsing import parse_group_spec
 
 
@@ -60,10 +62,30 @@ def test_free_reduce_matches_a_unit_letter_stack():
 
 
 def test_word_invariants_enforced():
-    with pytest.raises(ValueError):
-        Word(((0, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        Word(((0, 0),))
+    for letters, message in [
+        (((0, 1), (-1, 2)), "generator indices must be non-negative"),
+        (((0, 0),), "exponents must be non-zero"),
+        (((0, 1), (0, 1)), "word is not freely reduced"),
+        # one pass over the letters: the first letter that breaks a rule
+        # names it, here a repeat ahead of a negative index
+        (((0, 1), (0, 1), (-1, 1)), "word is not freely reduced"),
+    ]:
+        with pytest.raises(ValueError, match="^%s$" % message):
+            Word(letters)
+
+
+def test_letter_commutator_is_the_commutator_of_two_letters():
+    for g, h in [(0, 1), (1, 0), (2, 2)]:
+        for e in (-3, -1, 0, 1, 2):
+            for f in (-2, 0, 1, 5):
+                a = [(g, e)] if e else []
+                b = [(h, f)] if f else []
+                assert letter_commutator(g, e, h, f) == commutator_letters(a, b)
+
+
+def test_max_generator():
+    assert Word().max_generator() == -1
+    assert Word(((2, -1), (0, 5), (3, 1), (1, 1))).max_generator() == 3
 
 
 def test_commutator_expansion():

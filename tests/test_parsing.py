@@ -266,3 +266,24 @@ def test_presentation_without_relators_re_parses():
     again = parse_group_spec(str(free))
     assert again.presentation == Presentation(2, (Word(),), ("g1", "g2"))
     assert abelianize(again) == abelianize(free) == abelianize(FreeAbelian(2))
+
+
+def _free_class2_text(n, style):
+    """F(n, 2) written out as the benchmark writes it: a central generator
+    c_i_j per commutator of the x_i, [x_i,x_j]c_i_j^-1 for i < j, then
+    [x_k,c_i_j] for each c and each x."""
+    xs = ["%s%d" % (style, i + 1) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cs = ["c%d_%d" % (i + 1, j + 1) for i, j in pairs]
+    rels = ["[%s,%s]%s^-1" % (xs[i], xs[j], c) for (i, j), c in zip(pairs, cs)]
+    rels += ["[%s,%s]" % (x, c) for c in cs for x in xs]
+    return "<%s | %s>" % (",".join(xs + cs), ", ".join(rels))
+
+
+@pytest.mark.parametrize("style", ["x", "g", "u"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_written_free_class2_reads_as_the_catalog(n, style):
+    g = parse_group_spec(_free_class2_text(n, style))
+    catalog = FreeNilpotent(n, 2).presentation()
+    assert g.presentation.relators == catalog.relators
+    assert parse_group_spec(str(g)) == g

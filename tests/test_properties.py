@@ -301,6 +301,11 @@ def written_words(draw, depth=0):
 @example(["xyx1abbab^2", "x1x12x2", "x12x3"])
 @example(["y" * 200_000 + "q"])
 @example(["y" * 200_001 + "q"])
+# letters that cancel at a seam next to a plain commutator, a word that
+# ends at its separator after spaces, and a commutator and its inverse
+@example(["ba[a,b]", "[a,b]b^-1a^-1"])
+@example(["a ", " b"])
+@example(["[a,b][b,a]"])
 def test_word_parser_matches_the_word_helpers(words):
     names = GENERATOR_NAMES[:8]
     text = "<%s | %s>" % (",".join(names), ",".join(words))
