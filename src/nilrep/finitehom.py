@@ -15,9 +15,9 @@ not abelian, that is when S does not lie in C(S).
 A finite group tabulates the powers and the centralizers of its
 elements once, so each letter g^e of a relator costs one lookup and one
 product at any e, both read straight from the target's tables.
-Every map into an abelian target factors through H_1, so such a target
-is counted on H_1's presentation: one free generator per unit of rank,
-one generator with the relator g^d per torsion divisor d, and no
+Every map with abelian image factors through H_1, so such a count is
+sized, counted and reported on H_1 alone: one free generator per unit of
+rank, one generator with the relator g^d per torsion divisor d, and no
 commutator relators.  One bound, SEARCH_LIMIT on the leaves, limits
 every count.
 A homomorphism onto the quaternion group, which sits in SL_2,
@@ -46,9 +46,9 @@ from .rootdata import (Factor, ReductiveSpec, RootDatum, _orbit,
 
 # leaves of one search, every target order below 2 counted as 2: at most
 # 6 generators into Q8 and 18 into C2.  Maps with abelian image are
-# counted with no leaf visited, yet sized by the same bound: Z^3 into
-# c100 (10^6 maps) takes about 0.07 s in-process with the limit lifted
-# (2-core x86 Linux container), against 0.6 s for the depth-first walk
+# counted with no leaf visited, yet sized by the same bound on H_1's
+# generators: Z^3 into c100 (10^6 maps) takes about 0.07 s in-process
+# with the limit lifted (2-core x86 Linux), against 0.6 s for the search
 SEARCH_LIMIT = 8**6
 # the largest m that central_image_order_bound accepts: the bound has
 # 2,510 digits at m = 512, and past about 700 it has more digits than
@@ -247,41 +247,14 @@ class HomSearchResult:
     witness is the first generator-image tuple (in depth-first order by
     element index) whose image subgroup is non-abelian, if any; it is a
     surjection onto that subgroup.  presentation records which generators
-    the indices refer to.
+    the indices refer to: H_1's when every image is abelian, else the
+    searched one.
     """
 
     total: int
     surjective: int
     witness: tuple[int, ...] | None
     presentation: Presentation
-
-
-def presentation_for_homs(g, target: FiniteGroup) -> Presentation:
-    """A finite presentation with the same maps into target as g: the one
-    enumerate_homs reports, and sizes against SEARCH_LIMIT, whether it
-    counts the maps by the centralizer recursion or searches them.
-
-    An abelian target is counted on H_1 (_abelian_presentation); H_1
-    never needs more generators than any presentation of g, and the maps,
-    surjections and (absent) witnesses are the same.  Otherwise a map
-    into a target of nilpotency class k kills the (k + 1)-st lower-central
-    term, so each free nilpotent factor is searched on its quotient by
-    that term: the class-2 quotient for Q8.  The catalog presents classes
-    1 and 2; a factor left at class >= 3 (or any class >= 3 into a target
-    that is not nilpotent) raises UnsupportedGroup.  The generator count
-    is read from the specs and checked against SEARCH_LIMIT before any
-    relator is written.
-    """
-    if isinstance(g, Presentation):
-        g = Presented(g)
-    k = target.nilpotency_class
-    if k == 1:
-        rank, torsion = h1_invariants(g)
-        _check_search(max(rank + len(torsion), 1), target)
-        return _abelian_presentation(rank, torsion)
-    g = _searched(g, k)
-    _check_search(_generator_count(g), target)
-    return _presentation(g)
 
 
 def _check_search(gens: int, target: FiniteGroup) -> None:
@@ -418,16 +391,21 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     """Exact count of homomorphisms, with the first witness.
 
     When every image is abelian, because the group is certified abelian
-    or the target is abelian, the maps are those from H_1, and they are
-    counted by _count_commuting with no leaf visited; no witness exists.
-    presentation_for_homs sizes every case first, so both paths refuse
-    the same inputs.
+    or the target is abelian, the maps are those from H_1: sized on H_1's
+    generators, counted by _count_commuting with no leaf visited, and
+    reported with _abelian_presentation; no witness exists.
 
-    Otherwise the homomorphisms are enumerated by DFS over generator
-    images.  Relators are checked as soon as all their generators have
-    images, so dead branches are pruned early; generator images are tried
-    in element index order, which makes the reported witness
-    deterministic.
+    Otherwise a map into a target of nilpotency class k kills the
+    (k + 1)-st lower-central term, so each free nilpotent factor is
+    searched on its quotient by that term (_searched): the class-2
+    quotient for Q8.  The catalog presents classes 1 and 2, so a factor
+    left at class >= 3 raises UnsupportedGroup.  The generator count is
+    read from the specs and checked against SEARCH_LIMIT before any
+    relator is written.  The homomorphisms are then enumerated by DFS
+    over generator images.  Relators are checked as soon as all their
+    generators have images, so dead branches are pruned early; generator
+    images are tried in element index order, which makes the reported
+    witness deterministic.
 
     Each depth passes down the node (S, generators, C(S)) of the
     subgroup S its images generate, as _count_commuting does: an image
@@ -438,11 +416,16 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     """
     if isinstance(g, Presentation):
         g = Presented(g)
-    pres = presentation_for_homs(g, target)
-    if target.nilpotency_class == 1 or is_abelian(g):
+    k = target.nilpotency_class
+    if k == 1 or is_abelian(g):
         rank, torsion = h1_invariants(g)
+        _check_search(max(rank + len(torsion), 1), target)
         total, surjective = _count_commuting(target, (0,) * rank + torsion)
-        return HomSearchResult(total, surjective, None, pres)
+        return HomSearchResult(total, surjective, None,
+                               _abelian_presentation(rank, torsion))
+    g = _searched(g, k)
+    _check_search(_generator_count(g), target)
+    pres = _presentation(g)
     gens = pres.generator_count
     # each relator's letters with exponents reduced modulo the target's
     # order once, not at every node: a written exponent may have
@@ -546,12 +529,14 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
     can, and say Unknown where it cannot; rd, when given, is spec's root
     datum, so a caller that has built it does not build it again.
 
-    Every rule reads G through its root datum, never a family name.  A
-    simply connected factor with a dual Kac label of at least 2 has
-    commuting triples in no torus (Borel, Friedman and Morgan, Almost
-    commuting elements in compact Lie groups, Mem. AMS 2002), and
-    restriction to three coordinates carries the identity component of
-    Hom(Z^r, G) into that of Hom(Z^3, G), so every r >= 3 is disconnected.
+    Every rule reads G through its root datum except _dual_labels_one,
+    which reads Factor.cartan_type, a map of the family name (ROADMAP
+    item 12(a) reads the labels off the block instead).  A simply
+    connected factor with a dual Kac label of at least 2 has commuting
+    triples in no torus (Borel, Friedman and Morgan, Almost commuting
+    elements in compact Lie groups, Mem. AMS 2002), and restriction to
+    three coordinates carries the identity component of Hom(Z^r, G)
+    into that of Hom(Z^3, G), so every r >= 3 is disconnected.
     """
     ab = abelianize(g)
     r = ab.rank

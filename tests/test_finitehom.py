@@ -10,8 +10,7 @@ from nilrep import finitehom, groups
 from nilrep.errors import TooLarge, UnsupportedGroup
 from nilrep.finitehom import (FiniteGroup, central_image_order_bound,
                               connectivity_verdict, cyclic, dihedral,
-                              enumerate_homs, presentation_for_homs, q8,
-                              surjection_witness)
+                              enumerate_homs, q8, surjection_witness)
 from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,
                            FreeNilpotent, Heisenberg, Presentation, Presented,
                            free_abelian_presentation,
@@ -307,9 +306,10 @@ def test_presented_group_enumeration():
 
 
 def written_presentation(g, target):
-    """The presentation of g that the search used before abelian targets
-    were searched on H_1: g as written, with each free nilpotent factor
-    replaced by its quotient by the target's class."""
+    """A presentation of g with the same maps into target: g as written,
+    with each free nilpotent factor replaced by its quotient by the
+    target's class.  The search reads it when some image is not abelian;
+    every count with abelian image reports H_1's presentation instead."""
     return finitehom._presentation(
         finitehom._searched(g, target.nilpotency_class))
 
@@ -489,13 +489,21 @@ def test_non_abelian_targets_keep_the_two_limit_rule(target):
 @pytest.mark.parametrize("target", [dihedral(3), dihedral(8), Q8],
                          ids=lambda t: t.name)
 def test_free_nilpotent_on_one_generator_is_searched_as_z(target):
-    # F(1, c) is Z at every class, into targets of every nilpotency class
+    # F(1, c) is Z at every class, into targets of every nilpotency class:
+    # alone it is counted on H_1; beside H3 it is searched, and only
+    # _searched's abelian branch keeps it from the class-c refusal
     want = enumerate_homs(FreeAbelian(1), target)
+    beside = enumerate_homs(DirectProduct((Heisenberg(), FreeAbelian(1))),
+                            target)
     for c in (1, 2, 3, 7):
-        got = enumerate_homs(FreeNilpotent(1, c), target)
-        assert got == want
-        assert got.presentation.generator_names() == ("x1",)
+        assert enumerate_homs(FreeNilpotent(1, c), target) == want
+        got = enumerate_homs(
+            DirectProduct((Heisenberg(), FreeNilpotent(1, c))), target)
+        assert (got.total, got.surjective, got.witness) \
+            == (beside.total, beside.surjective, beside.witness), c
     assert want.total == target.order
+    if target.nilpotency_class is None:   # S3
+        assert beside.total == 48
 
 
 def product_homs(pres, target):
@@ -528,9 +536,11 @@ def test_search_matches_the_product_referee(target):
                  "<x,y,z | [x,y]z^-1, [x,z], [y,z]>",
                  "<a,b,c,d | [a,b]c^-1, [a,c]d^-1, [b,c], [a,d], [b,d], "
                  "[c,d]>"):
-        result = enumerate_homs(parse_group_spec(text), target)
+        g = parse_group_spec(text)
+        result = enumerate_homs(g, target)
         assert ((result.total, result.surjective, result.witness)
-                == product_homs(result.presentation, target)), text
+                == product_homs(written_presentation(g, target), target)), \
+            text
 
 
 def test_search_closes_once_per_new_subgroup_step(monkeypatch):
@@ -612,16 +622,70 @@ ABELIAN_SOURCES = ("Z/1", "Z", "Z^2", "Z^3", "Z^4", "F(1,3)", "Z/2", "Z/6",
 def test_abelian_image_count_matches_the_search(target):
     # a catalog abelian group is counted on H_1; its written form is not
     # certified abelian, so into a non-abelian target it takes the
-    # depth-first search, and the product referee checks both
+    # depth-first search, and the product referee checks both.  The two
+    # report different presentations: H_1's and the written one
     for text in ABELIAN_SOURCES:
         g = parse_group_spec(text)
         assert groups.is_abelian(g)
         got = enumerate_homs(g, target)
-        written = Presented(got.presentation)
+        assert got.presentation == finitehom._abelian_presentation(
+            *groups.h1_invariants(g)), (text, target.name)
+        counts = (got.total, got.surjective, got.witness)
+        pres = written_presentation(g, target)
+        written = Presented(pres)
         assert not groups.is_abelian(written)
-        assert enumerate_homs(written, target) == got, (text, target.name)
-        assert ((got.total, got.surjective, got.witness)
-                == product_homs(got.presentation, target)), (text, target.name)
+        searched = enumerate_homs(written, target)
+        assert (searched.total, searched.surjective, searched.witness) \
+            == counts == product_homs(pres, target), (text, target.name)
+
+
+def test_each_count_reads_h1_once(monkeypatch):
+    # the abelian-image decision is made once, so H_1 is read at most
+    # once per count, and not at all by the depth-first search
+    calls = []
+    h1 = finitehom.h1_invariants
+
+    def counted(g):
+        calls.append(g)
+        return h1(g)
+
+    monkeypatch.setattr(finitehom, "h1_invariants", counted)
+    for text, target, reads in (("Z/2 x Z/4 x Z^2", cyclic(6), 1),
+                                ("Z/2 x Z/4 x Z^2", Q8, 1),
+                                ("H3", cyclic(6), 1), ("H3", Q8, 0),
+                                ("<a,b | [a,b]>", dihedral(4), 0)):
+        calls.clear()
+        enumerate_homs(parse_group_spec(text), target)
+        assert len(calls) == reads, (text, target.name)
+
+
+def commuting_tuples_in_q8(r):
+    """h_r(Q8) = 2 * h_(r-1) + 6 * 4^(r-1), h_0 = 1: the first image is
+    one of the two central elements, whose centralizer is Q8, or one of
+    the six others, whose centralizer is cyclic of order 4."""
+    h = 1
+    for k in range(r):
+        h = 2 * h + 6 * 4**k
+    return h
+
+
+def test_abelian_sources_are_sized_on_h1():
+    # H_1 of Z/2 x Z/3 x Z^5 is Z^5 + Z/6: six generators where the
+    # factors have seven.  Into Q8, x^6 = 1 leaves the two central
+    # elements, so the maps are 2 * h_5(Q8)
+    assert [commuting_tuples_in_q8(r) for r in range(1, 8)] \
+        == [8, 40, 176, 736, 3008, 12160, 48896]
+    result = enumerate_homs(parse_group_spec("Z/2 x Z/3 x Z^5"), Q8)
+    assert (result.total, result.surjective, result.witness) \
+        == (2 * commuting_tuples_in_q8(5), 0, None) == (6016, 0, None)
+    # Z/1 adds no generator to H_1 = Z^6
+    result = enumerate_homs(parse_group_spec("Z/1 x Z^6"), Q8)
+    assert (result.total, result.surjective, result.witness) \
+        == (commuting_tuples_in_q8(6), 0, None) == (12160, 0, None)
+    # a refusal quotes H_1's generators: seven, not the factors' eight
+    for text in ("Z^7", "Z/2 x Z/3 x Z^6"):
+        with pytest.raises(TooLarge, match=r"search space 8\^7 exceeds"):
+            enumerate_homs(parse_group_spec(text), Q8)
 
 
 def subgroup_table(group, elements):
