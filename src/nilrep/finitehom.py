@@ -12,9 +12,9 @@ image drawn from C(S), with no leaf visited.  Every other pair is
 enumerated by depth-first search over generator images with relator
 pruning; a leaf is onto when S is the target, and a witness when S is
 not abelian, that is when S does not lie in C(S).
-A finite group tabulates the powers and the centralizers of its
-elements once, so each letter g^e of a relator costs one lookup and one
-product at any e, both read straight from the target's tables.
+A finite group tabulates its powers and centralizers once; a search node
+resolves each relator letter on an earlier generator to its element once,
+so a candidate image costs one table product per letter at any exponent.
 Every map with abelian image factors through H_1, so such a count is
 sized, counted and reported on H_1 alone: one free generator per unit of
 rank, one generator with the relator g^d per torsion divisor d, and no
@@ -39,7 +39,8 @@ from .errors import NilrepError, TooLarge, UnsupportedGroup
 from .groups import (DirectProduct, FiniteAbelian, FreeNilpotent, GroupSpec,
                      Presentation, Presented, abelianize,
                      finite_abelian_presentation, gen, h1_invariants,
-                     is_abelian, merge_presentations, power, quotient_by_lcs)
+                     is_abelian, is_written, merge_presentations, power,
+                     quotient_by_lcs)
 from .record import record
 from .rootdata import (Factor, ReductiveSpec, RootDatum, _orbit,
                        build_root_datum)
@@ -319,21 +320,6 @@ def _presentation(g) -> Presentation:
     return g.presentation()
 
 
-def _evaluate(letters, images, target: FiniteGroup) -> int:
-    """The value of a relator at images, read from the target's tables:
-    one power lookup and one product per letter (g, e).
-
-    Every e must satisfy 0 <= e < target.order; enumerate_homs reduces
-    each relator exponent modulo the order once per search.  A negative
-    e would index powers from the end without error."""
-    table = target.table
-    powers = target.powers
-    out = target.identity
-    for g, e in letters:
-        out = table[out][powers[images[g]][e]]
-    return out
-
-
 def _grow(target: FiniteGroup, grown: dict, node, x):
     """The search node of <S, x> for x outside S, from S's node
     (S, generators of S, C(S)): the generators gain x, the centralizer
@@ -401,11 +387,11 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     quotient for Q8.  The catalog presents classes 1 and 2, so a factor
     left at class >= 3 raises UnsupportedGroup.  The generator count is
     read from the specs and checked against SEARCH_LIMIT before any
-    relator is written.  The homomorphisms are then enumerated by DFS
-    over generator images.  Relators are checked as soon as all their
-    generators have images, so dead branches are pruned early; generator
-    images are tried in element index order, which makes the reported
-    witness deterministic.
+    relator is written.  The DFS then tries generator images in element
+    index order, which makes the reported witness deterministic, and
+    checks each relator once all its generators have images: a node
+    resolves its letters on earlier generators to elements once, so a
+    candidate costs one product per letter.
 
     Each depth passes down the node (S, generators, C(S)) of the
     subgroup S its images generate, as _count_commuting does: an image
@@ -417,7 +403,9 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     if isinstance(g, Presentation):
         g = Presented(g)
     k = target.nilpotency_class
-    if k == 1 or is_abelian(g):
+    # into a nilpotent target a cyclic H_1 makes every image cyclic; into
+    # any other, a written group is cyclic only on trust, so it is searched
+    if k == 1 or is_abelian(g) and (k is not None or not is_written(g)):
         rank, torsion = h1_invariants(g)
         _check_search(max(rank + len(torsion), 1), target)
         total, surjective = _count_commuting(target, (0,) * rank + torsion)
@@ -427,6 +415,8 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     _check_search(_generator_count(g), target)
     pres = _presentation(g)
     gens = pres.generator_count
+    table, powers, one, n = (target.table, target.powers, target.identity,
+                             target.order)
     # each relator's letters with exponents reduced modulo the target's
     # order once, not at every node: a written exponent may have
     # thousands of digits, and a reduced one may be 0
@@ -435,9 +425,9 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     for w in pres.relators:
         if w.letters:
             by_depth[w.max_generator()].append(
-                tuple((g, e % target.order) for g, e in w.letters))
+                tuple((g, e % n) for g, e in w.letters))
 
-    images = [target.identity] * gens
+    images = [one] * gens
     grown: dict = {}
     total = surjective = 0
     witness = None
@@ -447,27 +437,34 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
         sub, _, common = node
         if depth == gens:
             total += 1
-            if len(sub) == target.order:
-                surjective += 1
+            surjective += len(sub) == n
             if witness is None and not sub <= common:
                 witness = tuple(images)
             return
-        for candidate in range(target.order):
-            images[depth] = candidate
-            if all(_evaluate(letters, images, target) == target.identity
-                   for letters in by_depth[depth]):
+        # a letter (g, e) with g < depth is the fixed element g^e here; one
+        # on depth keeps e, read from the candidate's row of powers
+        checks = [tuple((g == depth, e if g == depth else powers[images[g]][e])
+                        for g, e in letters) for letters in by_depth[depth]]
+        for candidate in range(n):
+            row = powers[candidate]
+            for letters in checks:
+                out = one
+                for own, x in letters:
+                    out = table[out][row[x] if own else x]
+                if out != one:
+                    break
+            else:
+                images[depth] = candidate
                 dfs(depth + 1, node if candidate in sub
                     else _grow(target, grown, node, candidate))
-        images[depth] = target.identity
 
-    dfs(0, (frozenset({target.identity}), (), frozenset(range(target.order))))
+    dfs(0, (frozenset({one}), (), frozenset(range(n))))
     return HomSearchResult(total, surjective, witness, pres)
 
 
 def surjection_witness(g, target: FiniteGroup):
     """First DFS-discovered map whose image is a non-abelian subgroup of
-    the target, or None.  Such a map realizes a surjection of the group
-    onto a finite non-abelian subgroup."""
+    the target, or None: a surjection onto that finite subgroup."""
     return enumerate_homs(g, target).witness
 
 
@@ -578,12 +575,15 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
                        "every reductive target that is not a torus")
 
     if is_abelian(g):
+        note = ("; a written group whose H_1 needs at most one generator "
+                "is cyclic, as it is taken to be nilpotent"
+                if is_written(g) else "")
         if r == 0:
-            return Verdict(CONNECTED, "trivial_group",
-                           "the trivial group has a single representation")
+            return Verdict(CONNECTED, "trivial_group", "the trivial group "
+                           "has a single representation" + note)
         if r == 1:
             return Verdict(CONNECTED, "single_generator",
-                           "Hom(Z, G) = G, which is connected")
+                           "Hom(Z, G) = G, which is connected" + note)
         if any(b.cokernel.torsion for b in blocks):
             return Verdict(DISCONNECTED, "not_simply_connected",
                            "the target has a non-simply-connected simple "

@@ -309,7 +309,7 @@ class Presented(GroupSpec):
 
     Nilpotency of a presentation is undecidable, so it is taken on trust;
     everything computed here (abelianization, finite images) is valid
-    regardless.
+    regardless, and only the cyclic rule of is_abelian relies on it.
     """
 
     presentation: Presentation
@@ -514,10 +514,13 @@ def quotient_by_lcs(g: GroupSpec, i: int) -> GroupSpec:
 
 
 def is_abelian(g: GroupSpec) -> bool:
-    """Whether the description certifies an abelian group.
+    """Whether the description certifies an abelian group (False means
+    "not certified").
 
-    For a presented group we make no claim (False here means "not
-    certified").
+    A presented group is certified when its H_1 needs at most one
+    generator: in a nilpotent group, elements that generate H_1 generate
+    the group, so the group is cyclic.  This assumes the nilpotency that
+    Presented takes on trust.
     """
     if isinstance(g, FiniteAbelian):
         return True
@@ -525,7 +528,18 @@ def is_abelian(g: GroupSpec) -> bool:
         return g.c == 1 or g.n == 1
     if isinstance(g, DirectProduct):
         return all(is_abelian(f) for f in g.factors)
+    if isinstance(g, Presented):
+        rank, torsion = g.h1
+        return rank + len(torsion) <= 1
     return False
+
+
+def is_written(g: GroupSpec) -> bool:
+    """Whether g is, or has as a factor, a written presentation, whose
+    nilpotency is taken on trust."""
+    if isinstance(g, DirectProduct):
+        return any(map(is_written, g.factors))
+    return isinstance(g, Presented)
 
 
 # ---------------------------------------------------------------------------

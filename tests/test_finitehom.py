@@ -191,31 +191,13 @@ def test_heisenberg_surjections_by_inclusion_exclusion():
 def referee_value(word, images, group):
     """The value of word at images, each letter g^e as |e| right
     multiplications by the image of g, or by its inverse for e < 0;
-    neither FiniteGroup.power nor finitehom._evaluate is used."""
+    FiniteGroup.power and the power table are not used."""
     value = group.identity
     for g, e in word.letters:
         x = images[g] if e > 0 else group.inverse[images[g]]
         for _ in range(abs(e)):
             value = group.mul(value, x)
     return value
-
-
-@pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6),
-                                    cyclic(256), dihedral(128)],
-                         ids=lambda t: t.name)
-def test_evaluate_matches_the_referee(target):
-    # random words with exponents of either sign, some past the order,
-    # reduced modulo the order as enumerate_homs reduces them
-    rng = random.Random(target.order)
-    for _ in range(200):
-        gens = rng.randint(1, 4)
-        word = groups.free_reduce(
-            [(rng.randrange(gens), rng.choice((-1, 1)) * rng.randint(1, 600))
-             for _ in range(rng.randint(0, 8))])
-        images = [rng.randrange(target.order) for _ in range(gens)]
-        letters = tuple((g, e % target.order) for g, e in word.letters)
-        assert (finitehom._evaluate(letters, images, target)
-                == referee_value(word, images, target))
 
 
 def test_witness_validates_against_relators():
@@ -560,27 +542,54 @@ def test_search_closes_once_per_new_subgroup_step(monkeypatch):
     assert calls[0] <= 400
 
 
-def test_relator_exponents_are_reduced_once_per_search(monkeypatch):
+@pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6),
+                                    dihedral(3), dihedral(128)],
+                         ids=lambda t: t.name)
+def test_search_on_random_presentations_matches_the_referee(target):
+    # random written presentations of 1-3 generators, exponents of either
+    # sign up to 600, so most letters pass the target's order and some
+    # reduce to 0, into nilpotent, abelian and non-nilpotent (S3) targets;
+    # at most 8^3 = 512 tuples (256 on one generator into the order-256
+    # target) for the product referee per case
+    rng = random.Random(target.name)
+    most = 1 if target.order > 8 else 3
+    for _ in range(12):
+        gens = rng.randint(1, most)
+        relators = tuple(
+            groups.free_reduce(
+                [(rng.randrange(gens),
+                  rng.choice((-1, 1)) * rng.randint(1, 600))
+                 for _ in range(rng.randint(1, 6))])
+            for _ in range(rng.randint(0, 3)))
+        pres = Presentation(gens, relators)
+        result = enumerate_homs(Presented(pres), target)
+        assert ((result.total, result.surjective, result.witness)
+                == product_homs(pres, target)), pres
+
+
+def test_relator_exponents_are_reduced_once_per_search():
     # the depth-first search, on a written group that is not certified
     # abelian, into the non-abelian Q8: the same search with a^8 and with
-    # a^N, N a 2,198-digit power of 2 written out in decimal; every letter
-    # evaluated at a node has an exponent below the target's order, so
-    # the big one costs no big-integer reduction
-    exponents = set()
-    evaluate = finitehom._evaluate
+    # a^N, N a 2,198-digit power of 2 written out in decimal; every power
+    # read in the search has an exponent below the target's order, so the
+    # big one costs no big-integer reduction.  A private Q8 keeps the
+    # shared table unrecorded
+    reads = []
 
-    def recorded(letters, images, target):
-        exponents.update(e for _, e in letters)
-        return evaluate(letters, images, target)
+    class RecordedRow(tuple):
+        def __getitem__(self, k):
+            reads.append(k)
+            return tuple.__getitem__(self, k)
 
-    monkeypatch.setattr(finitehom, "_evaluate", recorded)
+    target = FiniteGroup(Q8.table, Q8.labels, name="Q8")
+    target.powers = tuple(map(RecordedRow, target.powers))
     for n in (8, 2**7300):
         g = parse_group_spec("<a,b | a^%d, [a,b]>" % n)
         assert g.presentation.relators[0].letters == ((0, n),)
-        result = enumerate_homs(g, Q8)
+        result = enumerate_homs(g, target)
         assert (result.total, result.surjective, result.witness) \
             == (40, 0, None)
-    assert exponents and max(exponents) < Q8.order
+    assert reads and max(reads) < target.order
 
 
 def test_torsion_orders_are_reduced_once_per_count():
@@ -620,23 +629,41 @@ ABELIAN_SOURCES = ("Z/1", "Z", "Z^2", "Z^3", "Z^4", "F(1,3)", "Z/2", "Z/6",
                                     *map(dihedral, (1, 2, 3, 4, 6))],
                          ids=lambda t: t.name)
 def test_abelian_image_count_matches_the_search(target):
-    # a catalog abelian group is counted on H_1; its written form is not
-    # certified abelian, so into a non-abelian target it takes the
-    # depth-first search, and the product referee checks both.  The two
-    # report different presentations: H_1's and the written one
+    # a catalog abelian group is counted on H_1; its written form is
+    # certified abelian exactly when its H_1 needs at most one generator
+    # (the cyclic rule), and otherwise into a non-abelian target it takes
+    # the depth-first search; the product referee checks both
     for text in ABELIAN_SOURCES:
         g = parse_group_spec(text)
         assert groups.is_abelian(g)
         got = enumerate_homs(g, target)
+        rank, torsion = groups.h1_invariants(g)
         assert got.presentation == finitehom._abelian_presentation(
-            *groups.h1_invariants(g)), (text, target.name)
+            rank, torsion), (text, target.name)
         counts = (got.total, got.surjective, got.witness)
         pres = written_presentation(g, target)
         written = Presented(pres)
-        assert not groups.is_abelian(written)
+        assert groups.is_abelian(written) == (rank + len(torsion) <= 1), text
         searched = enumerate_homs(written, target)
         assert (searched.total, searched.surjective, searched.witness) \
             == counts == product_homs(pres, target), (text, target.name)
+
+
+def test_written_cyclic_groups_are_searched_into_non_nilpotent_targets():
+    # the cyclic rule certifies a written group on trust: the written S3
+    # has H_1 = Z/2, so it is certified, though it is not nilpotent.  Into
+    # a nilpotent target its count on H_1 is exact all the same, since an
+    # image with cyclic H_1 is cyclic there; into S3 it is searched, with
+    # its 6 automorphisms, 3 maps onto a flip and the trivial map
+    s3 = parse_group_spec("<a,b | a^3, b^2, abab>")
+    assert groups.is_abelian(s3)
+    got = enumerate_homs(s3, dihedral(3))
+    assert (got.total, got.surjective) == (10, 6)
+    assert got.presentation == s3.presentation and got.witness is not None
+    for target in (Q8, dihedral(4), cyclic(6), dihedral(3)):
+        got = enumerate_homs(s3, target)
+        assert ((got.total, got.surjective, got.witness)
+                == product_homs(s3.presentation, target)), target.name
 
 
 def test_each_count_reads_h1_once(monkeypatch):
