@@ -13,8 +13,9 @@ enumerated by depth-first search over generator images with relator
 pruning; a leaf is onto when S is the target, and a witness when S is
 not abelian, that is when S does not lie in C(S).
 A finite group tabulates its powers and centralizers once; a search node
-resolves each relator letter on an earlier generator to its element once,
-so a candidate image costs one table product per letter at any exponent.
+folds each run of relator letters on earlier generators into one element,
+so a candidate image costs one table product per run and one per letter
+on its own generator, at any exponent.
 Every map with abelian image factors through H_1, so such a count is
 sized, counted and reported on H_1 alone: one free generator per unit of
 rank, one generator with the relator g^d per torsion divisor d, and no
@@ -68,7 +69,7 @@ class FiniteGroup:
     """A finite group given by its multiplication table on 0..order-1.
 
     Construction verifies the identity and inverse laws always, and full
-    associativity for orders up to 24 (the sizes used here).  It also
+    associativity for orders up to 24.  It also
     tabulates every power g^k, 0 <= k < order, so power() is one lookup.
     """
 
@@ -389,9 +390,10 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     read from the specs and checked against SEARCH_LIMIT before any
     relator is written.  The DFS then tries generator images in element
     index order, which makes the reported witness deterministic, and
-    checks each relator once all its generators have images: a node
-    resolves its letters on earlier generators to elements once, so a
-    candidate costs one product per letter.
+    checks each relator once all its generators have images: a node folds
+    each maximal run of its letters on earlier generators into one
+    element, so a candidate costs one product per run and one per letter
+    on its own generator.
 
     Each depth passes down the node (S, generators, C(S)) of the
     subgroup S its images generate, as _count_commuting does: an image
@@ -417,15 +419,23 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     gens = pres.generator_count
     table, powers, one, n = (target.table, target.powers, target.identity,
                              target.order)
-    # each relator's letters with exponents reduced modulo the target's
-    # order once, not at every node: a written exponent may have
-    # thousands of digits, and a reduced one may be 0
-    by_depth: list[list[tuple[tuple[int, int], ...]]] = [
-        [] for _ in range(gens)]
+    # each relator split once into (True, e), a letter on its largest
+    # generator d, and (False, run), a maximal run on generators below d;
+    # exponents reduced modulo the order once, not at every node: a written
+    # exponent may have thousands of digits, and a reduced one may be 0
+    by_depth: list[list[list]] = [[] for _ in range(gens)]
     for w in pres.relators:
         if w.letters:
-            by_depth[w.max_generator()].append(
-                tuple((g, e % n) for g, e in w.letters))
+            d = w.max_generator()
+            segments = []
+            for i, e in w.letters:
+                if i == d:
+                    segments.append((True, e % n))
+                elif segments and not segments[-1][0]:
+                    segments[-1][1].append((i, e % n))
+                else:
+                    segments.append((False, [(i, e % n)]))
+            by_depth[d].append(segments)
 
     images = [one] * gens
     grown: dict = {}
@@ -441,15 +451,24 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
             if witness is None and not sub <= common:
                 witness = tuple(images)
             return
-        # a letter (g, e) with g < depth is the fixed element g^e here; one
-        # on depth keeps e, read from the candidate's row of powers
-        checks = [tuple((g == depth, e if g == depth else powers[images[g]][e])
-                        for g, e in letters) for letters in by_depth[depth]]
+        # each run folds here into one fixed element, the product of its
+        # letters' powers; a letter on depth keeps its exponent, read from
+        # the candidate's row of powers
+        checks = []
+        for segments in by_depth[depth]:
+            check = []
+            for own, x in segments:
+                if not own:
+                    run, x = x, one
+                    for g, e in run:
+                        x = table[x][powers[images[g]][e]]
+                check.append((own, x))
+            checks.append(check)
         for candidate in range(n):
             row = powers[candidate]
-            for letters in checks:
+            for check in checks:
                 out = one
-                for own, x in letters:
+                for own, x in check:
                     out = table[out][row[x] if own else x]
                 if out != one:
                     break
@@ -588,21 +607,22 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
             return Verdict(DISCONNECTED, "not_simply_connected",
                            "the target has a non-simply-connected simple "
                            "factor, and commuting %d-tuples in it do not all "
-                           "lie on one component" % r)
+                           "lie on one component" % r + note)
         if all(map(_dual_labels_one, spec.factors)):
             return Verdict(CONNECTED, "commuting_tuples_diagonalizable",
                            "commuting tuples in the compact forms of these "
                            "factors are simultaneously diagonalizable, so "
                            "Hom(Z^%d, G) is connected, as Hom(Z^r, G) is for "
-                           "every r" % r)
+                           "every r" % r + note)
         if r == 2:
             return Verdict(CONNECTED, "commuting_pairs_irreducible",
                            "commuting pairs in a connected semisimple group "
-                           "form an irreducible, hence connected, variety")
+                           "form an irreducible, hence connected, variety"
+                           + note)
         return Verdict(DISCONNECTED, "nontoral_commuting_triples",
                        "a simply connected factor with a dual Kac label of "
                        "at least 2 has commuting triples, and so commuting "
-                       "%d-tuples, in no maximal torus" % r)
+                       "%d-tuples, in no maximal torus" % r + note)
 
     return Verdict(UNKNOWN, "outside_catalog",
                    "no implemented criterion decides this group/target pair")
