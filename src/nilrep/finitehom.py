@@ -1,26 +1,24 @@
 """Finite quotients and connectivity of representation spaces.
 
 Homomorphisms from a finitely generated nilpotent group into a finite
-group are counted in one of two ways, both carrying down one search
-node: the subgroup S that the images so far generate, its generators
-and its centralizer C(S), grown by _grow one new image at a time and
-closed once per (S, image) in a count.  When every image is abelian,
-because the group is certified abelian or the target is abelian, a map
-is a tuple of pairwise commuting elements, one per generator of H_1,
-and the tuples are counted by a recursion over the nodes, each next
-image drawn from C(S), with no leaf visited.  Every other pair is
-enumerated by depth-first search over generator images with relator
-pruning; a leaf is onto when S is the target, and a witness when S is
-not abelian, that is when S does not lie in C(S).
+group are counted by one depth-first search over generator images with
+relator pruning.  It carries down one search node: the subgroup S that
+the images so far generate, its generators and its centralizer C(S),
+grown by _grow one new image at a time and closed once per (S, image)
+in a count.  A leaf is onto when S is the target, and a witness when S
+is not abelian, that is when S does not lie in C(S).
+Products factor: at the first generator of each factor every image of
+the factor is drawn from C(S), and the count below is made once per
+(generator, S).  Every map with abelian image, because the group is
+certified abelian or the target is abelian, factors through H_1, so
+such a count is sized, searched and reported on H_1 alone: one free
+generator per unit of rank, one generator with the relator g^d per
+torsion divisor d, no commutator relators, and each generator a factor.
 A finite group tabulates its powers and centralizers once; a search node
 folds each run of relator letters on earlier generators into one element,
 so a candidate image costs one table product per run and one per letter
-on its own generator, at any exponent.
-Every map with abelian image factors through H_1, so such a count is
-sized, counted and reported on H_1 alone: one free generator per unit of
-rank, one generator with the relator g^d per torsion divisor d, and no
-commutator relators.  One bound, SEARCH_LIMIT on the leaves, limits
-every count.
+on its own generator, at any exponent.  One bound, SEARCH_LIMIT on the
+leaves, limits every count.
 A homomorphism onto the quaternion group, which sits in SL_2,
 certifies that the representation variety and the character variety
 are both disconnected when the target contains a root SL_2.
@@ -47,10 +45,10 @@ from .rootdata import (Factor, ReductiveSpec, RootDatum, _orbit,
                        build_root_datum)
 
 # leaves of one search, every target order below 2 counted as 2: at most
-# 6 generators into Q8 and 18 into C2.  Maps with abelian image are
-# counted with no leaf visited, yet sized by the same bound on H_1's
-# generators: Z^3 into c100 (10^6 maps) takes about 0.07 s in-process
-# with the limit lifted (2-core x86 Linux), against 0.6 s for the search
+# 6 generators into Q8 and 18 into C2.  A count with abelian image visits
+# far fewer, one per (generator, S), yet is sized by the same bound on
+# H_1's generators: Z^3 into c100 (10^6 maps) takes about 0.04 s
+# in-process with the limit lifted (2-core x86 Linux)
 SEARCH_LIMIT = 8**6
 # the largest m that central_image_order_bound accepts: the bound has
 # 2,510 digits at m = 512, and past about 700 it has more digits than
@@ -272,7 +270,8 @@ def _check_search(gens: int, target: FiniteGroup) -> None:
 def _abelian_presentation(rank, torsion) -> Presentation:
     """rank free generators, then one generator g with the relator g^d
     per torsion divisor d; the trivial group is <g | g>.  The commutator
-    relators are left out: every map into an abelian target meets them."""
+    relators are left out: every map with abelian image meets them, and
+    each generator is a factor, its images drawn from C(S)."""
     gens = rank + len(torsion)
     if gens == 0:
         return Presentation(1, (gen(0),))
@@ -335,72 +334,44 @@ def _grow(target: FiniteGroup, grown: dict, node, x):
     return child
 
 
-def _count_commuting(target: FiniteGroup, orders) -> tuple[int, int]:
-    """(total, surjective) over the tuples (x_1, ..., x_n) of pairwise
-    commuting elements of target with x_i^orders[i] = 1, an order of 0
-    meaning no condition: the maps from Z^r + Z/d_1 + ... + Z/d_k.
-
-    The count recurses on (depth, the node (S, generators, C(S)) of the
-    images so far): the next image is any allowed element x of C(S), and
-    moves to the node of <S, x> (_grow).  Each (depth, S) is counted
-    once per count.  For r free generators and no torsion this is
-    |Hom(Z^r, G)| = sum over g of |Hom(Z^(r-1), C(g))| (Erdos and
-    Turan, Statistical group theory IV, 1968).
-    """
-    n = target.order
-    # one power read per element and order: x^d = 1 exactly when
-    # x^(d mod n) = 1
-    allowed = [frozenset(x for x in range(n)
-                         if target.power(x, d) == target.identity)
-               for d in orders]
-    counted: dict[tuple[int, frozenset], tuple[int, int]] = {}
-    grown: dict = {}
-
-    def count(depth, node):
-        sub, _, common = node
-        if depth == len(orders):
-            return 1, int(len(sub) == n)
-        key = (depth, sub)
-        if key not in counted:
-            total = surjective = 0
-            for x in common & allowed[depth]:
-                t, s = count(depth + 1, node if x in sub
-                             else _grow(target, grown, node, x))
-                total += t
-                surjective += s
-            counted[key] = total, surjective
-        return counted[key]
-
-    return count(0, (frozenset({target.identity}), (), frozenset(range(n))))
-
-
 def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
-    """Exact count of homomorphisms, with the first witness.
+    """Exact count of homomorphisms, with the first witness, by one
+    depth-first search over generator images.
 
     When every image is abelian, because the group is certified abelian
-    or the target is abelian, the maps are those from H_1: sized on H_1's
-    generators, counted by _count_commuting with no leaf visited, and
-    reported with _abelian_presentation; no witness exists.
+    or the target is abelian, the maps are those from H_1: the search
+    runs on _abelian_presentation, sized on H_1's generators, and no
+    witness exists.  Otherwise a map into a target of nilpotency class k
+    kills the (k + 1)-st lower-central term, so each free nilpotent
+    factor is searched on its quotient by that term (_searched): the
+    class-2 quotient for Q8.  The catalog presents classes 1 and 2, so a
+    factor left at class >= 3 raises UnsupportedGroup.  The generator
+    count is read from the specs and checked against SEARCH_LIMIT before
+    any relator is written.
 
-    Otherwise a map into a target of nilpotency class k kills the
-    (k + 1)-st lower-central term, so each free nilpotent factor is
-    searched on its quotient by that term (_searched): the class-2
-    quotient for Q8.  The catalog presents classes 1 and 2, so a factor
-    left at class >= 3 raises UnsupportedGroup.  The generator count is
-    read from the specs and checked against SEARCH_LIMIT before any
-    relator is written.  The DFS then tries generator images in element
-    index order, which makes the reported witness deterministic, and
-    checks each relator once all its generators have images: a node folds
-    each maximal run of its letters on earlier generators into one
-    element, so a candidate costs one product per run and one per letter
-    on its own generator.
+    The search tries generator images in element index order, which
+    makes the reported witness deterministic, and checks each relator
+    once all its generators have images: a node folds each maximal run
+    of its letters on earlier generators into one element, so a
+    candidate costs one product per run and one per letter on its own
+    generator.  Each depth passes down the node (S, generators, C(S)) of
+    the subgroup S its images generate: an image in S keeps the node,
+    any other grows it by _grow, so no leaf closes its image again.  A
+    leaf is surjective when S is the whole target, and is a witness when
+    S is not abelian, which is when S does not lie in its own
+    centralizer C(S).
 
-    Each depth passes down the node (S, generators, C(S)) of the
-    subgroup S its images generate, as _count_commuting does: an image
-    in S keeps the node, any other grows it by _grow, so no leaf closes
-    its image again.  A leaf is surjective when S is the whole target,
-    and is a witness when S is not abelian, which is when S does not lie
-    in its own centralizer C(S).
+    Products factor.  A factor start is the first generator of a
+    top-level factor of the searched group, and every generator of H_1's
+    presentation.  A factor's images need only commute with the earlier
+    factors' images, so at a factor start every generator of the factor
+    draws its images from C(S), the relators that join it to an earlier
+    factor hold for every such image, and (total, surjective) below the
+    start depends on S alone: it is counted once per (start, S) in a
+    count.  For Z^r this is |Hom(Z^r, G)| = sum over g of
+    |Hom(Z^(r-1), C(g))| (Erdos and Turan, Statistical group theory IV,
+    1968).  A later visit of (start, S) holds no witness that the first
+    did not, so the witness is the one a full search finds first.
     """
     if isinstance(g, Presentation):
         g = Presented(g)
@@ -410,23 +381,33 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     if k == 1 or is_abelian(g) and (k is not None or not is_written(g)):
         rank, torsion = h1_invariants(g)
         _check_search(max(rank + len(torsion), 1), target)
-        total, surjective = _count_commuting(target, (0,) * rank + torsion)
-        return HomSearchResult(total, surjective, None,
-                               _abelian_presentation(rank, torsion))
-    g = _searched(g, k)
-    _check_search(_generator_count(g), target)
-    pres = _presentation(g)
+        pres = _abelian_presentation(rank, torsion)
+        sizes = [1] * pres.generator_count
+    else:
+        g = _searched(g, k)
+        _check_search(_generator_count(g), target)
+        pres = _presentation(g)
+        sizes = [_generator_count(f) for f in g.factors] \
+            if isinstance(g, DirectProduct) else [pres.generator_count]
     gens = pres.generator_count
+    # first[i] is the first generator of generator i's factor
+    first = [start for start, size in zip(accumulate(sizes, initial=0), sizes)
+             for _ in range(size)]
     table, powers, one, n = (target.table, target.powers, target.identity,
                              target.order)
     # each relator split once into (True, e), a letter on its largest
     # generator d, and (False, run), a maximal run on generators below d;
-    # exponents reduced modulo the order once, not at every node: a written
-    # exponent may have thousands of digits, and a reduced one may be 0
+    # exponents reduced modulo the order once, not at every node: a
+    # written exponent may have thousands of digits, and a reduced one
+    # may be 0.  A relator reaching back into an earlier factor is a
+    # cross commutator, met by every image drawn from C(S), so it is left
+    # out
     by_depth: list[list[list]] = [[] for _ in range(gens)]
     for w in pres.relators:
         if w.letters:
             d = w.max_generator()
+            if min(w.letters)[0] < first[d]:
+                continue
             segments = []
             for i, e in w.letters:
                 if i == d:
@@ -439,10 +420,11 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
 
     images = [one] * gens
     grown: dict = {}
+    counted: dict[tuple[int, frozenset], tuple[int, int]] = {}
     total = surjective = 0
     witness = None
 
-    def dfs(depth, node):
+    def dfs(depth, node, pool):
         nonlocal total, surjective, witness
         sub, _, common = node
         if depth == gens:
@@ -451,6 +433,15 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
             if witness is None and not sub <= common:
                 witness = tuple(images)
             return
+        start = first[depth] == depth
+        if start:
+            below = counted.get((depth, sub))
+            if below:
+                total += below[0]
+                surjective += below[1]
+                return
+            before = total, surjective
+            pool = sorted(common)
         # each run folds here into one fixed element, the product of its
         # letters' powers; a letter on depth keeps its exponent, read from
         # the candidate's row of powers
@@ -464,7 +455,7 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
                         x = table[x][powers[images[g]][e]]
                 check.append((own, x))
             checks.append(check)
-        for candidate in range(n):
+        for candidate in pool:
             row = powers[candidate]
             for check in checks:
                 out = one
@@ -475,9 +466,11 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
             else:
                 images[depth] = candidate
                 dfs(depth + 1, node if candidate in sub
-                    else _grow(target, grown, node, candidate))
+                    else _grow(target, grown, node, candidate), pool)
+        if start:
+            counted[depth, sub] = total - before[0], surjective - before[1]
 
-    dfs(0, (frozenset({one}), (), frozenset(range(n))))
+    dfs(0, (frozenset({one}), (), frozenset(range(n))), None)
     return HomSearchResult(total, surjective, witness, pres)
 
 

@@ -324,14 +324,24 @@ HOMCOUNT_SOURCES = (
     "<a,b,c,d | [a,b]c^-1, [a,c]d^-1, [b,c], [a,d], [b,d], [c,d]>",
 )
 
+# H3 x (Z x Z/2) as a nested spec: its top-level factors are H3 and the
+# inner product, whose own cross commutator stays inside the second one
+NESTED_PRODUCT = DirectProduct((Heisenberg(), DirectProduct((
+    FreeAbelian(1), FiniteAbelian((2,))))))
+
+
+def as_spec(source):
+    """A group spec from its text, or the spec itself."""
+    return parse_group_spec(source) if isinstance(source, str) else source
+
 
 @pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6), cyclic(8),
                                     dihedral(3)], ids=lambda t: t.name)
 def test_carried_subgroups_match_leaf_closure(target):
     # the cli-presentations homcount sources, with the presented
-    # Heisenberg and filiform groups
-    for text in HOMCOUNT_SOURCES:
-        g = parse_group_spec(text)
+    # Heisenberg and filiform groups, and a nested product
+    for text in (*HOMCOUNT_SOURCES, NESTED_PRODUCT):
+        g = as_spec(text)
         try:
             want = leaf_closure_homs(g, target)
         except UnsupportedGroup:   # F(2,3) into the non-nilpotent S3
@@ -345,7 +355,7 @@ def test_carried_subgroups_match_leaf_closure(target):
 
 def test_every_search_node_is_its_subgroup_and_centralizer(monkeypatch):
     # every node _grow builds, on the sources and targets above: C6 and
-    # C8 reach the centralizer recursion, Q8, D4 and S3 the search
+    # C8 count every source on H_1, Q8, D4 and S3 search some as written
     grow = finitehom._grow
     built = []
 
@@ -357,9 +367,9 @@ def test_every_search_node_is_its_subgroup_and_centralizer(monkeypatch):
     monkeypatch.setattr(finitehom, "_grow", recorded)
     targets = (Q8, dihedral(4), cyclic(6), cyclic(8), dihedral(3))
     for target in targets:
-        for text in HOMCOUNT_SOURCES:
+        for text in (*HOMCOUNT_SOURCES, NESTED_PRODUCT):
             try:
-                enumerate_homs(parse_group_spec(text), target)
+                enumerate_homs(as_spec(text), target)
             except UnsupportedGroup:   # F(2,3) into S3
                 pass
     assert {target.name for target, _ in built} \
@@ -510,19 +520,28 @@ def product_homs(pres, target):
     return total, surjective, witness
 
 
-@pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6)],
+@pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6), dihedral(3)],
                          ids=lambda t: t.name)
 def test_search_matches_the_product_referee(target):
-    # heis3 and filiform4 as quotient-verdicts writes them
-    for text in ("Z", "Z^2", "Z^3", "H3", "F(2,2)", "F(2,3)", "H3 x Z/2",
-                 "<x,y,z | [x,y]z^-1, [x,z], [y,z]>",
-                 "<a,b,c,d | [a,b]c^-1, [a,c]d^-1, [b,c], [a,d], [b,d], "
-                 "[c,d]>"):
-        g = parse_group_spec(text)
+    # heis3 and filiform4 as quotient-verdicts writes them, and products
+    # whose first factor is abelian or written, so that the search splits
+    # them at a factor start below images that are not all trivial
+    for g in ("Z", "Z^2", "Z^3", "H3", "F(2,2)", "F(2,3)", "H3 x Z/2",
+              "<x,y,z | [x,y]z^-1, [x,z], [y,z]>",
+              "<a,b,c,d | [a,b]c^-1, [a,c]d^-1, [b,c], [a,d], [b,d], "
+              "[c,d]>",
+              "Z x H3", "Z/2 x H3 x Z", "<x | 1> x H3",
+              "Z x <a,b | a^3, b^2, abab>", NESTED_PRODUCT):
+        g = as_spec(g)
+        try:
+            pres = written_presentation(g, target)
+        except UnsupportedGroup:   # F(2,3) into the non-nilpotent S3
+            with pytest.raises(UnsupportedGroup):
+                enumerate_homs(g, target)
+            continue
         result = enumerate_homs(g, target)
         assert ((result.total, result.surjective, result.witness)
-                == product_homs(written_presentation(g, target), target)), \
-            text
+                == product_homs(pres, target)), str(g)
 
 
 def test_search_closes_once_per_new_subgroup_step(monkeypatch):
@@ -661,10 +680,31 @@ def test_heisenberg_search_folds_its_commutator_run():
     assert reads[0] < 3000
 
 
+def test_products_are_searched_once_below_each_factor_start():
+    # H3 x H3 into a private Q8 whose table rows record their reads,
+    # closures included: the second H3 is searched once per subgroup S
+    # that the first one's images generate, its images drawn from C(S),
+    # not again below every image of the first (70,655 reads when it was)
+    reads = [0]
+
+    class RecordedRow(tuple):
+        def __getitem__(self, k):
+            reads[0] += 1
+            return tuple.__getitem__(self, k)
+
+    target = FiniteGroup(Q8.table, Q8.labels, name="Q8")
+    target.table = tuple(map(RecordedRow, target.table))
+    result = enumerate_homs(parse_group_spec("H3 x H3"), target)
+    assert (result.total, result.surjective, result.witness) \
+        == (928, 192, (0, 0, 0, I, J, 1))
+    assert reads[0] < 20000
+
+
 def test_torsion_orders_are_reduced_once_per_count():
     # the abelian-image count of a 2^17-map group with a 1-digit and a
     # 3,600-digit torsion order: each order is reduced modulo the
-    # target's once, to read one power per element, not at every state
+    # target's once, not at every state, and one power is read per
+    # candidate at each (depth, S) of the torsion generator
     reads = []
 
     class RecordedRow(tuple):
@@ -680,8 +720,9 @@ def test_torsion_orders_are_reduced_once_per_count():
         result = enumerate_homs(DirectProduct((FreeAbelian(16), *torsion)),
                                 target)
         assert (result.total, result.surjective) == (2**17, 2**17 - 1)
-        # one read per element for each of the 17 generators of H_1
-        assert len(reads) == 17 * target.order
+        # the torsion generator comes last in H_1's presentation, below
+        # two subgroups S of C2, each counted once
+        assert len(reads) == 2 * target.order
         assert max(reads) < target.order
 
 
@@ -880,6 +921,7 @@ def test_search_limits():
     Heisenberg(), FiniteAbelian(()), FiniteAbelian((2, 4)),
     DirectProduct((Heisenberg(), DirectProduct((FreeAbelian(2),
                                                 FiniteAbelian((3,)))))),
+    NESTED_PRODUCT,
     parse_group_spec("<a,b,c | [a,b]c^-1, [a,c], [b,c]>"),
 ], ids=str)
 def test_generator_count_matches_the_presentation(g):
