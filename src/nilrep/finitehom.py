@@ -436,7 +436,7 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
         start = first[depth] == depth
         if start:
             below = counted.get((depth, sub))
-            if below:
+            if below is not None:
                 total += below[0]
                 surjective += below[1]
                 return
