@@ -14,8 +14,11 @@ certified abelian or the target is abelian, factors through H_1, so
 such a count is sized, searched and reported on H_1 alone: one free
 generator per unit of rank, one generator with the relator g^d per
 torsion divisor d, no commutator relators, and each generator a factor.
-A finite group tabulates its powers and centralizers once; a search node
-folds each run of relator letters on earlier generators into one element,
+A finite group tabulates its powers and centralizers once.  A commuting
+relator [x_i, x_d], four letters with exponents +-1 in any rotation, is
+not checked: x_d draws its images from the centralizers of the images
+of the x_i that such relators name.  A search node folds each run of
+every other relator's letters on earlier generators into one element,
 so a candidate image costs one table product per run and one per letter
 on its own generator, at any exponent.  One bound, SEARCH_LIMIT on the
 leaves, limits every count.
@@ -320,6 +323,17 @@ def _presentation(g) -> Presentation:
     return g.presentation()
 
 
+def _commuting_partner(letters):
+    """i when letters are a rotation of x_i^e x_d^f x_i^-e x_d^-f with
+    |e| = |f| = 1 and i < d, else None: such a relator holds exactly when
+    the images of x_i and x_d commute."""
+    if len(letters) == 4:
+        (a, e), (b, f), (c, g), (h, k) = letters
+        if a == c and b == h and e == -g and f == -k and abs(e) == abs(f) == 1:
+            return min(a, b)
+    return None
+
+
 def _grow(target: FiniteGroup, grown: dict, node, x):
     """The search node of <S, x> for x outside S, from S's node
     (S, generators of S, C(S)): the generators gain x, the centralizer
@@ -350,16 +364,22 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     any relator is written.
 
     The search tries generator images in element index order, which
-    makes the reported witness deterministic, and checks each relator
-    once all its generators have images: a node folds each maximal run
-    of its letters on earlier generators into one element, so a
-    candidate costs one product per run and one per letter on its own
-    generator.  Each depth passes down the node (S, generators, C(S)) of
-    the subgroup S its images generate: an image in S keeps the node,
-    any other grows it by _grow, so no leaf closes its image again.  A
-    leaf is surjective when S is the whole target, and is a witness when
-    S is not abelian, which is when S does not lie in its own
-    centralizer C(S).
+    makes the reported witness deterministic.  A commuting relator,
+    x_i^e x_d^f x_i^-e x_d^-f with |e| = |f| = 1 in any rotation and
+    i < d in d's factor, holds exactly when the images of x_i and x_d
+    commute, so it is not checked: at depth d the candidates, the pool
+    that d's factor draws from (below), are filtered to the intersection
+    of C(images[i]) over the i such relators name, in the pool's order,
+    so the same leaves are visited in the same order.  Every other
+    relator is checked once all its generators have images: a node folds
+    each maximal run of its letters on earlier generators into one
+    element, so a candidate costs one product per run and one per letter
+    on its own generator.  Each depth passes down the node (S,
+    generators, C(S)) of the subgroup S its images generate: an image in
+    S keeps the node, any other grows it by _grow, so no leaf closes its
+    image again.  A leaf is surjective when S is the whole target, and is
+    a witness when S is not abelian, which is when S does not lie in its
+    own centralizer C(S).
 
     Products factor.  A factor start is the first generator of a
     top-level factor of the searched group, and every generator of H_1's
@@ -395,18 +415,24 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
              for _ in range(size)]
     table, powers, one, n = (target.table, target.powers, target.identity,
                              target.order)
+    centralizers = target.centralizers
     # each relator split once into (True, e), a letter on its largest
     # generator d, and (False, run), a maximal run on generators below d;
     # exponents reduced modulo the order once, not at every node: a
     # written exponent may have thousands of digits, and a reduced one
     # may be 0.  A relator reaching back into an earlier factor is a
     # cross commutator, met by every image drawn from C(S), so it is left
-    # out
+    # out; a commuting relator [x_i, x_d] adds i to commuting[d] instead
     by_depth: list[list[list]] = [[] for _ in range(gens)]
+    commuting: list[set[int]] = [set() for _ in range(gens)]
     for w in pres.relators:
         if w.letters:
             d = w.max_generator()
             if min(w.letters)[0] < first[d]:
+                continue
+            partner = _commuting_partner(w.letters)
+            if partner is not None:
+                commuting[d].add(partner)
                 continue
             segments = []
             for i, e in w.letters:
@@ -455,7 +481,14 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
                         x = table[x][powers[images[g]][e]]
                 check.append((own, x))
             checks.append(check)
-        for candidate in pool:
+        # a commuting relator [x_i, x_depth] holds exactly when the
+        # candidate lies in C(images[i]): the pool is filtered, in order
+        candidates = pool
+        if commuting[depth]:
+            allowed = frozenset.intersection(
+                *[centralizers[images[i]] for i in commuting[depth]])
+            candidates = [c for c in pool if c in allowed]
+        for candidate in candidates:
             row = powers[candidate]
             for check in checks:
                 out = one
@@ -540,7 +573,7 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
 
     Every rule reads G through its root datum except _dual_labels_one,
     which reads Factor.cartan_type, a map of the family name (ROADMAP
-    item 12(a) reads the labels off the block instead).  A simply
+    item 14(a) reads the labels off the block instead).  A simply
     connected factor with a dual Kac label of at least 2 has commuting
     triples in no torus (Borel, Friedman and Morgan, Almost commuting
     elements in compact Lie groups, Mem. AMS 2002), and restriction to
