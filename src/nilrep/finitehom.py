@@ -14,14 +14,18 @@ certified abelian or the target is abelian, factors through H_1, so
 such a count is sized, searched and reported on H_1 alone: one free
 generator per unit of rank, one generator with the relator g^d per
 torsion divisor d, no commutator relators, and each generator a factor.
+Conjugation by C(S) fixes every image chosen so far and permutes the
+maps below a node, so a node searches one candidate per conjugation
+orbit of C(S), the first by index, and counts it once per member of the
+orbit: the counts and the witness are those of the full search.
 A finite group tabulates its powers and centralizers once.  A commuting
 relator [x_i, x_d], four letters with exponents +-1 in any rotation, is
 not checked: x_d draws its images from the centralizers of the images
 of the x_i that such relators name.  A search node folds each run of
 every other relator's letters on earlier generators into one element,
 so a candidate image costs one table product per run and one per letter
-on its own generator, at any exponent.  One bound, SEARCH_LIMIT on the
-leaves, limits every count.
+on its own generator, at any exponent.  One bound, SEARCH_LIMIT on
+base^gens before any search, limits every count.
 A homomorphism onto the quaternion group, which sits in SL_2,
 certifies that the representation variety and the character variety
 are both disconnected when the target contains a root SL_2.
@@ -47,11 +51,12 @@ from .record import record
 from .rootdata import (Factor, ReductiveSpec, RootDatum, _orbit,
                        build_root_datum)
 
-# leaves of one search, every target order below 2 counted as 2: at most
-# 6 generators into Q8 and 18 into C2.  A count with abelian image visits
-# far fewer, one per (generator, S), yet is sized by the same bound on
-# H_1's generators: Z^3 into c100 (10^6 maps) takes about 0.04 s
-# in-process with the limit lifted (2-core x86 Linux)
+# bound on base^gens, the target's order (at least 2) to the power of the
+# searched generator count, checked before any search: at most 6
+# generators into Q8 and 18 into C2.  It does not bound the leaves that a
+# search visits, which are far fewer, one subtree per (factor start, S)
+# and per conjugation orbit of C(S): Z^3 into c100 (10^6 maps) takes
+# about 0.04 s in-process with the limit lifted (2-core x86 Linux)
 SEARCH_LIMIT = 8**6
 # the largest m that central_image_order_bound accepts: the bound has
 # 2,510 digits at m = 512, and past about 700 it has more digits than
@@ -245,7 +250,7 @@ def dihedral(n: int) -> FiniteGroup:
 
 @record
 class HomSearchResult:
-    """Counts from a full enumeration of Hom(group, target).
+    """The exact number of maps in Hom(group, target), and of those onto.
 
     witness is the first generator-image tuple (in depth-first order by
     element index) whose image subgroup is non-abelian, if any; it is a
@@ -261,8 +266,8 @@ class HomSearchResult:
 
 
 def _check_search(gens: int, target: FiniteGroup) -> None:
-    """Raise TooLarge when a search over gens generators would pass
-    SEARCH_LIMIT leaves.  A target of order 1 counts as 2, so no search
+    """Raise TooLarge when base^gens, base the target's order, passes
+    SEARCH_LIMIT.  A target of order 1 counts as 2, so no search
     is deeper than 18 generators; past that depth 2^gens alone passes
     the limit, and no power of a written rank is computed."""
     base = max(target.order, 2)
@@ -338,13 +343,17 @@ def _grow(target: FiniteGroup, grown: dict, node, x):
     """The search node of <S, x> for x outside S, from S's node
     (S, generators of S, C(S)): the generators gain x, the centralizer
     narrows to C(S) & C(x), and <S, x> is closed once per (S, x) in
-    grown, the dict of one count."""
+    grown, the dict of one count.  A centralizer that does not narrow is
+    passed on as the same object, so the search's tables keyed by C(S)
+    find it by identity."""
     sub, generators, common = node
     child = grown.get((sub, x))
     if child is None:
         generators = (*generators, x)
-        child = grown[sub, x] = (target.closure(generators), generators,
-                                 common & target.centralizers[x])
+        narrowed = common & target.centralizers[x]
+        child = grown[sub, x] = (
+            target.closure(generators), generators,
+            common if len(narrowed) == len(common) else narrowed)
     return child
 
 
@@ -369,12 +378,11 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     i < d in d's factor, holds exactly when the images of x_i and x_d
     commute, so it is not checked: at depth d the candidates, the pool
     that d's factor draws from (below), are filtered to the intersection
-    of C(images[i]) over the i such relators name, in the pool's order,
-    so the same leaves are visited in the same order.  Every other
-    relator is checked once all its generators have images: a node folds
-    each maximal run of its letters on earlier generators into one
-    element, so a candidate costs one product per run and one per letter
-    on its own generator.  Each depth passes down the node (S,
+    of C(images[i]) over the i such relators name, in the pool's order.
+    Every other relator is checked once all its generators have images:
+    a node folds each maximal run of its letters on earlier generators
+    into one element, so a candidate costs one product per run and one
+    per letter on its own generator.  Each depth passes down the node (S,
     generators, C(S)) of the subgroup S its images generate: an image in
     S keeps the node, any other grows it by _grow, so no leaf closes its
     image again.  A leaf is surjective when S is the whole target, and is
@@ -392,6 +400,22 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     |Hom(Z^(r-1), C(g))| (Erdos and Turan, Statistical group theory IV,
     1968).  A later visit of (start, S) holds no witness that the first
     did not, so the witness is the one a full search finds first.
+
+    Conjugation orbits.  Conjugation by h in C(S) fixes every image
+    chosen so far, and maps the pool, the centralizer filter and every
+    folded relator check onto themselves, so it maps the maps below
+    candidate c one to one onto the maps below h c h^-1: the same counts,
+    and an image that is abelian exactly when c's is.  A node therefore
+    tries only the first candidate, by index, of each orbit of C(S)
+    acting by conjugation, and adds its (total, surjective) once per
+    member of the orbit.  At the root C(S) is the whole target, its
+    orbits are the conjugacy classes, and |Hom(Z^2, G)| = k(G) |G| for
+    k(G) classes.  A full search reaches c's subtree before that of any
+    other member of its orbit, and the orbit's other members hold a
+    witness only when c's subtree does, so the witness is unchanged.
+    The orbits are built lazily, once per (C(S), candidate) in a count;
+    a candidate that C(S) centralizes is its own orbit, so a node of an
+    abelian target or a central candidate builds none.
     """
     if isinstance(g, Presentation):
         g = Presented(g)
@@ -415,7 +439,7 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
              for _ in range(size)]
     table, powers, one, n = (target.table, target.powers, target.identity,
                              target.order)
-    centralizers = target.centralizers
+    centralizers, inverse = target.centralizers, target.inverse
     # each relator split once into (True, e), a letter on its largest
     # generator d, and (False, run), a maximal run on generators below d;
     # exponents reduced modulo the order once, not at every node: a
@@ -447,26 +471,27 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     images = [one] * gens
     grown: dict = {}
     counted: dict[tuple[int, frozenset], tuple[int, int]] = {}
-    total = surjective = 0
+    # weights[C][c] is the size of c's orbit under conjugation by C when c
+    # is the orbit's first element by index, and 0 for the orbit's other
+    # elements; filled one orbit at a time, when a node with C(S) = C
+    # first tries one of its elements
+    weights: dict[frozenset, dict[int, int]] = {}
     witness = None
 
     def dfs(depth, node, pool):
-        nonlocal total, surjective, witness
+        """(total, surjective) below node at depth, the images above it
+        in images[:depth]; sets witness at the first non-abelian leaf."""
+        nonlocal witness
         sub, _, common = node
         if depth == gens:
-            total += 1
-            surjective += len(sub) == n
             if witness is None and not sub <= common:
                 witness = tuple(images)
-            return
+            return 1, len(sub) == n
         start = first[depth] == depth
         if start:
             below = counted.get((depth, sub))
             if below is not None:
-                total += below[0]
-                surjective += below[1]
-                return
-            before = total, surjective
+                return below
             pool = sorted(common)
         # each run folds here into one fixed element, the product of its
         # letters' powers; a letter on depth keeps its exponent, read from
@@ -488,7 +513,24 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
             allowed = frozenset.intersection(
                 *[centralizers[images[i]] for i in commuting[depth]])
             candidates = [c for c in pool if c in allowed]
+        weight = weights.get(common)
+        if weight is None:
+            weight = weights[common] = {}
+        total = surjective = 0
         for candidate in candidates:
+            w = weight.get(candidate)
+            if w is None:
+                # a candidate that C(S) centralizes is its own orbit
+                if common <= centralizers[candidate]:
+                    w = weight[candidate] = 1
+                else:
+                    orbit = {table[table[h][candidate]][inverse[h]]
+                             for h in common}
+                    weight.update(dict.fromkeys(orbit, 0))
+                    weight[min(orbit)] = len(orbit)
+                    w = weight[candidate]
+            if not w:
+                continue
             row = powers[candidate]
             for check in checks:
                 out = one
@@ -498,12 +540,16 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
                     break
             else:
                 images[depth] = candidate
-                dfs(depth + 1, node if candidate in sub
-                    else _grow(target, grown, node, candidate), pool)
+                t, s = dfs(depth + 1, node if candidate in sub
+                           else _grow(target, grown, node, candidate), pool)
+                total += w * t
+                surjective += w * s
         if start:
-            counted[depth, sub] = total - before[0], surjective - before[1]
+            counted[depth, sub] = total, surjective
+        return total, surjective
 
-    dfs(0, (frozenset({one}), (), frozenset(range(n))), None)
+    total, surjective = dfs(0, (frozenset({one}), (), frozenset(range(n))),
+                            None)
     return HomSearchResult(total, surjective, witness, pres)
 
 

@@ -539,13 +539,17 @@ COMMUTING_SPELLINGS = (
 )
 
 
-@pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6), dihedral(3)],
+@pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6), dihedral(3),
+                                    dihedral(6), dihedral(8)],
                          ids=lambda t: t.name)
 def test_search_matches_the_product_referee(target):
     # heis3 and filiform4 as quotient-verdicts writes them, products
     # whose first factor is abelian or written, so that the search splits
     # them at a factor start below images that are not all trivial, and
-    # the commuting relators spelled every way
+    # the commuting relators spelled every way.  D6 and D8 have classes of
+    # 3 and 4 elements, so a node's conjugation orbits are larger there;
+    # into them only sources of at most 3 generators are refereed (at
+    # most 16^3 = 4,096 tuples, where 4 would be 20,736 into D6)
     for g in ("Z", "Z^2", "Z^3", "H3", "F(2,2)", "F(2,3)", "H3 x Z/2",
               "<x,y,z | [x,y]z^-1, [x,z], [y,z]>",
               "<a,b,c,d | [a,b]c^-1, [a,c]d^-1, [b,c], [a,d], [b,d], "
@@ -559,6 +563,8 @@ def test_search_matches_the_product_referee(target):
         except UnsupportedGroup:   # F(2,3) into the non-nilpotent S3
             with pytest.raises(UnsupportedGroup):
                 enumerate_homs(g, target)
+            continue
+        if target.order > 8 and pres.generator_count > 3:
             continue
         result = enumerate_homs(g, target)
         assert ((result.total, result.surjective, result.witness)
@@ -583,16 +589,18 @@ def test_search_closes_once_per_new_subgroup_step(monkeypatch):
 
 
 @pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6),
-                                    dihedral(3), dihedral(128)],
+                                    dihedral(3), dihedral(6), dihedral(8),
+                                    dihedral(128)],
                          ids=lambda t: t.name)
 def test_search_on_random_presentations_matches_the_referee(target):
     # random written presentations of 1-3 generators, exponents of either
     # sign up to 600, so most letters pass the target's order and some
-    # reduce to 0, into nilpotent, abelian and non-nilpotent (S3) targets;
-    # at most 8^3 = 512 tuples (256 on one generator into the order-256
-    # target) for the product referee per case
+    # reduce to 0, into nilpotent, abelian and non-nilpotent (S3, D6)
+    # targets; at most 512 tuples for the product referee per case: 3
+    # generators into order 8, 2 into D6 and D8, whose classes have 3 and
+    # 4 elements, and 1 into the order-256 target
     rng = random.Random(target.name)
-    most = 1 if target.order > 8 else 3
+    most = max(k for k in (1, 2, 3) if target.order ** k <= 512)
     for _ in range(12):
         gens = rng.randint(1, most)
         relators = tuple(
@@ -719,6 +727,29 @@ def test_products_are_searched_once_below_each_factor_start():
     assert (result.total, result.surjective, result.witness) \
         == (928, 192, (0, 0, 0, I, J, 1))
     assert reads[0] < 20000
+
+
+def test_each_node_searches_one_candidate_per_conjugation_orbit(monkeypatch):
+    # conjugation by C(S) permutes a node's candidates and the maps below
+    # them, so a node searches the first candidate of each orbit and
+    # counts it once per member: _grow is called 66 times for F(3,2) into
+    # Q8 and 103 times for H3 into D16, where it was called 213 and 852
+    # times when every candidate was searched
+    calls = [0]
+    grow = finitehom._grow
+
+    def counted(*args):
+        calls[0] += 1
+        return grow(*args)
+
+    monkeypatch.setattr(finitehom, "_grow", counted)
+    for text, target, want, most in (
+            ("F(3,2)", Q8, (512, 336, (0, I, J, 0, 0, 1)), 100),
+            ("H3", dihedral(16), (448, 0, (4, 16, 8)), 150)):
+        calls[0] = 0
+        result = enumerate_homs(parse_group_spec(text), target)
+        assert (result.total, result.surjective, result.witness) == want
+        assert calls[0] <= most, text
 
 
 def test_commuting_relators_are_met_by_centralizers():
@@ -890,8 +921,7 @@ def free_abelian(r):
                          ids=lambda t: t.name)
 def test_commuting_tuples_satisfy_the_centralizer_identity(target):
     # h_r(G) = sum over g of h_(r-1)(C(g)), each centralizer a table of
-    # its own; at r = 2 this is k(G) * |G| (Erdos and Turan), with the
-    # conjugacy classes counted from the table
+    # its own
     n = target.order
     centralizers = [subgroup_table(target, target.centralizers[g])
                     for g in range(n)]
@@ -899,6 +929,16 @@ def test_commuting_tuples_satisfy_the_centralizer_identity(target):
         want = sum(enumerate_homs(free_abelian(r - 1), c).total
                    for c in centralizers)
         assert enumerate_homs(FreeAbelian(r), target).total == want, r
+
+
+@pytest.mark.parametrize("target", [Q8, cyclic(6),
+                                    *map(dihedral, (3, 4, 5, 6, 7, 8, 16))],
+                         ids=lambda t: t.name)
+def test_commuting_pairs_count_the_conjugacy_classes(target):
+    # |Hom(Z^2, G)| = k(G) * |G| (Erdos and Turan): at the search's root
+    # C(S) is the whole target, so its orbits are the conjugacy classes,
+    # counted here from the table by brute force
+    n = target.order
     classes = {frozenset(target.mul(target.mul(target.inverse[h], g), h)
                          for h in range(n)) for g in range(n)}
     assert enumerate_homs(FreeAbelian(2), target).total == len(classes) * n
