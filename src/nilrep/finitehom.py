@@ -7,25 +7,26 @@ the images so far generate, its generators and its centralizer C(S),
 grown by _grow one new image at a time and closed once per (S, image)
 in a count.  A leaf is onto when S is the target, and a witness when S
 is not abelian, that is when S does not lie in C(S).
-Products factor: at the first generator of each factor every image of
-the factor is drawn from C(S), and the count below is made once per
+A commuting relator [x_i, x_d] (four letters, exponents +-1, any
+rotation) is not checked: x_d draws its images from the centralizers of
+the images of the x_i that such relators name.  Products factor through
+these relators: where every later generator commutes with every earlier
+one and no other relator joins them, the count below is made once per
 (generator, S).  Every map with abelian image, because the group is
-certified abelian or the target is abelian, factors through H_1, so
-such a count is sized, searched and reported on H_1 alone: one free
-generator per unit of rank, one generator with the relator g^d per
-torsion divisor d, no commutator relators, and each generator a factor.
+certified abelian or the target is abelian, factors through H_1, so such
+a count is sized, searched and reported on H_1 alone: one free generator
+per unit of rank, one generator with the relator g^d per torsion divisor
+d, and every image commuting with the ones before it.
 Conjugation by C(S) fixes every image chosen so far and permutes the
 maps below a node, so a node searches one candidate per conjugation
 orbit of C(S), the first by index, and counts it once per member of the
 orbit: the counts and the witness are those of the full search.
-A finite group tabulates its powers and centralizers once.  A commuting
-relator [x_i, x_d], four letters with exponents +-1 in any rotation, is
-not checked: x_d draws its images from the centralizers of the images
-of the x_i that such relators name.  A search node folds each run of
-every other relator's letters on earlier generators into one element,
-so a candidate image costs one table product per run and one per letter
-on its own generator, at any exponent.  One bound, SEARCH_LIMIT on
-base^gens before any search, limits every count.
+A finite group tabulates its powers and centralizers once.  A search
+node folds each run of every other relator's letters on earlier
+generators into one element, so a candidate image costs one table
+product per run and one per letter on its own generator, at any
+exponent.  One bound, SEARCH_LIMIT on base^gens before any search,
+limits every count.
 A homomorphism onto the quaternion group, which sits in SL_2,
 certifies that the representation variety and the character variety
 are both disconnected when the target contains a root SL_2.
@@ -278,8 +279,8 @@ def _check_search(gens: int, target: FiniteGroup) -> None:
 def _abelian_presentation(rank, torsion) -> Presentation:
     """rank free generators, then one generator g with the relator g^d
     per torsion divisor d; the trivial group is <g | g>.  The commutator
-    relators are left out: every map with abelian image meets them, and
-    each generator is a factor, its images drawn from C(S)."""
+    relators are left out: the search draws every image from C(S), so it
+    commutes with the ones before it."""
     gens = rank + len(torsion)
     if gens == 0:
         return Presentation(1, (gen(0),))
@@ -372,38 +373,38 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     count is read from the specs and checked against SEARCH_LIMIT before
     any relator is written.
 
-    The search tries generator images in element index order, which
-    makes the reported witness deterministic.  A commuting relator,
-    x_i^e x_d^f x_i^-e x_d^-f with |e| = |f| = 1 in any rotation and
-    i < d in d's factor, holds exactly when the images of x_i and x_d
-    commute, so it is not checked: at depth d the candidates, the pool
-    that d's factor draws from (below), are filtered to the intersection
-    of C(images[i]) over the i such relators name, in the pool's order.
-    Every other relator is checked once all its generators have images:
-    a node folds each maximal run of its letters on earlier generators
-    into one element, so a candidate costs one product per run and one
-    per letter on its own generator.  Each depth passes down the node (S,
-    generators, C(S)) of the subgroup S its images generate: an image in
-    S keeps the node, any other grows it by _grow, so no leaf closes its
-    image again.  A leaf is surjective when S is the whole target, and is
-    a witness when S is not abelian, which is when S does not lie in its
-    own centralizer C(S).
+    The search tries generator images in element index order, which makes
+    the reported witness deterministic.  Every relator but the commuting
+    ones (below) is checked once all its generators have images: a node
+    folds each maximal run of its letters on earlier generators into one
+    element, so a candidate costs one product per run and one per letter
+    on its own generator.  Each depth passes down the node
+    (S, generators, C(S)) of the subgroup S its images generate: an image
+    in S keeps the node, any other grows it by _grow, so no leaf closes
+    its image again.  A leaf is surjective when S is the whole target, and
+    is a witness when S is not abelian, which is when S does not lie in
+    its own centralizer C(S).
 
-    Products factor.  A factor start is the first generator of a
-    top-level factor of the searched group, and every generator of H_1's
-    presentation.  A factor's images need only commute with the earlier
-    factors' images, so at a factor start every generator of the factor
-    draws its images from C(S), the relators that join it to an earlier
-    factor hold for every such image, and (total, surjective) below the
-    start depends on S alone: it is counted once per (start, S) in a
-    count.  For Z^r this is |Hom(Z^r, G)| = sum over g of
-    |Hom(Z^(r-1), C(g))| (Erdos and Turan, Statistical group theory IV,
-    1968).  A later visit of (start, S) holds no witness that the first
-    did not, so the witness is the one a full search finds first.
+    Commuting relators, and products through them.  A commuting relator,
+    x_i^e x_d^f x_i^-e x_d^-f with |e| = |f| = 1 in any rotation and
+    i < d, holds exactly when the images of x_i and x_d commute, so it is
+    not checked: the candidates at depth d are the intersection, in index
+    order, of C(images[i]) over the partners i such relators name, which
+    is C(S) when they are every earlier generator, as on H_1's
+    presentation.  Depth d is a factor start when every generator from d
+    on has every generator before d as a partner and no other relator from
+    d on reaches below d.  Below a start every image lies in C(S), and
+    (total, surjective) below it depends on S alone: it is counted once
+    per (start, S) in a count.  A product's cross commutators, in the
+    catalog or written out, make each factor's first generator a start.
+    For Z^r this is |Hom(Z^r, G)| = sum over g of |Hom(Z^(r-1), C(g))|
+    (Erdos and Turan, Statistical group theory IV, 1968).  A later visit
+    of (start, S) holds no witness that the first did not, so the witness
+    is the one a full search finds first.
 
     Conjugation orbits.  Conjugation by h in C(S) fixes every image
-    chosen so far, and maps the pool, the centralizer filter and every
-    folded relator check onto themselves, so it maps the maps below
+    chosen so far, and maps each candidate set and every folded relator
+    check onto itself, so it maps the maps below
     candidate c one to one onto the maps below h c h^-1: the same counts,
     and an image that is abelian exactly when c's is.  A node therefore
     tries only the first candidate, by index, of each orbit of C(S)
@@ -422,42 +423,37 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     k = target.nilpotency_class
     # into a nilpotent target a cyclic H_1 makes every image cyclic; into
     # any other, a written group is cyclic only on trust, so it is searched
-    if k == 1 or is_abelian(g) and (k is not None or not is_written(g)):
+    abelian = k == 1 or is_abelian(g) and (k is not None or not is_written(g))
+    if abelian:
         rank, torsion = h1_invariants(g)
         _check_search(max(rank + len(torsion), 1), target)
         pres = _abelian_presentation(rank, torsion)
-        sizes = [1] * pres.generator_count
     else:
         g = _searched(g, k)
         _check_search(_generator_count(g), target)
         pres = _presentation(g)
-        sizes = [_generator_count(f) for f in g.factors] \
-            if isinstance(g, DirectProduct) else [pres.generator_count]
     gens = pres.generator_count
-    # first[i] is the first generator of generator i's factor
-    first = [start for start, size in zip(accumulate(sizes, initial=0), sizes)
-             for _ in range(size)]
     table, powers, one, n = (target.table, target.powers, target.identity,
                              target.order)
     centralizers, inverse = target.centralizers, target.inverse
-    # each relator split once into (True, e), a letter on its largest
-    # generator d, and (False, run), a maximal run on generators below d;
-    # exponents reduced modulo the order once, not at every node: a
-    # written exponent may have thousands of digits, and a reduced one
-    # may be 0.  A relator reaching back into an earlier factor is a
-    # cross commutator, met by every image drawn from C(S), so it is left
-    # out; a commuting relator [x_i, x_d] adds i to commuting[d] instead
+    # commuting[d] holds the i < d that x_d commutes with: every i when
+    # every image is abelian, else those that a commuting relator names.
+    # Every other relator on d is split once into (True, e), a letter on
+    # d, and (False, run), a maximal run on earlier generators, and low[d]
+    # is the smallest generator they reach; exponents are reduced modulo
+    # the order once: a written exponent may have thousands of digits, and
+    # a reduced one may be 0
     by_depth: list[list[list]] = [[] for _ in range(gens)]
-    commuting: list[set[int]] = [set() for _ in range(gens)]
+    commuting = [set(range(d) if abelian else ()) for d in range(gens)]
+    low = list(range(gens))
     for w in pres.relators:
         if w.letters:
             d = w.max_generator()
-            if min(w.letters)[0] < first[d]:
-                continue
             partner = _commuting_partner(w.letters)
             if partner is not None:
                 commuting[d].add(partner)
                 continue
+            low[d] = min(low[d], min(w.letters)[0])
             segments = []
             for i, e in w.letters:
                 if i == d:
@@ -467,6 +463,12 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
                 else:
                     segments.append((False, [(i, e % n)]))
             by_depth[d].append(segments)
+    # d is a factor start when every generator from d on commutes with
+    # every one before d and no other relator from d on reaches below d
+    starts, reach = [False] * gens, gens
+    for d in reversed(range(gens)):
+        reach = min(reach, low[d], *(set(range(d)) - commuting[d]))
+        starts[d] = reach >= d
 
     images = [one] * gens
     grown: dict = {}
@@ -478,7 +480,7 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     weights: dict[frozenset, dict[int, int]] = {}
     witness = None
 
-    def dfs(depth, node, pool):
+    def dfs(depth, node):
         """(total, surjective) below node at depth, the images above it
         in images[:depth]; sets witness at the first non-abelian leaf."""
         nonlocal witness
@@ -487,12 +489,10 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
             if witness is None and not sub <= common:
                 witness = tuple(images)
             return 1, len(sub) == n
-        start = first[depth] == depth
-        if start:
+        if starts[depth]:
             below = counted.get((depth, sub))
             if below is not None:
                 return below
-            pool = sorted(common)
         # each run folds here into one fixed element, the product of its
         # letters' powers; a letter on depth keeps its exponent, read from
         # the candidate's row of powers
@@ -506,13 +506,16 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
                         x = table[x][powers[images[g]][e]]
                 check.append((own, x))
             checks.append(check)
-        # a commuting relator [x_i, x_depth] holds exactly when the
-        # candidate lies in C(images[i]): the pool is filtered, in order
-        candidates = pool
-        if commuting[depth]:
-            allowed = frozenset.intersection(
-                *[centralizers[images[i]] for i in commuting[depth]])
-            candidates = [c for c in pool if c in allowed]
+        # a candidate lies in C(images[i]) for each partner i; with every
+        # earlier generator a partner, that is C(S)
+        partners = commuting[depth]
+        if len(partners) == depth:
+            candidates = sorted(common)
+        elif partners:
+            candidates = sorted(frozenset.intersection(
+                *[centralizers[images[i]] for i in partners]))
+        else:
+            candidates = range(n)
         weight = weights.get(common)
         if weight is None:
             weight = weights[common] = {}
@@ -541,15 +544,14 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
             else:
                 images[depth] = candidate
                 t, s = dfs(depth + 1, node if candidate in sub
-                           else _grow(target, grown, node, candidate), pool)
+                           else _grow(target, grown, node, candidate))
                 total += w * t
                 surjective += w * s
-        if start:
+        if starts[depth]:
             counted[depth, sub] = total, surjective
         return total, surjective
 
-    total, surjective = dfs(0, (frozenset({one}), (), frozenset(range(n))),
-                            None)
+    total, surjective = dfs(0, (frozenset({one}), (), frozenset(range(n))))
     return HomSearchResult(total, surjective, witness, pres)
 
 
