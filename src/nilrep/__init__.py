@@ -10,12 +10,13 @@ and connectivity verdicts via finite quotients.
 
 from .errors import (InexactDivision, NilrepError, ParseError, TooLarge,
                      UnsupportedGroup, UnsupportedQuotient, UnsupportedType)
-from .groups import (AbelianInvariants, DirectProduct, FiniteAbelian,
-                     FreeAbelian, FreeNilpotent, GroupSpec, Heisenberg,
-                     LowerCentralData, Presentation, Presented, Word,
-                     abelianize, commutator, concat, free_nilpotent_lcs_ranks,
-                     gen, heisenberg_presentation, inverse, is_abelian,
-                     lower_central_data, power, quotient_by_lcs)
+from .groups import (ABELIAN_ON_TRUST, ABELIAN_OUTRIGHT, AbelianInvariants,
+                     DirectProduct, FiniteAbelian, FreeAbelian, FreeNilpotent,
+                     GroupSpec, Heisenberg, LowerCentralData, Presentation,
+                     Presented, Word, abelianize, commutator, concat,
+                     free_nilpotent_lcs_ranks, gen, heisenberg_presentation,
+                     inverse, is_abelian, lower_central_data, power,
+                     quotient_by_lcs)
 from .snf import cokernel_invariants, int_det, integer_rank, smith_normal_form
 from .rootdata import (Factor, ReductiveSpec, RootDatum, build_root_datum,
                        enumerate_weyl, pi1_G, pi1_G_ab, reductive)
@@ -32,8 +33,9 @@ from .report import AnalysisReport, analyze
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianInvariants", "AnalysisReport", "DirectProduct", "Factor",
-    "FiniteAbelian", "FiniteGroup", "FreeAbelian", "FreeNilpotent",
+    "ABELIAN_ON_TRUST", "ABELIAN_OUTRIGHT", "AbelianInvariants",
+    "AnalysisReport", "DirectProduct", "Factor", "FiniteAbelian",
+    "FiniteGroup", "FreeAbelian", "FreeNilpotent",
     "GradedPoly", "GroupSpec", "Heisenberg", "HomSearchResult",
     "InexactDivision", "LowerCentralData", "NilrepError", "ParseError",
     "Presentation", "Presented", "ReductiveSpec", "RootDatum", "TooLarge",

@@ -14,9 +14,9 @@ these relators: where every later generator commutes with every earlier
 one and no other relator joins them, the count below is made once per
 (generator, S).  Every map with abelian image, because the group is
 certified abelian or the target is abelian, factors through H_1, so such
-a count is sized, searched and reported on H_1 alone: one free generator
-per unit of rank, one generator with the relator g^d per torsion divisor
-d, and every image commuting with the ones before it.
+a count is sized, searched and reported on H_1 alone, as written by
+groups.abelian_presentation.  H_1's commutators are relators like any
+other, so every one of its generators is a factor start.
 Conjugation by C(S) fixes every image chosen so far and permutes the
 maps below a node, so a node searches one candidate per conjugation
 orbit of C(S), the first by index, and counts it once per member of the
@@ -43,10 +43,10 @@ from itertools import accumulate, compress, repeat
 from operator import eq
 
 from .errors import NilrepError, TooLarge, UnsupportedGroup
-from .groups import (DirectProduct, FiniteAbelian, FreeNilpotent, GroupSpec,
-                     Presentation, Presented, abelianize,
-                     finite_abelian_presentation, gen, h1_invariants,
-                     is_abelian, is_written, merge_presentations, power,
+from .groups import (ABELIAN_ON_TRUST, ABELIAN_OUTRIGHT, DirectProduct,
+                     FiniteAbelian, FreeNilpotent, GroupSpec, Presentation,
+                     Presented, abelian_presentation, abelianize,
+                     h1_invariants, is_abelian, merge_presentations,
                      quotient_by_lcs)
 from .record import record
 from .rootdata import (Factor, ReductiveSpec, RootDatum, _orbit,
@@ -255,9 +255,9 @@ class HomSearchResult:
 
     witness is the first generator-image tuple (in depth-first order by
     element index) whose image subgroup is non-abelian, if any; it is a
-    surjection onto that subgroup.  presentation records which generators
-    the indices refer to: H_1's when every image is abelian, else the
-    searched one.
+    surjection onto that subgroup.  presentation is the searched one, to
+    which the indices refer: H_1's when every image is abelian.  Counting
+    its maps into the target gives the same result.
     """
 
     total: int
@@ -274,18 +274,6 @@ def _check_search(gens: int, target: FiniteGroup) -> None:
     base = max(target.order, 2)
     if gens >= SEARCH_LIMIT.bit_length() or base ** gens > SEARCH_LIMIT:
         raise TooLarge("search space %d^%d exceeds the limit" % (base, gens))
-
-
-def _abelian_presentation(rank, torsion) -> Presentation:
-    """rank free generators, then one generator g with the relator g^d
-    per torsion divisor d; the trivial group is <g | g>.  The commutator
-    relators are left out: the search draws every image from C(S), so it
-    commutes with the ones before it."""
-    gens = rank + len(torsion)
-    if gens == 0:
-        return Presentation(1, (gen(0),))
-    return Presentation(gens, tuple(power(gen(rank + i), d)
-                                    for i, d in enumerate(torsion)))
 
 
 def _searched(g, k):
@@ -323,7 +311,7 @@ def _presentation(g) -> Presentation:
     if isinstance(g, Presented):
         return g.presentation
     if isinstance(g, FiniteAbelian):
-        return finite_abelian_presentation(g.divisors)
+        return abelian_presentation(0, g.divisors)
     if isinstance(g, DirectProduct):
         return merge_presentations(_presentation(f) for f in g.factors)
     return g.presentation()
@@ -364,14 +352,16 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
 
     When every image is abelian, because the group is certified abelian
     or the target is abelian, the maps are those from H_1: the search
-    runs on _abelian_presentation, sized on H_1's generators, and no
-    witness exists.  Otherwise a map into a target of nilpotency class k
-    kills the (k + 1)-st lower-central term, so each free nilpotent
-    factor is searched on its quotient by that term (_searched): the
-    class-2 quotient for Q8.  The catalog presents classes 1 and 2, so a
-    factor left at class >= 3 raises UnsupportedGroup.  The generator
-    count is read from the specs and checked against SEARCH_LIMIT before
-    any relator is written.
+    runs on H_1's abelian_presentation, sized on H_1's generators before
+    it is written, and no witness exists.  A group that is_abelian
+    certifies only on trust is counted so only into a nilpotent target.
+    Otherwise a map into a target of nilpotency class k kills the
+    (k + 1)-st lower-central term, so each free nilpotent factor is
+    searched on its quotient by that term (_searched): the class-2
+    quotient for Q8.  The catalog presents classes 1 and 2, so a factor
+    left at class >= 3 raises UnsupportedGroup.  The generator count is
+    read from the specs and checked against SEARCH_LIMIT before any
+    relator is written.
 
     The search tries generator images in element index order, which makes
     the reported witness deterministic.  Every relator but the commuting
@@ -423,11 +413,11 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     k = target.nilpotency_class
     # into a nilpotent target a cyclic H_1 makes every image cyclic; into
     # any other, a written group is cyclic only on trust, so it is searched
-    abelian = k == 1 or is_abelian(g) and (k is not None or not is_written(g))
-    if abelian:
+    level = is_abelian(g)
+    if k == 1 or level == ABELIAN_OUTRIGHT or level and k is not None:
         rank, torsion = h1_invariants(g)
         _check_search(max(rank + len(torsion), 1), target)
-        pres = _abelian_presentation(rank, torsion)
+        pres = abelian_presentation(rank, torsion)
     else:
         g = _searched(g, k)
         _check_search(_generator_count(g), target)
@@ -436,15 +426,14 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     table, powers, one, n = (target.table, target.powers, target.identity,
                              target.order)
     centralizers, inverse = target.centralizers, target.inverse
-    # commuting[d] holds the i < d that x_d commutes with: every i when
-    # every image is abelian, else those that a commuting relator names.
-    # Every other relator on d is split once into (True, e), a letter on
-    # d, and (False, run), a maximal run on earlier generators, and low[d]
-    # is the smallest generator they reach; exponents are reduced modulo
-    # the order once: a written exponent may have thousands of digits, and
-    # a reduced one may be 0
+    # commuting[d] holds the i < d that a commuting relator names as x_d's
+    # partners.  Every other relator on d is split once into (True, e), a
+    # letter on d, and (False, run), a maximal run on earlier generators,
+    # and low[d] is the smallest generator they reach; exponents are
+    # reduced modulo the order once: a written exponent may have thousands
+    # of digits, and a reduced one may be 0
     by_depth: list[list[list]] = [[] for _ in range(gens)]
-    commuting = [set(range(d) if abelian else ()) for d in range(gens)]
+    commuting = [set() for _ in range(gens)]
     low = list(range(gens))
     for w in pres.relators:
         if w.letters:
@@ -643,7 +632,8 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
                        "one way, and each choice is isolated; %s admits %s"
                        % (spec, ab))
 
-    if not is_abelian(g) and any(b.contains_sl2 for b in blocks):
+    level = is_abelian(g)
+    if not level and any(b.contains_sl2 for b in blocks):
         try:
             witness = surjection_witness(g, q8())
         except (TooLarge, UnsupportedGroup):
@@ -661,16 +651,16 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
                        "a maximal torus cannot deform to the trivial "
                        "representation" % (list(ab.torsion),))
 
-    if isinstance(g, FreeNilpotent) and not is_abelian(g):
+    if isinstance(g, FreeNilpotent) and not level:
         return Verdict(DISCONNECTED, "nonabelian_free_family",
                        "a non-abelian free nilpotent or Heisenberg group has "
                        "disconnected representation and character spaces for "
                        "every reductive target that is not a torus")
 
-    if is_abelian(g):
+    if level:
         note = ("; a written group whose H_1 needs at most one generator "
                 "is cyclic, as it is taken to be nilpotent"
-                if is_written(g) else "")
+                if level == ABELIAN_ON_TRUST else "")
         if r == 0:
             return Verdict(CONNECTED, "trivial_group", "the trivial group "
                            "has a single representation" + note)

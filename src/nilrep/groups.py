@@ -23,6 +23,10 @@ from .snf import _merge_chain, cokernel_of_columns
 from .snf import cokernel_invariants, smith_normal_form  # noqa: F401
 
 POWER_LETTER_CAP = 10**5
+# every invariant factor and every exponent that merging letters writes
+# must print: Python writes an int of at most 4,300 digits as text (the
+# default of sys.get_int_max_str_digits())
+TORSION_BOUND = 10**4300
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +74,15 @@ class Word:
 
 def reduce_onto(word: list, letters) -> list:
     """Append letters to the freely reduced letter list word, cancelling
-    at the seam and dropping zero exponents."""
+    at the seam and dropping zero exponents.  Two letters that merge into
+    one past TORSION_BOUND raise TooLarge, since the word could not be
+    printed."""
     for g, e in letters:
         if word and word[-1][0] == g:
             e += word.pop()[1]
+            if not -TORSION_BOUND < e < TORSION_BOUND:
+                raise TooLarge("merged letters give an exponent of %d bits, "
+                               "more than 4300 digits" % e.bit_length())
         if e:
             word.append((g, e))
     return word
@@ -243,7 +252,7 @@ class FreeNilpotent(GroupSpec):
         if self.c > 2:
             raise ValueError("the catalog presents classes 1 and 2 only")
         if self.c == 1:
-            return free_abelian_presentation(self.n)
+            return abelian_presentation(self.n)
         return free_nilpotent_class2_presentation(self.n)
 
 
@@ -309,7 +318,8 @@ class Presented(GroupSpec):
 
     Nilpotency of a presentation is undecidable, so it is taken on trust;
     everything computed here (abelianization, finite images) is valid
-    regardless, and only the cyclic rule of is_abelian relies on it.
+    regardless.  Only the cyclic rule of is_abelian relies on it, and
+    is_abelian rates what that rule certifies ABELIAN_ON_TRUST.
     """
 
     presentation: Presentation
@@ -354,9 +364,6 @@ def _check_chain(chain):
 # for pi_1(G)^r.  Both polynomials, in-process on an x86 Linux container:
 # SL2, r = 512: 0.3 s; SL9, r = 64: 0.1 s; Sp14, r = 73: 0.08 s
 OUTPUT_BOUND = 512
-# every invariant factor must print: Python writes an int of at most
-# 4,300 digits as text (the default of sys.get_int_max_str_digits())
-TORSION_BOUND = 10**4300
 
 
 @record
@@ -513,33 +520,33 @@ def quotient_by_lcs(g: GroupSpec, i: int) -> GroupSpec:
         "lower-central quotients of presented groups are not supported")
 
 
-def is_abelian(g: GroupSpec) -> bool:
-    """Whether the description certifies an abelian group (False means
-    "not certified").
+# the truthy levels of is_abelian: abelian outright, or only on the trust
+# in a written group's nilpotency that Presented takes
+ABELIAN_OUTRIGHT, ABELIAN_ON_TRUST = 1, 2
 
-    A presented group is certified when its H_1 needs at most one
-    generator: in a nilpotent group, elements that generate H_1 generate
-    the group, so the group is cyclic.  This assumes the nilpotency that
-    Presented takes on trust.
+
+def is_abelian(g: GroupSpec) -> int:
+    """How the description certifies an abelian group: 0 when it does not
+    ("not certified"), ABELIAN_OUTRIGHT for a catalog group, and
+    ABELIAN_ON_TRUST when some factor is certified by the cyclic rule.
+
+    The cyclic rule certifies a presented group whose H_1 needs at most
+    one generator: in a nilpotent group, elements that generate H_1
+    generate the group, so the group is cyclic.  This assumes the
+    nilpotency that Presented takes on trust.  A product is certified
+    when every factor is, at its least certain factor's level.
     """
     if isinstance(g, FiniteAbelian):
-        return True
+        return ABELIAN_OUTRIGHT
     if isinstance(g, FreeNilpotent):
-        return g.c == 1 or g.n == 1
+        return ABELIAN_OUTRIGHT if g.c == 1 or g.n == 1 else 0
     if isinstance(g, DirectProduct):
-        return all(is_abelian(f) for f in g.factors)
+        levels = [is_abelian(f) for f in g.factors]
+        return min(levels) and max(levels)
     if isinstance(g, Presented):
         rank, torsion = g.h1
-        return rank + len(torsion) <= 1
-    return False
-
-
-def is_written(g: GroupSpec) -> bool:
-    """Whether g is, or has as a factor, a written presentation, whose
-    nilpotency is taken on trust."""
-    if isinstance(g, DirectProduct):
-        return any(map(is_written, g.factors))
-    return isinstance(g, Presented)
+        return ABELIAN_ON_TRUST if rank + len(torsion) <= 1 else 0
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +557,18 @@ def heisenberg_presentation() -> Presentation:
     return Heisenberg().presentation()
 
 
-def free_abelian_presentation(n: int) -> Presentation:
-    relators = tuple(commutator(gen(i), gen(j))
-                     for i in range(n) for j in range(i + 1, n))
-    names = tuple("x%d" % (i + 1) for i in range(n))
-    return Presentation(n, relators, names=names)
-
-
-def finite_abelian_presentation(chain) -> Presentation:
-    _check_chain(chain)
-    if not chain:
+def abelian_presentation(rank: int, torsion=()) -> Presentation:
+    """Z^rank + Z/d_1 + ...: rank free generators, then one generator x
+    with the relator x^d per torsion divisor d, then every commutator
+    [x_i, x_j] with i < j; the trivial group is <x1 | x1>."""
+    n = rank + len(torsion)
+    if n == 0:
         return Presentation(1, (gen(0),), names=("x1",))
-    free = free_abelian_presentation(len(chain))
-    powers = tuple(power(gen(i), d) for i, d in enumerate(chain))
-    return replace(free, relators=powers + free.relators)
+    relators = [power(gen(rank + k), d) for k, d in enumerate(torsion)]
+    relators += [Word(tuple(letter_commutator(i, 1, j, 1)))
+                 for i in range(n) for j in range(i + 1, n)]
+    return Presentation(n, tuple(relators),
+                        names=tuple("x%d" % (i + 1) for i in range(n)))
 
 
 def free_nilpotent_class2_presentation(n: int) -> Presentation:

@@ -13,7 +13,7 @@ from nilrep.finitehom import (FiniteGroup, central_image_order_bound,
                               enumerate_homs, q8, surjection_witness)
 from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,
                            FreeNilpotent, Heisenberg, Presentation, Presented,
-                           free_abelian_presentation,
+                           abelian_presentation,
                            free_nilpotent_class2_presentation, gen,
                            merge_presentations, power)
 from nilrep.parsing import parse_group_spec
@@ -236,8 +236,8 @@ def test_quotient_rule_matches_presented_groups(target):
         (FreeNilpotent(3, 2), free_nilpotent_class2_presentation(3)),
         (DirectProduct((FreeNilpotent(2, 2), FreeAbelian(1))),
          merge_presentations([free_nilpotent_class2_presentation(2),
-                              free_abelian_presentation(1)])),
-        (FreeAbelian(3), free_abelian_presentation(3)),
+                              abelian_presentation(1)])),
+        (FreeAbelian(3), abelian_presentation(3)),
     ]
     for g, pres in cases:
         catalog = enumerate_homs(g, target)
@@ -250,10 +250,10 @@ def test_presentations_are_sized_before_they_are_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("a presentation past the limits was built")
 
-    for name in ("free_abelian_presentation",
+    for name in ("abelian_presentation",
                  "free_nilpotent_class2_presentation"):
         monkeypatch.setattr(groups, name, refuse)
-    for name in ("finite_abelian_presentation", "merge_presentations"):
+    for name in ("abelian_presentation", "merge_presentations"):
         monkeypatch.setattr(finitehom, name, refuse)
     for g, target in ((FreeNilpotent(100, 2), Q8), (FreeAbelian(3000), Q8),
                       (FreeNilpotent(4, 2), Q8),
@@ -425,7 +425,7 @@ def test_abelian_targets_admit_what_h1_fits():
     result = enumerate_homs(g, cyclic(2))
     assert (result.total, result.surjective) == (2**7, 2**7 - 1)
     # an invariant factor past the printable bound: the search runs on
-    # H_1 all the same, one generator with the relator g^(n(n + 1))
+    # H_1 all the same, one generator with the relator x1^(n(n + 1))
     n = 10**2200
     g = Presented(Presentation(2, (power(gen(0), n), power(gen(1), n + 1))))
     with pytest.raises(TooLarge):
@@ -433,7 +433,7 @@ def test_abelian_targets_admit_what_h1_fits():
     result = enumerate_homs(g, cyclic(2))
     assert (result.total, result.surjective) == (2, 1)
     assert result.presentation == Presentation(
-        1, (power(gen(0), n * (n + 1)),))
+        1, (power(gen(0), n * (n + 1)),), names=("x1",))
 
 
 def jordan_totient(n, m):
@@ -865,23 +865,41 @@ ABELIAN_SOURCES = ("Z/1", "Z", "Z^2", "Z^3", "Z^4", "F(1,3)", "Z/2", "Z/6",
                          ids=lambda t: t.name)
 def test_abelian_image_count_matches_the_search(target):
     # a catalog abelian group is counted on H_1; its written form is
-    # certified abelian exactly when its H_1 needs at most one generator
-    # (the cyclic rule), and otherwise into a non-abelian target it takes
-    # the depth-first search; the product referee checks both
+    # certified abelian, on trust, exactly when its H_1 needs at most one
+    # generator (the cyclic rule), and otherwise into a non-abelian target
+    # it takes the depth-first search; the product referee checks both
     for text in ABELIAN_SOURCES:
         g = parse_group_spec(text)
-        assert groups.is_abelian(g)
+        assert groups.is_abelian(g) == groups.ABELIAN_OUTRIGHT
         got = enumerate_homs(g, target)
         rank, torsion = groups.h1_invariants(g)
-        assert got.presentation == finitehom._abelian_presentation(
+        assert got.presentation == groups.abelian_presentation(
             rank, torsion), (text, target.name)
         counts = (got.total, got.surjective, got.witness)
         pres = written_presentation(g, target)
         written = Presented(pres)
-        assert groups.is_abelian(written) == (rank + len(torsion) <= 1), text
+        assert groups.is_abelian(written) == (
+            groups.ABELIAN_ON_TRUST if rank + len(torsion) <= 1 else 0), text
         searched = enumerate_homs(written, target)
         assert (searched.total, searched.surjective, searched.witness) \
             == counts == product_homs(pres, target), (text, target.name)
+
+
+@pytest.mark.parametrize("target", [Q8, dihedral(4)], ids=lambda t: t.name)
+def test_reported_presentation_presents_the_counted_group(target):
+    # an abelian count reports H_1's presentation, commutators included:
+    # counting its maps as a written group gives the same numbers (Z^2
+    # into Q8 has 40 maps; without the commutators it would have 64)
+    for text in ABELIAN_SOURCES:
+        got = enumerate_homs(parse_group_spec(text), target)
+        again = enumerate_homs(Presented(got.presentation), target)
+        assert ((again.total, again.surjective)
+                == (got.total, got.surjective)), (text, target.name)
+    got = enumerate_homs(parse_group_spec("Z^2"), Q8)
+    assert (got.total, got.surjective) == (40, 0)
+    got = enumerate_homs(parse_group_spec("Z/2 x Z/4 x Z^2"), dihedral(4))
+    assert got.total == 608
+    assert str(Presented(abelian_presentation(0))) == "<x1 | x1>"
 
 
 def test_written_cyclic_groups_are_searched_into_non_nilpotent_targets():
@@ -891,7 +909,7 @@ def test_written_cyclic_groups_are_searched_into_non_nilpotent_targets():
     # image with cyclic H_1 is cyclic there; into S3 it is searched, with
     # its 6 automorphisms, 3 maps onto a flip and the trivial map
     s3 = parse_group_spec("<a,b | a^3, b^2, abab>")
-    assert groups.is_abelian(s3)
+    assert groups.is_abelian(s3) == groups.ABELIAN_ON_TRUST
     got = enumerate_homs(s3, dihedral(3))
     assert (got.total, got.surjective) == (10, 6)
     assert got.presentation == s3.presentation and got.witness is not None

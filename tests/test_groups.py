@@ -6,10 +6,11 @@ import pytest
 
 from nilrep import snf
 from nilrep.errors import TooLarge, UnsupportedQuotient
-from nilrep.groups import (POWER_LETTER_CAP, AbelianInvariants, DirectProduct,
-                           FiniteAbelian, FreeAbelian, FreeNilpotent,
-                           Heisenberg, Presentation, Presented, Word,
-                           _merge_chain, abelianize, commutator,
+from nilrep.groups import (ABELIAN_ON_TRUST, ABELIAN_OUTRIGHT,
+                           POWER_LETTER_CAP, TORSION_BOUND, AbelianInvariants,
+                           DirectProduct, FiniteAbelian, FreeAbelian,
+                           FreeNilpotent, Heisenberg, Presentation, Presented,
+                           Word, _merge_chain, abelianize, commutator,
                            commutator_letters, concat,
                            free_nilpotent_class2_presentation,
                            free_nilpotent_lcs_ranks, free_reduce, gen,
@@ -447,3 +448,32 @@ def test_family_predicates():
     assert is_abelian(FreeNilpotent(1, 5))
     assert not is_abelian(Heisenberg())
     assert not is_abelian(Presented(heisenberg_presentation()))
+
+
+def test_certificate_levels():
+    # the catalog is abelian outright; a written factor certified by the
+    # cyclic rule only on trust in its nilpotency, and a product at its
+    # least certain factor's level; written Z^2 needs two generators of
+    # H_1, so the cyclic rule does not certify it
+    for text in ("Z^3", "Z/2 x Z/4", "F(1,3)", "Z^3 x Z/2 x Z/4 x F(1,3)"):
+        assert is_abelian(parse_group_spec(text)) == ABELIAN_OUTRIGHT, text
+    for text in ("<x | 1>", "<x | 1> x Z", "<a,b | a^3, b^2, abab>"):
+        assert is_abelian(parse_group_spec(text)) == ABELIAN_ON_TRUST, text
+    for text in ("H3", "H3 x <x | 1>", "<x1,x2 | x1^-1x2^-1x1x2>"):
+        assert is_abelian(parse_group_spec(text)) == 0, text
+    assert ABELIAN_OUTRIGHT and ABELIAN_ON_TRUST \
+        and ABELIAN_OUTRIGHT != ABELIAN_ON_TRUST
+
+
+def test_merged_letters_stay_printable():
+    # two letters that merge past TORSION_BOUND would have an exponent
+    # that Python cannot print: refused as they merge, in the word
+    # helpers and in the parser alike
+    big = TORSION_BOUND - 1
+    assert concat(gen(0, big), gen(0, -1)).letters == ((0, big - 1),)
+    with pytest.raises(TooLarge, match="more than 4300 digits"):
+        concat(gen(0, big), gen(0, 1))
+    with pytest.raises(TooLarge, match="more than 4300 digits"):
+        concat(gen(0, -big), gen(0, -big))
+    with pytest.raises(TooLarge, match="more than 4300 digits"):
+        parse_group_spec("<a | a^%d a>" % big)

@@ -440,6 +440,16 @@ def test_cli_exit_codes(capsys):
                                "--target", "SL2", "--json")
         assert code == 3
         assert json.loads(out)["error"]["type"] == "TooLarge"
+    # two 4,300-digit exponents merge into a 4,301-digit one, which no
+    # output could print: refused while the word is read, before any count
+    group = "<a | a^%s a^%s>" % ("9" * 4300, "9" * 4300)
+    code, _, err = run_cli(capsys, "homcount", "--group", group,
+                           "--finite", "q8")
+    assert code == 3 and "TooLarge" in err and "4300 digits" in err
+    code, out, _ = run_cli(capsys, "homcount", "--group", group,
+                           "--finite", "q8", "--json")
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "TooLarge"
 
 
 def test_cli_letter_budget_covers_the_whole_presentation(capsys):

@@ -17,7 +17,7 @@ import pytest
 
 from nilrep import finitehom
 from nilrep.finitehom import CONNECTED, DISCONNECTED, UNKNOWN
-from nilrep.groups import Presented
+from nilrep.groups import ABELIAN_ON_TRUST, Presented, is_abelian
 from nilrep.parsing import parse_group_spec, parse_reductive_spec
 
 
@@ -91,6 +91,31 @@ def test_unknown_counts(pins):
     unknown = [sum(p[form]["status"] == UNKNOWN for p in pins)
                for form in ("catalog_verdict", "written_verdict")]
     assert unknown == [9, 67]
+
+
+# the reason codes of connectivity_verdict's abelian branch
+ABELIAN_REASONS = ("trivial_group", "single_generator", "not_simply_connected",
+                   "commuting_tuples_diagonalizable",
+                   "commuting_pairs_irreducible", "nontoral_commuting_triples")
+
+
+def test_the_nilpotency_note_follows_the_certificate_level():
+    # a verdict notes its trust in a written group's nilpotency exactly
+    # where is_abelian certifies the group only on trust and an abelian
+    # rule decides the pair
+    texts = (*GROUPS, *map(written, GROUPS), "<x | 1>", "<x | 1> x Z",
+             "<a,b | a^3, b^2, abab>", "H3 x <x | 1>")
+    noted = set()
+    for text in texts:
+        g = parse_group_spec(text)
+        on_trust = is_abelian(g) == ABELIAN_ON_TRUST
+        for target in TARGETS:
+            v = finitehom.connectivity_verdict(g, parse_reductive_spec(target))
+            note = "as it is taken to be nilpotent" in v.reason
+            assert note == (on_trust and v.reason_code in ABELIAN_REASONS), \
+                (text, target)
+            noted.add((note, on_trust))
+    assert noted == {(True, True), (False, True), (False, False)}
 
 
 def test_no_pair_flips_between_decided_statuses(rows):
