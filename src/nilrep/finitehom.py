@@ -63,8 +63,8 @@ SEARCH_LIMIT = 8**6
 # 2,510 digits at m = 512, and past about 700 it has more digits than
 # Python converts to a string
 ORDER_BOUND_M_LIMIT = 512
-# largest order of a cyclic or dihedral table: the table has order^2
-# entries (order 300 took 2.1 s to build and search, order 600 16 s)
+# largest order of any table generated builds: the table has order^2
+# entries
 FINITE_ORDER_BOUND = 256
 
 
@@ -175,74 +175,59 @@ class FiniteGroup:
 # built-in targets
 
 
-def _gauss_mat_mul(a, b):
-    # 2x2 matrices over Z[i]; entries are (re, im) pairs
-    def cmul(x, y):
-        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+def generated(name: str, order: int, identity, generators, product,
+              label) -> FiniteGroup:
+    """The finite group that generators close up to from identity under
+    x -> product(x, g), stated to have order elements: refused past
+    FINITE_ORDER_BOUND before any product, indexed in _orbit's sorted
+    order, and labelled by label(element)."""
+    if order > FINITE_ORDER_BOUND:
+        raise TooLarge("%s has order %d, past the table bound %d"
+                       % (name, order, FINITE_ORDER_BOUND))
+    elems = _orbit([identity], generators, lambda g, x: product(x, g))
+    if len(elems) != order:
+        raise NilrepError("%s closes up to %d elements, not %d"
+                          % (name, len(elems), order))
+    index = {x: i for i, x in enumerate(elems)}
+    table = [[index[product(a, b)] for b in elems] for a in elems]
+    return FiniteGroup(table, [label(x) for x in elems], name)
 
-    def cadd(x, y):
-        return (x[0] + y[0], x[1] + y[1])
 
-    return tuple(tuple(cadd(cmul(a[i][0], b[0][j]), cmul(a[i][1], b[1][j]))
-                       for j in range(2)) for i in range(2))
+def _quaternion_product(a, b):
+    # (unit, sign) with units 0-3 for 1, i, j, k: the units multiply as
+    # XOR on their bits (ij = k, jk = i, ki = j), and a product of two
+    # non-trivial units out of that cyclic order, u^2 included, is negated
+    (u, s), (v, t) = a, b
+    return u ^ v, s ^ t ^ (u and v and (v - u) % 3 != 1)
 
 
 @cache
 def q8() -> FiniteGroup:
-    """The quaternion group of order 8, generated inside SL_2(C) by
-    diag(i, -i) and the rotation [[0, 1], [-1, 0]], multiplied exactly
-    over the Gaussian integers.  Built and checked once per process; every
-    caller shares the one table."""
-    gen_i = (((0, 1), (0, 0)), ((0, 0), (0, -1)))
-    gen_j = (((0, 0), (1, 0)), ((-1, 0), (0, 0)))
-    one = (((1, 0), (0, 0)), ((0, 0), (1, 0)))
-    elems = _orbit([one], (gen_i, gen_j), lambda g, m: _gauss_mat_mul(m, g))
-
-    def neg(m):
-        return tuple(tuple((-re, -im) for re, im in row) for row in m)
-
-    gen_k = _gauss_mat_mul(gen_i, gen_j)
-    ordered = [one, neg(one), gen_i, neg(gen_i), gen_j, neg(gen_j),
-               gen_k, neg(gen_k)]
-    if set(ordered) != set(elems):
-        raise NilrepError("Gaussian generators do not close up to Q8")
-    index = {m: i for i, m in enumerate(ordered)}
-    table = [[index[_gauss_mat_mul(a, b)] for b in ordered] for a in ordered]
-    labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    return FiniteGroup(table, labels, name="Q8")
-
-
-def _check_order(order: int, name: str) -> None:
-    if order > FINITE_ORDER_BOUND:
-        raise TooLarge("%s has order %d, past the table bound %d"
-                       % (name, order, FINITE_ORDER_BOUND))
+    """The quaternion group of order 8, in the order 1, -1, i, -i, j, -j,
+    k, -k.  i -> diag(i, -i) and j -> [[0, 1], [-1, 0]] embed it in
+    SL_2(C), as the verdict's quaternion witness needs.  Built once per
+    process; every caller shares the one table."""
+    return generated("Q8", 8, (0, 0), ((1, 0), (2, 0)), _quaternion_product,
+                     lambda x: ("-" if x[1] else "") + "1ijk"[x[0]])
 
 
 def cyclic(n: int) -> FiniteGroup:
-    _check_order(n, "C%d" % n)
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    labels = ["1"] + ["g^%d" % a if a > 1 else "g" for a in range(1, n)]
-    return FiniteGroup(table, labels, name="C%d" % n)
+    """Cyclic group of order n: residues modulo n, generated by 1."""
+    return generated("C%d" % n, n, 0, (1 % n,), lambda a, b: (a + b) % n,
+                     lambda a: "g^%d" % a if a > 1 else "g" if a else "1")
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n: elements (rotation, flip)."""
-    _check_order(2 * n, "D%d" % n)
-    elems = [(rot, flip) for flip in (0, 1) for rot in range(n)]
-    index = {e: i for i, e in enumerate(elems)}
+    """Dihedral group of order 2n: elements (flip, rotation), generated by
+    the rotation (0, 1) and the flip (1, 0), which conjugates rotations to
+    their inverses."""
+    def product(a, b):
+        (f, r), (g, q) = a, b
+        return f ^ g, (r + (-q if f else q)) % n
 
-    def mul(a, b):
-        # (r1, f1) * (r2, f2): the flip conjugates rotations to inverses
-        r1, f1 = a
-        r2, f2 = b
-        return ((r1 + (n - r2 if f1 else r2)) % n, f1 ^ f2)
-
-    table = [[index[mul(a, b)] for b in elems] for a in elems]
-    labels = []
-    for r, f in elems:
-        rot = "r^%d" % r if r else ""
-        labels.append(("s" + rot) if f else (rot or "1"))
-    return FiniteGroup(table, labels, name="D%d" % n)
+    return generated("D%d" % n, 2 * n, (0, 0), ((0, 1 % n), (1, 0)), product,
+                     lambda x: ("s" if x[0] else "")
+                     + ("r^%d" % x[1] if x[1] else "") or "1")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +289,7 @@ def _generator_count(g) -> int:
         return sum(_generator_count(f) for f in g.factors)
     if isinstance(g, FreeNilpotent):
         return g.n * (g.n + 1) // 2 if g.c == 2 else g.n
-    raise TypeError("not a group spec or presentation: %r" % (g,))
+    raise TypeError("not a group spec: %r" % (g,))
 
 
 def _presentation(g) -> Presentation:
@@ -408,8 +393,6 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     a candidate that C(S) centralizes is its own orbit, so a node of an
     abelian target or a central candidate builds none.
     """
-    if isinstance(g, Presentation):
-        g = Presented(g)
     k = target.nilpotency_class
     # into a nilpotent target a cyclic H_1 makes every image cyclic; into
     # any other, a written group is cyclic only on trust, so it is searched

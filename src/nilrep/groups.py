@@ -579,12 +579,10 @@ def free_nilpotent_class2_presentation(n: int) -> Presentation:
         for j in range(i + 1, n):
             pair_index[(i, j)] = n + len(pair_index)
             names.append("z%d%d" % (i + 1, j + 1))
-    relators = []
-    for (i, j), z in pair_index.items():
-        relators.append(concat(commutator(gen(i), gen(j)), inverse(gen(z))))
-    for z in pair_index.values():
-        for k in range(n):
-            relators.append(commutator(gen(k), gen(z)))
+    relators = [Word((*letter_commutator(i, 1, j, 1), (z, -1)))
+                for (i, j), z in pair_index.items()]
+    relators += [Word(tuple(letter_commutator(k, 1, z, 1)))
+                 for z in pair_index.values() for k in range(n)]
     return Presentation(n + len(pair_index), tuple(relators), names=tuple(names))
 
 
@@ -608,5 +606,5 @@ def merge_presentations(parts) -> Presentation:
         for b in range(a + 1, len(spans)):
             for i in spans[a]:
                 for j in spans[b]:
-                    relators.append(commutator(gen(i), gen(j)))
+                    relators.append(Word(tuple(letter_commutator(i, 1, j, 1))))
     return Presentation(offset, tuple(relators), names=tuple(names))

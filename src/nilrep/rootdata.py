@@ -189,7 +189,8 @@ def _chain(n: int, count: int) -> list[Vector]:
 
 def _orbit(start, generators, act) -> tuple:
     """The breadth-first closure of start under x -> act(s, x) for the
-    generators s, sorted for determinism."""
+    generators s, sorted for determinism; that sorted order is the index
+    order of every built-in finite target (finitehom.generated)."""
     seen = set(start)
     frontier = list(start)
     while frontier:

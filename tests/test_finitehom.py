@@ -7,10 +7,12 @@ from math import gcd, prod
 import pytest
 
 from nilrep import finitehom, groups
-from nilrep.errors import TooLarge, UnsupportedGroup
-from nilrep.finitehom import (FiniteGroup, central_image_order_bound,
+from nilrep.errors import NilrepError, TooLarge, UnsupportedGroup
+from nilrep.finitehom import (FINITE_ORDER_BOUND, FiniteGroup,
+                              central_image_order_bound,
                               connectivity_verdict, cyclic, dihedral,
-                              enumerate_homs, q8, surjection_witness)
+                              enumerate_homs, generated, q8,
+                              surjection_witness)
 from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,
                            FreeNilpotent, Heisenberg, Presentation, Presented,
                            abelian_presentation,
@@ -98,6 +100,44 @@ def test_q8_against_symbolic_quaternions():
             assert Q8.labels[Q8.mul(a, b)] == expected
 
 
+def gauss_mul(x, y):
+    """Product of Gaussian integers written as (re, im) pairs."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def gauss_mat_mul(a, b):
+    """Product of 2x2 matrices over Z[i], multiplied exactly."""
+    return tuple(tuple(tuple(map(sum, zip(gauss_mul(a[r][0], b[0][c]),
+                                          gauss_mul(a[r][1], b[1][c]))))
+                       for c in range(2)) for r in range(2))
+
+
+def test_q8_embeds_in_sl2():
+    # i -> diag(i, -i) and j -> [[0, 1], [-1, 0]], extended along the
+    # table from the identity: every product of the matrices is the
+    # matrix of the table's product, the eight matrices are distinct, and
+    # each has determinant 1
+    gens = {I: (((0, 1), (0, 0)), ((0, 0), (0, -1))),
+            J: (((0, 0), (1, 0)), ((-1, 0), (0, 0)))}
+    matrix = {Q8.identity: (((1, 0), (0, 0)), ((0, 0), (1, 0)))}
+    frontier = [Q8.identity]
+    while frontier:
+        a = frontier.pop()
+        for g, m in gens.items():
+            b = Q8.mul(a, g)
+            if b not in matrix:
+                matrix[b] = gauss_mat_mul(matrix[a], m)
+                frontier.append(b)
+    assert len(set(matrix.values())) == len(matrix) == 8
+    for a in range(8):
+        for b in range(8):
+            assert gauss_mat_mul(matrix[a], matrix[b]) == \
+                matrix[Q8.mul(a, b)]
+        (p, q), (r, t) = matrix[a]
+        ps, qr = gauss_mul(p, t), gauss_mul(q, r)
+        assert (ps[0] - qr[0], ps[1] - qr[1]) == (1, 0)
+
+
 def test_table_validation_rejects_bad_tables():
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [0, 1]])          # no identity column
@@ -136,6 +176,74 @@ def test_nilpotency_classes():
     assert cyclic(6).nilpotency_class == 1
     assert dihedral(4).nilpotency_class == 2
     assert dihedral(3).nilpotency_class is None  # S3 is not nilpotent
+
+
+def hand_built_cyclic(n):
+    """The hand-built cyclic table that generated replaced: the referee."""
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    labels = ["1"] + ["g^%d" % a if a > 1 else "g" for a in range(1, n)]
+    return table, labels, "C%d" % n
+
+
+def hand_built_dihedral(n):
+    """The hand-built dihedral table that generated replaced: the referee,
+    on elements (rotation, flip) listed flip-major."""
+    elems = [(rot, flip) for flip in (0, 1) for rot in range(n)]
+    index = {e: i for i, e in enumerate(elems)}
+
+    def mul(a, b):
+        r1, f1 = a
+        r2, f2 = b
+        return ((r1 + (n - r2 if f1 else r2)) % n, f1 ^ f2)
+
+    table = [[index[mul(a, b)] for b in elems] for a in elems]
+    labels = []
+    for r, f in elems:
+        rot = "r^%d" % r if r else ""
+        labels.append(("s" + rot) if f else (rot or "1"))
+    return table, labels, "D%d" % n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 64, 128, 256])
+def test_generated_tables_match_the_hand_built_ones(n):
+    pairs = [(cyclic(n), hand_built_cyclic(n))]
+    if 2 * n <= FINITE_ORDER_BOUND:
+        pairs.append((dihedral(n), hand_built_dihedral(n)))
+    for group, (table, labels, name) in pairs:
+        assert group.table == tuple(map(tuple, table))
+        assert group.labels == tuple(labels)
+        assert group.name == name
+
+
+def test_generated_refuses_a_stated_order_past_the_bound_before_any_product():
+    def product(a, b):
+        raise AssertionError("a product was taken")
+
+    with pytest.raises(TooLarge, match="C257 has order 257, past the table "
+                                       "bound 256"):
+        generated("C257", FINITE_ORDER_BOUND + 1, 0, (1,), product, str)
+    with pytest.raises(TooLarge, match="past the table bound"):
+        dihedral(129)
+    with pytest.raises(TooLarge, match="past the table bound"):
+        cyclic(10**18)
+
+
+def test_generated_refuses_a_stated_order_the_closure_does_not_reach():
+    # 2 generates the even residues modulo 6, three elements, not six
+    with pytest.raises(NilrepError, match="3 elements, not 6"):
+        generated("C6", 6, 0, (2,), lambda a, b: (a + b) % 6, str)
+    # a stated order below the closure's is refused too
+    with pytest.raises(NilrepError):
+        generated("C4", 2, 0, (1,), lambda a, b: (a + b) % 4, str)
+
+
+def test_generated_indexes_in_sorted_order():
+    # Z/2 x Z/2 from two generators: the pairs in sorted order
+    group = generated("V4", 4, (0, 0), ((1, 0), (0, 1)),
+                      lambda a, b: (a[0] ^ b[0], a[1] ^ b[1]), str)
+    assert group.labels == ("(0, 0)", "(0, 1)", "(1, 0)", "(1, 1)")
+    assert group.table == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1),
+                           (3, 2, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +352,13 @@ def test_quotient_rule_matches_presented_groups(target):
         presented = enumerate_homs(Presented(pres), target)
         assert (catalog.total, catalog.surjective) \
             == (presented.total, presented.surjective), (g, target.name)
+
+
+@pytest.mark.parametrize("target", [Q8, cyclic(2)], ids=lambda t: t.name)
+def test_a_bare_presentation_is_no_group_spec(target):
+    # Presented is the one way in, on the H_1 path and on the search path
+    with pytest.raises(TypeError, match="not a group spec"):
+        enumerate_homs(free_nilpotent_class2_presentation(2), target)
 
 
 def test_presentations_are_sized_before_they_are_built(monkeypatch):
