@@ -27,6 +27,10 @@ generators into one element, so a candidate image costs one table
 product per run and one per letter on its own generator, at any
 exponent.  One bound, SEARCH_LIMIT on base^gens before any search,
 limits every count.
+A verdict needs only the first witness, so surjection_witness runs the
+same search with a stop flag: it raises at the first witness leaf, having
+visited the nodes that the full count visits before it, and makes no
+count.
 A homomorphism onto the quaternion group, which sits in SL_2,
 certifies that the representation variety and the character variety
 are both disconnected when the target contains a root SL_2.
@@ -178,9 +182,12 @@ class FiniteGroup:
 def generated(name: str, order: int, identity, generators, product,
               label) -> FiniteGroup:
     """The finite group that generators close up to from identity under
-    x -> product(x, g), stated to have order elements: refused past
-    FINITE_ORDER_BOUND before any product, indexed in _orbit's sorted
-    order, and labelled by label(element)."""
+    x -> product(x, g), stated to have order elements: refused below 1
+    or past FINITE_ORDER_BOUND before any product, indexed in _orbit's
+    sorted order, and labelled by label(element)."""
+    if order < 1:
+        raise NilrepError("%s has order %d; a group has at least one element"
+                          % (name, order))
     if order > FINITE_ORDER_BOUND:
         raise TooLarge("%s has order %d, past the table bound %d"
                        % (name, order, FINITE_ORDER_BOUND))
@@ -213,7 +220,7 @@ def q8() -> FiniteGroup:
 
 def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n: residues modulo n, generated by 1."""
-    return generated("C%d" % n, n, 0, (1 % n,), lambda a, b: (a + b) % n,
+    return generated("C%d" % n, n, 0, (1,), lambda a, b: (a + b) % n,
                      lambda a: "g^%d" % a if a > 1 else "g" if a else "1")
 
 
@@ -225,7 +232,7 @@ def dihedral(n: int) -> FiniteGroup:
         (f, r), (g, q) = a, b
         return f ^ g, (r + (-q if f else q)) % n
 
-    return generated("D%d" % n, 2 * n, (0, 0), ((0, 1 % n), (1, 0)), product,
+    return generated("D%d" % n, 2 * n, (0, 0), ((0, 1), (1, 0)), product,
                      lambda x: ("s" if x[0] else "")
                      + ("r^%d" % x[1] if x[1] else "") or "1")
 
@@ -331,6 +338,11 @@ def _grow(target: FiniteGroup, grown: dict, node, x):
     return child
 
 
+class _Witness(Exception):
+    """Raised by a stopped search at its first witness leaf, carrying the
+    witness."""
+
+
 def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     """Exact count of homomorphisms, with the first witness, by one
     depth-first search over generator images.
@@ -392,7 +404,20 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     The orbits are built lazily, once per (C(S), candidate) in a count;
     a candidate that C(S) centralizes is its own orbit, so a node of an
     abelian target or a central candidate builds none.
+
+    The stop.  The search is _search(g, target, stop); enumerate_homs
+    runs it without stop and always returns exact totals.
+    surjection_witness runs it with stop, which raises at the first
+    witness leaf.  Up to that leaf the two runs visit the same nodes in
+    the same order, and the full count sets its witness there, so the
+    witness is the same; nothing after the leaf is visited.
     """
+    return _search(g, target, stop=False)
+
+
+def _search(g, target: FiniteGroup, stop: bool) -> HomSearchResult:
+    """The search of enumerate_homs; with stop, it raises _Witness at the
+    first witness leaf, the one where the full count sets its witness."""
     k = target.nilpotency_class
     # into a nilpotent target a cyclic H_1 makes every image cyclic; into
     # any other, a written group is cyclic only on trust, so it is searched
@@ -460,6 +485,8 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
         if depth == gens:
             if witness is None and not sub <= common:
                 witness = tuple(images)
+                if stop:
+                    raise _Witness(witness)
             return 1, len(sub) == n
         if starts[depth]:
             below = counted.get((depth, sub))
@@ -529,8 +556,19 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
 
 def surjection_witness(g, target: FiniteGroup):
     """First DFS-discovered map whose image is a non-abelian subgroup of
-    the target, or None: a surjection onto that finite subgroup."""
-    return enumerate_homs(g, target).witness
+    the target, or None: a surjection onto that finite subgroup.
+
+    It is enumerate_homs(g, target).witness, sized and refused the same
+    way, but the search stops at that witness's leaf and makes no count:
+    it visits the nodes that the full count visits before that leaf, in
+    the same order.  Only a group with no witness is searched to the end.
+    F(3,2) into Q8 calls _grow 10 times here and 66 times in the count.
+    """
+    try:
+        _search(g, target, stop=True)
+    except _Witness as found:
+        return found.args[0]
+    return None
 
 
 def central_image_order_bound(m: int) -> int:

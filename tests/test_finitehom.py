@@ -1,6 +1,7 @@
 """Finite groups, homomorphism counting, witnesses, verdicts, the bound."""
 
 import random
+import re
 from itertools import combinations_with_replacement, product
 from math import gcd, prod
 
@@ -226,6 +227,24 @@ def test_generated_refuses_a_stated_order_past_the_bound_before_any_product():
         dihedral(129)
     with pytest.raises(TooLarge, match="past the table bound"):
         cyclic(10**18)
+
+
+def test_generated_refuses_a_stated_order_below_one_before_any_product():
+    def product(a, b):
+        raise AssertionError("a product was taken")
+
+    for order in (0, -3):
+        with pytest.raises(NilrepError, match="a group has at least one "
+                                              "element"):
+            generated("C%d" % order, order, 0, (1,), product, str)
+    # cyclic(0) and dihedral(0) divided by zero, and cyclic(-3) closed up
+    # to 3 elements, before the stated order was checked
+    for build, n, message in ((cyclic, 0, "C0 has order 0"),
+                              (dihedral, 0, "D0 has order 0"),
+                              (cyclic, -3, "C-3 has order -3"),
+                              (dihedral, -2, "D-2 has order -4")):
+        with pytest.raises(NilrepError, match=message):
+            build(n)
 
 
 def test_generated_refuses_a_stated_order_the_closure_does_not_reach():
@@ -674,25 +693,28 @@ START_EDGES = (
 )
 
 
+# heis3 and filiform4 as quotient-verdicts writes them, products whose
+# first factor is abelian or written, so that the search splits them at a
+# factor start below images that are not all trivial, and the commuting
+# relators spelled every way, and the edges of the factor-start rule
+REFEREE_SOURCES = (
+    "Z", "Z^2", "Z^3", "H3", "F(2,2)", "F(2,3)", "H3 x Z/2",
+    "<x,y,z | [x,y]z^-1, [x,z], [y,z]>",
+    "<a,b,c,d | [a,b]c^-1, [a,c]d^-1, [b,c], [a,d], [b,d], [c,d]>",
+    "Z x H3", "Z/2 x H3 x Z", "<x | 1> x H3", "Z x <a,b | a^3, b^2, abab>",
+    NESTED_PRODUCT, *COMMUTING_SPELLINGS, *START_EDGES,
+)
+
+
 @pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6), dihedral(3),
                                     dihedral(6), dihedral(8)],
                          ids=lambda t: t.name)
 def test_search_matches_the_product_referee(target):
-    # heis3 and filiform4 as quotient-verdicts writes them, products
-    # whose first factor is abelian or written, so that the search splits
-    # them at a factor start below images that are not all trivial, and
-    # the commuting relators spelled every way, and the edges of the
-    # factor-start rule.  D6 and D8 have classes of
-    # 3 and 4 elements, so a node's conjugation orbits are larger there;
-    # into them only sources of at most 3 generators are refereed (at
-    # most 16^3 = 4,096 tuples, where 4 would be 20,736 into D6)
-    for g in ("Z", "Z^2", "Z^3", "H3", "F(2,2)", "F(2,3)", "H3 x Z/2",
-              "<x,y,z | [x,y]z^-1, [x,z], [y,z]>",
-              "<a,b,c,d | [a,b]c^-1, [a,c]d^-1, [b,c], [a,d], [b,d], "
-              "[c,d]>",
-              "Z x H3", "Z/2 x H3 x Z", "<x | 1> x H3",
-              "Z x <a,b | a^3, b^2, abab>", NESTED_PRODUCT,
-              *COMMUTING_SPELLINGS, *START_EDGES):
+    # D6 and D8 have classes of 3 and 4 elements, so a node's conjugation
+    # orbits are larger there; into them only sources of at most 3
+    # generators are refereed (at most 16^3 = 4,096 tuples, where 4 would
+    # be 20,736 into D6)
+    for g in REFEREE_SOURCES:
         g = as_spec(g)
         try:
             pres = written_presentation(g, target)
@@ -724,17 +746,12 @@ def test_search_closes_once_per_new_subgroup_step(monkeypatch):
     assert calls[0] <= 400
 
 
-@pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6),
-                                    dihedral(3), dihedral(6), dihedral(8),
-                                    dihedral(128)],
-                         ids=lambda t: t.name)
-def test_search_on_random_presentations_matches_the_referee(target):
-    # random written presentations of 1-3 generators, exponents of either
-    # sign up to 600, so most letters pass the target's order and some
-    # reduce to 0, into nilpotent, abelian and non-nilpotent (S3, D6)
-    # targets; at most 512 tuples for the product referee per case: 3
-    # generators into order 8, 2 into D6 and D8, whose classes have 3 and
-    # 4 elements, and 1 into the order-256 target
+def random_presentations(target):
+    """Twelve random written presentations, drawn from a generator seeded
+    by the target's name: 1-3 generators, exponents of either sign up to
+    600, so most letters pass the target's order and some reduce to 0;
+    at most 512 tuples for the product referee per case: 3 generators
+    into order 8, 2 into D6 and D8, and 1 into an order-256 target."""
     rng = random.Random(target.name)
     most = max(k for k in (1, 2, 3) if target.order ** k <= 512)
     for _ in range(12):
@@ -745,10 +762,57 @@ def test_search_on_random_presentations_matches_the_referee(target):
                   rng.choice((-1, 1)) * rng.randint(1, 600))
                  for _ in range(rng.randint(1, 6))])
             for _ in range(rng.randint(0, 3)))
-        pres = Presentation(gens, relators)
+        yield Presentation(gens, relators)
+
+
+@pytest.mark.parametrize("target", [Q8, dihedral(4), cyclic(6),
+                                    dihedral(3), dihedral(6), dihedral(8),
+                                    dihedral(128)],
+                         ids=lambda t: t.name)
+def test_search_on_random_presentations_matches_the_referee(target):
+    # into nilpotent, abelian and non-nilpotent (S3, D6) targets; D6 and
+    # D8 have classes of 3 and 4 elements
+    for pres in random_presentations(target):
         result = enumerate_homs(Presented(pres), target)
         assert ((result.total, result.surjective, result.witness)
                 == product_homs(pres, target)), pres
+
+
+@pytest.mark.parametrize("target", [Q8, dihedral(3), dihedral(4),
+                                    dihedral(6), dihedral(8)],
+                         ids=lambda t: t.name)
+def test_stopped_search_finds_the_full_counts_witness(target):
+    # surjection_witness stops at its first witness leaf and makes no
+    # count; its witness is the full count's on every referee source that
+    # both admit, and both refuse the same sources the same way
+    for g in (*map(as_spec, REFEREE_SOURCES),
+              *map(Presented, random_presentations(target))):
+        try:
+            want = enumerate_homs(g, target).witness
+        except (TooLarge, UnsupportedGroup) as refusal:
+            with pytest.raises(type(refusal), match=re.escape(str(refusal))):
+                surjection_witness(g, target)
+            continue
+        assert surjection_witness(g, target) == want, (str(g), target.name)
+
+
+def test_witness_search_stops_at_its_first_witness(monkeypatch):
+    # F(3,2) into Q8 finds its witness (1, i, j, 1, 1, -1) early in the
+    # depth-first order: the stopped search calls _grow 10 times, and the
+    # full count, which searches every orbit to the end, 66 times
+    calls = [0]
+    grow = finitehom._grow
+
+    def counted(*args):
+        calls[0] += 1
+        return grow(*args)
+
+    monkeypatch.setattr(finitehom, "_grow", counted)
+    g = parse_group_spec("F(3,2)")
+    assert enumerate_homs(g, Q8).witness == (0, I, J, 0, 0, 1)
+    full, calls[0] = calls[0], 0
+    assert surjection_witness(g, Q8) == (0, I, J, 0, 0, 1)
+    assert calls[0] < full, (calls[0], full)
 
 
 def test_relator_exponents_are_reduced_once_per_search():
