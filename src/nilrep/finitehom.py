@@ -33,7 +33,11 @@ visited the nodes that the full count visits before it, and makes no
 count.
 A homomorphism onto the quaternion group, which sits in SL_2,
 certifies that the representation variety and the character variety
-are both disconnected when the target contains a root SL_2.
+are both disconnected when the target contains a root SL_2.  That
+witness is a fact of the group alone, so the verdict searches each group
+value once per process and every later target reads it back: the memo
+is keyed on the searched group with its display names left out, so the
+spellings of one written group share one search.
 The other rules are the torus computation, the torsion obstruction, the
 non-abelian free nilpotent rule, and the facts about commuting tuples.
 One verdict covers both spaces, since the identity component of the
@@ -623,6 +627,42 @@ def _dual_labels_one(f: Factor) -> bool:
     return kind in (None, "A", "C") or l <= {"B": 2, "D": 3}.get(kind, 0)
 
 
+# the searched group, display names left out (_name_free), -> its first
+# witness into Q8 or None; one entry per group value that a verdict has
+# searched in this process, like q8's one table
+_q8_witnesses: dict = {}
+
+
+def _name_free(g):
+    """A key for g that ignores display names, which no search reads: a
+    written group is its generator count and relators, a product the
+    tuple of its factors' keys, and a catalog group itself.  A written
+    key starts with an int and a product's never does, so no two
+    collide."""
+    if isinstance(g, Presented):
+        return g.presentation.generator_count, g.presentation.relators
+    if isinstance(g, DirectProduct):
+        return tuple(map(_name_free, g.factors))
+    return g
+
+
+def _q8_witness(g):
+    """surjection_witness(g, q8()) for a g that is_abelian does not
+    certify, searched once per group value per process; None where the
+    search refuses g.  The search's own refusals come first, on the specs
+    alone, so a group past the limits is neither searched nor hashed."""
+    target = q8()
+    try:
+        searched = _searched(g, target.nilpotency_class)
+        _check_search(_generator_count(searched), target)
+    except (TooLarge, UnsupportedGroup):
+        return None
+    key = _name_free(searched)
+    if key not in _q8_witnesses:
+        _q8_witnesses[key] = surjection_witness(g, target)
+    return _q8_witnesses[key]
+
+
 def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
                          rd: RootDatum | None = None) -> Verdict:
     """Decide connectivity of Hom(group, G) where the implemented theory
@@ -637,6 +677,12 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
     elements in compact Lie groups, Mem. AMS 2002), and restriction to
     three coordinates carries the identity component of Hom(Z^r, G)
     into that of Hom(Z^3, G), so every r >= 3 is disconnected.
+
+    The quaternion rule reads G only through Block.contains_sl2; its
+    witness, a surjection onto Q8, depends on the group alone, so it is
+    searched once per group value per process (_q8_witness) and shared by
+    every target.  Display names do not enter that memo's key, so the
+    spellings of one written group share one search.
     """
     ab = abelianize(g)
     r = ab.rank
@@ -655,10 +701,7 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
 
     level = is_abelian(g)
     if not level and any(b.contains_sl2 for b in blocks):
-        try:
-            witness = surjection_witness(g, q8())
-        except (TooLarge, UnsupportedGroup):
-            witness = None
+        witness = _q8_witness(g)
         if witness is not None:
             return Verdict(DISCONNECTED, "finite_nonabelian_quotient",
                            "the group surjects onto a quaternion subgroup of "

@@ -19,7 +19,8 @@ from nilrep.groups import (DirectProduct, FiniteAbelian, FreeAbelian,
                            abelian_presentation,
                            free_nilpotent_class2_presentation, gen,
                            merge_presentations, power)
-from nilrep.parsing import parse_group_spec
+from nilrep.parsing import parse_group_spec, parse_reductive_spec
+from nilrep.record import replace
 from nilrep.rootdata import Factor, ReductiveSpec, reductive
 
 
@@ -1400,3 +1401,83 @@ def test_connected_nontorus_verdicts_only_for_abelian_groups():
     for spec in specs:
         for g in groups:
             assert connectivity_verdict(g, spec).status != "Connected"
+
+
+# the written Heisenberg group in the three spellings that
+# quotient-verdicts draws, and that workload's targets, each with a root
+# SL2
+HEIS3_SPELLINGS = ("<x,y,z | [x,y]z^-1, [x,z], [y,z]>",
+                   "<a,b,c | [a,b]c^-1, [a,c], [b,c]>",
+                   "<u,v,w | [u,v]w^-1, [u,w], [v,w]>")
+SL2_TARGETS = ("SL2", "Sp4", "SO5", "GL2", "PGL3", "SL3", "G2")
+
+
+def test_the_quaternion_rule_searches_each_group_value_once(monkeypatch):
+    # the witness depends on the group alone, so each group value is
+    # searched once whatever the target, and names do not make another
+    # value: three searches here, where one per verdict would be 35
+    searched = []
+    search = finitehom.surjection_witness
+
+    def counted(g, target):
+        searched.append(g)
+        return search(g, target)
+
+    monkeypatch.setattr(finitehom, "surjection_witness", counted)
+    monkeypatch.setattr(finitehom, "_q8_witnesses", {})
+    for texts, want in ((HEIS3_SPELLINGS, (I, J, 1)),
+                        (("F(3,2)",), (0, I, J, 0, 0, 1)),
+                        (("H3 x H3",), (0, 0, 0, I, J, 1))):
+        before = len(searched)
+        for text in texts:
+            g = parse_group_spec(text)
+            for target in SL2_TARGETS:
+                v = connectivity_verdict(g, parse_reductive_spec(target))
+                assert v.reason_code == "finite_nonabelian_quotient"
+                assert v.witness == want, (text, target)
+        assert len(searched) == before + 1, texts
+
+
+def fresh_witness(g):
+    """surjection_witness(g, Q8), or None where the search refuses g."""
+    try:
+        return surjection_witness(g, Q8)
+    except (TooLarge, UnsupportedGroup):
+        return None
+
+
+def test_shared_witnesses_are_fresh_searches_on_random_presentations(
+        monkeypatch):
+    # every draw, unnamed and named, with the memo warmed on every draw by
+    # the other spelling: the verdict's witness is a fresh search's, or
+    # none where the rule does not apply or finds none
+    sl2 = reductive(("SL", 2))
+    draws = [pres for target in (Q8, dihedral(3), dihedral(6), dihedral(128))
+             for pres in random_presentations(target)]
+    spellings = [(Presented(pres), Presented(replace(
+        pres, names=tuple("abc"[:pres.generator_count])))) for pres in draws]
+    for warm in (0, 1):
+        monkeypatch.setattr(finitehom, "_q8_witnesses", {})
+        for pair in spellings:
+            connectivity_verdict(pair[warm], sl2)
+        for pair in spellings:
+            g = pair[1 - warm]
+            want = None if groups.is_abelian(g) else fresh_witness(g)
+            assert connectivity_verdict(g, sl2).witness == want, str(g)
+
+
+def test_verdicts_past_the_search_limit_hash_no_relator(monkeypatch):
+    # the quaternion rule sizes a group on its specs before it builds the
+    # memo's key: hashing the 252 relators of the written F(8,2) would
+    # cost more than refusing it
+    specs = [Presented(free_nilpotent_class2_presentation(8)),
+             parse_group_spec("H3 x H3 x Z"),
+             parse_group_spec(written("H3 x H3 x Z"))]
+
+    def refuse(self):
+        raise AssertionError("a relator was hashed")
+
+    monkeypatch.setattr(groups.Word, "__hash__", refuse)
+    for g in specs:
+        v = connectivity_verdict(g, reductive(("SL", 2)))
+        assert (v.status, v.reason_code) == ("Unknown", "outside_catalog")

@@ -16,9 +16,12 @@ from pathlib import Path
 import pytest
 
 from nilrep import finitehom
+from nilrep.errors import TooLarge, UnsupportedGroup
 from nilrep.finitehom import CONNECTED, DISCONNECTED, UNKNOWN
 from nilrep.groups import ABELIAN_ON_TRUST, Presented, is_abelian
 from nilrep.parsing import parse_group_spec, parse_reductive_spec
+from nilrep.record import replace
+from nilrep.rootdata import build_root_datum
 
 
 GROUPS = ("Z", "Z^2", "Z^3", "Z^4", "Z/2", "Z/4 x Z", "Z/6 x Z^2",
@@ -116,6 +119,39 @@ def test_the_nilpotency_note_follows_the_certificate_level():
                 (text, target)
             noted.add((note, on_trust))
     assert noted == {(True, True), (False, True), (False, False)}
+
+
+def test_shared_witnesses_are_fresh_searches(monkeypatch):
+    # the quaternion rule searches each group value once per process: with
+    # the memo warmed on every group by one spelling (catalog, written, or
+    # written under other names), each in turn, every verdict's witness is
+    # a fresh search's wherever the rule applies, and there is none
+    # elsewhere
+    q8 = finitehom.q8()
+    targets = [(spec, build_root_datum(spec))
+               for spec in map(parse_reductive_spec, TARGETS)]
+    cases = []
+    for text in GROUPS:
+        pres = finitehom._presentation(parse_group_spec(text))
+        for g in (parse_group_spec(text), parse_group_spec(written(text)),
+                  Presented(replace(pres, names=tuple(
+                      "n%d" % i for i in range(pres.generator_count))))):
+            try:
+                want = finitehom.surjection_witness(g, q8)
+            except (TooLarge, UnsupportedGroup):
+                want = None
+            cases.append((g, None if is_abelian(g) else want))
+    for warm in range(3):
+        monkeypatch.setattr(finitehom, "_q8_witnesses", {})
+        for g, _ in cases[warm::3]:
+            for spec, rd in targets:
+                finitehom.connectivity_verdict(g, spec, rd)
+        for g, want in cases:
+            for spec, rd in targets:
+                sl2 = any(b.contains_sl2 for b in rd.blocks)
+                v = finitehom.connectivity_verdict(g, spec, rd)
+                assert v.witness == (want if sl2 else None), (str(g),
+                                                              str(spec))
 
 
 def test_no_pair_flips_between_decided_statuses(rows):
