@@ -63,9 +63,8 @@ def _finite_target(name: str):
                      ("q8", "cN", "dN with N >= 1"))
 
 
-def _cmd_analyze(args) -> int:
-    report = analyze(parse_group_spec(args.group),
-                     parse_reductive_spec(args.target))
+def _cmd_analyze(g, spec, args) -> int:
+    report = analyze(g, spec)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     else:
@@ -73,9 +72,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_poincare(args) -> int:
-    g = parse_group_spec(args.group)
-    spec = parse_reductive_spec(args.target)
+def _cmd_poincare(g, spec, args) -> int:
     rd = build_root_datum(spec)
     r = abelianize(g).rank
     hom = poincare_hom_component(rd, r)
@@ -87,9 +84,7 @@ def _cmd_poincare(args) -> int:
     return 0
 
 
-def _cmd_pi1(args) -> int:
-    g = parse_group_spec(args.group)
-    spec = parse_reductive_spec(args.target)
+def _cmd_pi1(g, spec, args) -> int:
     rd = build_root_datum(spec)
     r = abelianize(g).rank
     hom = pi1_G(rd).self_power(r)
@@ -105,9 +100,7 @@ def _cmd_pi1(args) -> int:
     return 0
 
 
-def _cmd_connectivity(args) -> int:
-    g = parse_group_spec(args.group)
-    spec = parse_reductive_spec(args.target)
+def _cmd_connectivity(g, spec, args) -> int:
     verdict = connectivity_verdict(g, spec)
     payload = {"group": str(g), "target": str(spec),
                "status": verdict.status, "reason": verdict.reason}
@@ -120,9 +113,7 @@ def _cmd_connectivity(args) -> int:
     return 0
 
 
-def _cmd_homcount(args) -> int:
-    g = parse_group_spec(args.group)
-    target = _finite_target(args.finite)
+def _cmd_homcount(g, target, args) -> int:
     result = enumerate_homs(g, target)
     payload = {"group": str(g), "finite_target": target.name,
                "total": result.total, "surjective": result.surjective}
@@ -153,6 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing leaves no state in it, so in-process callers of main() do not
     rebuild it each time; the commands read this module's functions
     (parse_group_spec, analyze, ...) when they run, not when it is built.
+    Each command that add() installs is called with --group parsed, then
+    --target (or --finite) parsed, then the parsed arguments.
     """
     parser = argparse.ArgumentParser(
         prog="nilrep",
@@ -170,7 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="reductive DSL, e.g. 'SL2', 'GL3 x T2'")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-        p.set_defaults(func=fn)
+        # the group is parsed first, so its error is the one reported
+        p.set_defaults(func=lambda args: fn(
+            parse_group_spec(args.group),
+            parse_reductive_spec(args.target) if target
+            else _finite_target(args.finite), args))
         return p
 
     add("analyze", _cmd_analyze, "full report for one pair")

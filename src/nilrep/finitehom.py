@@ -16,7 +16,12 @@ one and no other relator joins them, the count below is made once per
 certified abelian or the target is abelian, factors through H_1, so such
 a count is sized, searched and reported on H_1 alone, as written by
 groups.abelian_presentation.  H_1's commutators are relators like any
-other, so every one of its generators is a factor start.
+other, so every one of its generators is a factor start.  Every other
+count reads its group through one walk of the specs, _lowered: a map
+into a target of class k factors through the quotient by the (k + 1)-st
+lower-central term, and the walk gives that quotient's generator count,
+a key without display names, and a writer of its presentation, called
+only once the count has passed SEARCH_LIMIT.
 Conjugation by C(S) fixes every image chosen so far and permutes the
 maps below a node, so a node searches one candidate per conjugation
 orbit of C(S), the first by index, and counts it once per member of the
@@ -36,7 +41,7 @@ certifies that the representation variety and the character variety
 are both disconnected when the target contains a root SL_2.  That
 witness is a fact of the group alone, so the verdict searches each group
 value once per process and every later target reads it back: the memo
-is keyed on the searched group with its display names left out, so the
+is keyed on _lowered's key, which leaves display names out, so the
 spellings of one written group share one search.
 The other rules are the torus computation, the torsion obstruction, the
 non-abelian free nilpotent rule, and the facts about commuting tuples.
@@ -46,7 +51,7 @@ quotient is the quotient of the identity component.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import accumulate, compress, repeat
 from operator import eq
 
@@ -272,45 +277,40 @@ def _check_search(gens: int, target: FiniteGroup) -> None:
         raise TooLarge("search space %d^%d exceeds the limit" % (base, gens))
 
 
-def _searched(g, k):
-    """g with each free nilpotent factor replaced by its quotient by the
-    (k + 1)-st lower-central term; k is None for a target that is not
-    nilpotent."""
+def _lowered(g, k):
+    """(generators, key, write) for g with each free nilpotent factor
+    replaced by its quotient by the (k + 1)-st lower-central term, k None
+    for a target that is not nilpotent: the generator count and a key
+    read from the specs alone, and write, which builds the presentation
+    when called.  The key leaves out display names, which no search
+    reads: a written group is its generator count and relators, a product
+    the tuple of its factors' keys, and a catalog group its lowered spec.
+    A written key starts with an int and a product's never does, so no
+    two collide.  A free nilpotent factor left at class >= 3 raises
+    UnsupportedGroup, and anything that is no group spec TypeError, both
+    before any writer runs."""
     if isinstance(g, DirectProduct):
-        return DirectProduct(tuple(_searched(f, k) for f in g.factors))
+        counts, keys, writers = zip(*(_lowered(f, k) for f in g.factors))
+        return sum(counts), keys, lambda: merge_presentations(
+            write() for write in writers)
+    if isinstance(g, Presented):
+        pres = g.presentation
+        return (pres.generator_count, (pres.generator_count, pres.relators),
+                lambda: pres)
+    if isinstance(g, FiniteAbelian):
+        return (max(len(g.divisors), 1), g,
+                lambda: abelian_presentation(0, g.divisors))
     if not isinstance(g, FreeNilpotent):
-        return g
-    if is_abelian(g):   # F(1, c) is Z
-        return quotient_by_lcs(g, 2)
-    searched = g if k is None else quotient_by_lcs(g, k + 1)
-    if searched.c > 2:
+        raise TypeError("not a group spec: %r" % (g,))
+    # F(1, c) is Z at every class
+    low = (quotient_by_lcs(g, 2) if is_abelian(g) else
+           g if k is None else quotient_by_lcs(g, k + 1))
+    if low.c > 2:
         raise UnsupportedGroup(
             "no finite presentation of %s is available at the class of the "
             "target group" % g)
-    return searched
-
-
-def _generator_count(g) -> int:
-    """Generators of _presentation(g), from the specs alone."""
-    if isinstance(g, Presented):
-        return g.presentation.generator_count
-    if isinstance(g, FiniteAbelian):
-        return max(len(g.divisors), 1)
-    if isinstance(g, DirectProduct):
-        return sum(_generator_count(f) for f in g.factors)
-    if isinstance(g, FreeNilpotent):
-        return g.n * (g.n + 1) // 2 if g.c == 2 else g.n
-    raise TypeError("not a group spec: %r" % (g,))
-
-
-def _presentation(g) -> Presentation:
-    if isinstance(g, Presented):
-        return g.presentation
-    if isinstance(g, FiniteAbelian):
-        return abelian_presentation(0, g.divisors)
-    if isinstance(g, DirectProduct):
-        return merge_presentations(_presentation(f) for f in g.factors)
-    return g.presentation()
+    return (low.n * (low.n + 1) // 2 if low.c == 2 else low.n, low,
+            low.presentation)
 
 
 def _commuting_partner(letters):
@@ -358,11 +358,12 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     certifies only on trust is counted so only into a nilpotent target.
     Otherwise a map into a target of nilpotency class k kills the
     (k + 1)-st lower-central term, so each free nilpotent factor is
-    searched on its quotient by that term (_searched): the class-2
-    quotient for Q8.  The catalog presents classes 1 and 2, so a factor
-    left at class >= 3 raises UnsupportedGroup.  The generator count is
-    read from the specs and checked against SEARCH_LIMIT before any
-    relator is written.
+    searched on its quotient by that term: the class-2 quotient for Q8.
+    One walk of the specs, _lowered, makes that quotient; the catalog
+    presents classes 1 and 2, so a factor left at class >= 3 raises
+    UnsupportedGroup there.  The walk reads the generator count from the
+    specs, and it is checked against SEARCH_LIMIT before the walk's
+    writer builds any relator.
 
     The search tries generator images in element index order, which makes
     the reported witness deterministic.  Every relator but the commuting
@@ -428,13 +429,12 @@ def _search(g, target: FiniteGroup, stop: bool) -> HomSearchResult:
     level = is_abelian(g)
     if k == 1 or level == ABELIAN_OUTRIGHT or level and k is not None:
         rank, torsion = h1_invariants(g)
-        _check_search(max(rank + len(torsion), 1), target)
-        pres = abelian_presentation(rank, torsion)
+        gens = max(rank + len(torsion), 1)
+        write = partial(abelian_presentation, rank, torsion)
     else:
-        g = _searched(g, k)
-        _check_search(_generator_count(g), target)
-        pres = _presentation(g)
-    gens = pres.generator_count
+        gens, _, write = _lowered(g, k)
+    _check_search(gens, target)
+    pres = write()
     table, powers, one, n = (target.table, target.powers, target.identity,
                              target.order)
     centralizers, inverse = target.centralizers, target.inverse
@@ -627,37 +627,24 @@ def _dual_labels_one(f: Factor) -> bool:
     return kind in (None, "A", "C") or l <= {"B": 2, "D": 3}.get(kind, 0)
 
 
-# the searched group, display names left out (_name_free), -> its first
-# witness into Q8 or None; one entry per group value that a verdict has
-# searched in this process, like q8's one table
+# the key of the lowered group (_lowered, display names left out) -> its
+# first witness into Q8 or None; one entry per group value that a verdict
+# has searched in this process, like q8's one table
 _q8_witnesses: dict = {}
-
-
-def _name_free(g):
-    """A key for g that ignores display names, which no search reads: a
-    written group is its generator count and relators, a product the
-    tuple of its factors' keys, and a catalog group itself.  A written
-    key starts with an int and a product's never does, so no two
-    collide."""
-    if isinstance(g, Presented):
-        return g.presentation.generator_count, g.presentation.relators
-    if isinstance(g, DirectProduct):
-        return tuple(map(_name_free, g.factors))
-    return g
 
 
 def _q8_witness(g):
     """surjection_witness(g, q8()) for a g that is_abelian does not
     certify, searched once per group value per process; None where the
-    search refuses g.  The search's own refusals come first, on the specs
-    alone, so a group past the limits is neither searched nor hashed."""
+    search refuses g.  The search's own walk, _lowered, gives the size
+    and the memo's key from the specs alone, and the size is checked
+    first, so a group past the limits is neither searched nor hashed."""
     target = q8()
     try:
-        searched = _searched(g, target.nilpotency_class)
-        _check_search(_generator_count(searched), target)
+        gens, key, _ = _lowered(g, target.nilpotency_class)
+        _check_search(gens, target)
     except (TooLarge, UnsupportedGroup):
         return None
-    key = _name_free(searched)
     if key not in _q8_witnesses:
         _q8_witnesses[key] = surjection_witness(g, target)
     return _q8_witnesses[key]
@@ -681,8 +668,9 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
     The quaternion rule reads G only through Block.contains_sl2; its
     witness, a surjection onto Q8, depends on the group alone, so it is
     searched once per group value per process (_q8_witness) and shared by
-    every target.  Display names do not enter that memo's key, so the
-    spellings of one written group share one search.
+    every target.  That memo's key is the search's own, from _lowered,
+    and leaves display names out, so the spellings of one written group
+    share one search.
     """
     ab = abelianize(g)
     r = ab.rank

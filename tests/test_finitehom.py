@@ -427,8 +427,7 @@ def written_presentation(g, target):
     with each free nilpotent factor replaced by its quotient by the
     target's class.  The search reads it when some image is not abelian;
     every count with abelian image reports H_1's presentation instead."""
-    return finitehom._presentation(
-        finitehom._searched(g, target.nilpotency_class))
+    return finitehom._lowered(g, target.nilpotency_class)[2]()
 
 
 def leaf_closure_homs(g, target):
@@ -618,7 +617,7 @@ def test_non_abelian_targets_keep_the_two_limit_rule(target):
 def test_free_nilpotent_on_one_generator_is_searched_as_z(target):
     # F(1, c) is Z at every class, into targets of every nilpotency class:
     # alone it is counted on H_1; beside H3 it is searched, and only
-    # _searched's abelian branch keeps it from the class-c refusal
+    # _lowered's abelian branch keeps it from the class-c refusal
     want = enumerate_homs(FreeAbelian(1), target)
     beside = enumerate_homs(DirectProduct((Heisenberg(), FreeAbelian(1))),
                             target)
@@ -677,7 +676,8 @@ COMMUTING_SPELLINGS = (
 def written(text):
     """The catalog group text written out as one presentation, cross
     commutators included, as the verdict census writes it."""
-    return str(Presented(finitehom._presentation(parse_group_spec(text))))
+    return str(Presented(
+        finitehom._lowered(parse_group_spec(text), None)[2]()))
 
 
 # the edges of the factor-start rule: a generator that commutes with only
@@ -967,8 +967,8 @@ def test_commuting_relators_are_met_by_centralizers():
             reads[0] += 1
             return tuple.__getitem__(self, k)
 
-    census_h3_h3 = str(Presented(finitehom._presentation(
-        parse_group_spec("H3 x H3"))))
+    census_h3_h3 = str(Presented(finitehom._lowered(
+        parse_group_spec("H3 x H3"), None)[2]()))
     for text, want, most in (
             ("F(3,2)", (512, 336, (0, I, J, 0, 0, 1)), 20000),
             (census_h3_h3, (928, 192, (0, 0, 0, I, J, 1)), 15000)):
@@ -1255,11 +1255,40 @@ def test_search_limits():
                                                 FiniteAbelian((3,)))))),
     NESTED_PRODUCT,
     parse_group_spec("<a,b,c | [a,b]c^-1, [a,c], [b,c]>"),
+    FreeNilpotent(3, 3), FreeNilpotent(1, 5), parse_group_spec("H3 x F(1,4)"),
 ], ids=str)
 def test_generator_count_matches_the_presentation(g):
-    # the limits are checked on the count before the presentation is built
-    assert (finitehom._generator_count(g)
-            == finitehom._presentation(g).generator_count)
+    # the walk counts generators from the specs, and the limits are
+    # checked on that count before write builds the presentation; F(3,3)
+    # has a presentation only lowered into a target of class 2
+    for k in (None, 2, 3):
+        if g == FreeNilpotent(3, 3) and k != 2:
+            continue   # refused, as F(2,3) is below
+        gens, _, write = finitehom._lowered(g, k)
+        assert gens == write().generator_count, k
+
+
+@pytest.mark.parametrize("target", [dihedral(3), dihedral(8)],
+                         ids=lambda t: t.name)
+def test_class_3_is_refused_before_any_presentation_is_built(monkeypatch,
+                                                             target):
+    # D3 is not nilpotent and D8 has class 3, so F(n,3) stays at class 3,
+    # and UnsupportedGroup comes from the walk, before any writer runs
+    def refuse(*args):
+        raise AssertionError("a presentation was built")
+
+    k = target.nilpotency_class
+    assert k in (None, 3)
+    for name in ("abelian_presentation",
+                 "free_nilpotent_class2_presentation"):
+        monkeypatch.setattr(groups, name, refuse)
+    for name in ("abelian_presentation", "merge_presentations"):
+        monkeypatch.setattr(finitehom, name, refuse)
+    for g in (FreeNilpotent(2, 3), FreeNilpotent(3, 3)):
+        with pytest.raises(UnsupportedGroup):
+            finitehom._lowered(g, k)
+        with pytest.raises(UnsupportedGroup):
+            enumerate_homs(g, target)
 
 
 def test_abelian_specs_never_produce_witnesses():

@@ -3,7 +3,9 @@ also fed in its written form, every verdict pinned in
 tests/data/verdict_census.json.
 
 A written form is the catalog group's own presentation printed and read
-back: parse_group_spec(str(Presented(finitehom._presentation(g)))).
+back: parse_group_spec(str(Presented(write()))), where write, the last
+of finitehom._lowered(g, None), builds the presentation that the search
+reads for g into a target that is not nilpotent.
 Changing a pin is an output change.  To regenerate the pins after one,
 run this file as a script:
 
@@ -34,7 +36,8 @@ PINS = Path(__file__).parent / "data" / "verdict_census.json"
 
 def written(text):
     """The written form of the catalog group text, as a string."""
-    return str(Presented(finitehom._presentation(parse_group_spec(text))))
+    return str(Presented(
+        finitehom._lowered(parse_group_spec(text), None)[2]()))
 
 
 def verdict(g, target):
@@ -132,7 +135,7 @@ def test_shared_witnesses_are_fresh_searches(monkeypatch):
                for spec in map(parse_reductive_spec, TARGETS)]
     cases = []
     for text in GROUPS:
-        pres = finitehom._presentation(parse_group_spec(text))
+        pres = finitehom._lowered(parse_group_spec(text), None)[2]()
         for g in (parse_group_spec(text), parse_group_spec(written(text)),
                   Presented(replace(pres, names=tuple(
                       "n%d" % i for i in range(pres.generator_count))))):
