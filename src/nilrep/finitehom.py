@@ -12,16 +12,18 @@ rotation) is not checked: x_d draws its images from the centralizers of
 the images of the x_i that such relators name.  Products factor through
 these relators: where every later generator commutes with every earlier
 one and no other relator joins them, the count below is made once per
-(generator, S).  Every map with abelian image, because the group is
-certified abelian or the target is abelian, factors through H_1, so such
-a count is sized, searched and reported on H_1 alone, as written by
+(generator, S).  One plan, _plan, picks what each count searches and
+sizes it.  Every map with abelian image, because the group is certified
+abelian or the target is abelian, factors through H_1, so such a count
+is sized, searched and reported on H_1 alone, as written by
 groups.abelian_presentation.  H_1's commutators are relators like any
 other, so every one of its generators is a factor start.  Every other
 count reads its group through one walk of the specs, _lowered: a map
 into a target of class k factors through the quotient by the (k + 1)-st
 lower-central term, and the walk gives that quotient's generator count,
-a key without display names, and a writer of its presentation, called
-only once the count has passed SEARCH_LIMIT.
+a key without display names, and a writer of its presentation.  Either
+way the plan checks the count against SEARCH_LIMIT before the writer
+runs.
 Conjugation by C(S) fixes every image chosen so far and permutes the
 maps below a node, so a node searches one candidate per conjugation
 orbit of C(S), the first by index, and counts it once per member of the
@@ -30,8 +32,8 @@ A finite group tabulates its powers and centralizers once.  A search
 node folds each run of every other relator's letters on earlier
 generators into one element, so a candidate image costs one table
 product per run and one per letter on its own generator, at any
-exponent.  One bound, SEARCH_LIMIT on base^gens before any search,
-limits every count.
+exponent.  One bound, SEARCH_LIMIT on base^gens, checked by the plan
+before any search, limits every count.
 A verdict needs only the first witness, so surjection_witness runs the
 same search with a stop flag: it raises at the first witness leaf, having
 visited the nodes that the full count visits before it, and makes no
@@ -42,7 +44,9 @@ are both disconnected when the target contains a root SL_2.  That
 witness is a fact of the group alone, so the verdict searches each group
 value once per process and every later target reads it back: the memo
 is keyed on _lowered's key, which leaves display names out, so the
-spellings of one written group share one search.
+spellings of one written group share one search.  The plan that gives
+the key also writes the searched presentation, so a miss walks the
+specs once.
 The other rules are the torus computation, the torsion obstruction, the
 non-abelian free nilpotent rule, and the facts about commuting tuples.
 One verdict covers both spaces, since the identity component of the
@@ -267,16 +271,6 @@ class HomSearchResult:
     presentation: Presentation
 
 
-def _check_search(gens: int, target: FiniteGroup) -> None:
-    """Raise TooLarge when base^gens, base the target's order, passes
-    SEARCH_LIMIT.  A target of order 1 counts as 2, so no search
-    is deeper than 18 generators; past that depth 2^gens alone passes
-    the limit, and no power of a written rank is computed."""
-    base = max(target.order, 2)
-    if gens >= SEARCH_LIMIT.bit_length() or base ** gens > SEARCH_LIMIT:
-        raise TooLarge("search space %d^%d exceeds the limit" % (base, gens))
-
-
 def _lowered(g, k):
     """(generators, key, write) for g with each free nilpotent factor
     replaced by its quotient by the (k + 1)-st lower-central term, k None
@@ -311,6 +305,31 @@ def _lowered(g, k):
             "target group" % g)
     return (low.n * (low.n + 1) // 2 if low.c == 2 else low.n, low,
             low.presentation)
+
+
+def _plan(g, target: FiniteGroup):
+    """(key, write) for the search of g into target, one walk of the
+    specs: H_1's abelian_presentation when every image is abelian, with
+    key None, else _lowered's key and writer.  The generator count is
+    sized first: TooLarge when base^gens, base the target's order, passes
+    SEARCH_LIMIT, before anything is written, keyed or hashed.  A target
+    of order 1 counts as 2, so no search is deeper than 18 generators;
+    past that depth 2^gens alone passes the limit, and no power of a
+    written rank is computed."""
+    k = target.nilpotency_class
+    # into a nilpotent target a cyclic H_1 makes every image cyclic; into
+    # any other, a written group is cyclic only on trust, so it is searched
+    level = is_abelian(g)
+    if k == 1 or level == ABELIAN_OUTRIGHT or level and k is not None:
+        rank, torsion = h1_invariants(g)
+        gens, key = max(rank + len(torsion), 1), None
+        write = partial(abelian_presentation, rank, torsion)
+    else:
+        gens, key, write = _lowered(g, k)
+    base = max(target.order, 2)
+    if gens >= SEARCH_LIMIT.bit_length() or base ** gens > SEARCH_LIMIT:
+        raise TooLarge("search space %d^%d exceeds the limit" % (base, gens))
+    return key, write
 
 
 def _commuting_partner(letters):
@@ -351,19 +370,19 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     """Exact count of homomorphisms, with the first witness, by one
     depth-first search over generator images.
 
-    When every image is abelian, because the group is certified abelian
-    or the target is abelian, the maps are those from H_1: the search
-    runs on H_1's abelian_presentation, sized on H_1's generators before
-    it is written, and no witness exists.  A group that is_abelian
-    certifies only on trust is counted so only into a nilpotent target.
-    Otherwise a map into a target of nilpotency class k kills the
-    (k + 1)-st lower-central term, so each free nilpotent factor is
-    searched on its quotient by that term: the class-2 quotient for Q8.
-    One walk of the specs, _lowered, makes that quotient; the catalog
-    presents classes 1 and 2, so a factor left at class >= 3 raises
-    UnsupportedGroup there.  The walk reads the generator count from the
-    specs, and it is checked against SEARCH_LIMIT before the walk's
-    writer builds any relator.
+    One plan, _plan, chooses what is searched and sizes it.  When every
+    image is abelian, because the group is certified abelian or the
+    target is abelian, the maps are those from H_1: the search runs on
+    H_1's abelian_presentation, and no witness exists.  A group that
+    is_abelian certifies only on trust is counted so only into a
+    nilpotent target.  Otherwise a map into a target of nilpotency class
+    k kills the (k + 1)-st lower-central term, so each free nilpotent
+    factor is searched on its quotient by that term: the class-2 quotient
+    for Q8.  One walk of the specs, _lowered, makes that quotient; the
+    catalog presents classes 1 and 2, so a factor left at class >= 3
+    raises UnsupportedGroup there.  Either way the generator count is
+    read before anything is written, and the plan checks it against
+    SEARCH_LIMIT before the writer builds any relator.
 
     The search tries generator images in element index order, which makes
     the reported witness deterministic.  Every relator but the commuting
@@ -410,31 +429,22 @@ def enumerate_homs(g, target: FiniteGroup) -> HomSearchResult:
     a candidate that C(S) centralizes is its own orbit, so a node of an
     abelian target or a central candidate builds none.
 
-    The stop.  The search is _search(g, target, stop); enumerate_homs
-    runs it without stop and always returns exact totals.
-    surjection_witness runs it with stop, which raises at the first
-    witness leaf.  Up to that leaf the two runs visit the same nodes in
+    The stop.  The search is _search(pres, target, stop) on the plan's
+    written presentation; enumerate_homs runs it without stop and always
+    returns exact totals.  surjection_witness and the verdict's memo miss
+    run it with stop, through _stopped, which catches the raise at the
+    first witness leaf.  Up to that leaf the two runs visit the same nodes in
     the same order, and the full count sets its witness there, so the
     witness is the same; nothing after the leaf is visited.
     """
-    return _search(g, target, stop=False)
+    return _search(_plan(g, target)[1](), target, stop=False)
 
 
-def _search(g, target: FiniteGroup, stop: bool) -> HomSearchResult:
-    """The search of enumerate_homs; with stop, it raises _Witness at the
-    first witness leaf, the one where the full count sets its witness."""
-    k = target.nilpotency_class
-    # into a nilpotent target a cyclic H_1 makes every image cyclic; into
-    # any other, a written group is cyclic only on trust, so it is searched
-    level = is_abelian(g)
-    if k == 1 or level == ABELIAN_OUTRIGHT or level and k is not None:
-        rank, torsion = h1_invariants(g)
-        gens = max(rank + len(torsion), 1)
-        write = partial(abelian_presentation, rank, torsion)
-    else:
-        gens, _, write = _lowered(g, k)
-    _check_search(gens, target)
-    pres = write()
+def _search(pres, target: FiniteGroup, stop: bool) -> HomSearchResult:
+    """The search of enumerate_homs on the written presentation pres;
+    with stop, it raises _Witness at the first witness leaf, the one where
+    the full count sets its witness."""
+    gens = pres.generator_count
     table, powers, one, n = (target.table, target.powers, target.identity,
                              target.order)
     centralizers, inverse = target.centralizers, target.inverse
@@ -558,21 +568,26 @@ def _search(g, target: FiniteGroup, stop: bool) -> HomSearchResult:
     return HomSearchResult(total, surjective, witness, pres)
 
 
+def _stopped(pres, target: FiniteGroup):
+    """The witness of the stopped search on pres, or None."""
+    try:
+        _search(pres, target, stop=True)
+    except _Witness as found:
+        return found.args[0]
+
+
 def surjection_witness(g, target: FiniteGroup):
     """First DFS-discovered map whose image is a non-abelian subgroup of
     the target, or None: a surjection onto that finite subgroup.
 
-    It is enumerate_homs(g, target).witness, sized and refused the same
-    way, but the search stops at that witness's leaf and makes no count:
-    it visits the nodes that the full count visits before that leaf, in
-    the same order.  Only a group with no witness is searched to the end.
-    F(3,2) into Q8 calls _grow 10 times here and 66 times in the count.
+    It is enumerate_homs(g, target).witness, planned and refused by the
+    same _plan, but the search stops at that witness's leaf and makes no
+    count: it visits the nodes that the full count visits before that
+    leaf, in the same order.  Only a group with no witness is searched to
+    the end.  F(3,2) into Q8 calls _grow 10 times here and 66 times in
+    the count.  It keeps no memo, so it is always a fresh search.
     """
-    try:
-        _search(g, target, stop=True)
-    except _Witness as found:
-        return found.args[0]
-    return None
+    return _stopped(_plan(g, target)[1](), target)
 
 
 def central_image_order_bound(m: int) -> int:
@@ -636,17 +651,16 @@ _q8_witnesses: dict = {}
 def _q8_witness(g):
     """surjection_witness(g, q8()) for a g that is_abelian does not
     certify, searched once per group value per process; None where the
-    search refuses g.  The search's own walk, _lowered, gives the size
-    and the memo's key from the specs alone, and the size is checked
-    first, so a group past the limits is neither searched nor hashed."""
+    search refuses g.  One _plan gives the memo's key and the writer, and
+    it sizes the group first, so a group past the limits is neither
+    searched nor hashed, and a miss walks the specs once."""
     target = q8()
     try:
-        gens, key, _ = _lowered(g, target.nilpotency_class)
-        _check_search(gens, target)
+        key, write = _plan(g, target)
     except (TooLarge, UnsupportedGroup):
         return None
     if key not in _q8_witnesses:
-        _q8_witnesses[key] = surjection_witness(g, target)
+        _q8_witnesses[key] = _stopped(write(), target)
     return _q8_witnesses[key]
 
 
@@ -668,9 +682,10 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
     The quaternion rule reads G only through Block.contains_sl2; its
     witness, a surjection onto Q8, depends on the group alone, so it is
     searched once per group value per process (_q8_witness) and shared by
-    every target.  That memo's key is the search's own, from _lowered,
-    and leaves display names out, so the spellings of one written group
-    share one search.
+    every target.  That memo's key is the search's own, from _plan, and
+    leaves display names out, so the spellings of one written group share
+    one search; the plan that keys a miss also writes what it searches,
+    so a miss walks the specs once.
     """
     ab = abelianize(g)
     r = ab.rank

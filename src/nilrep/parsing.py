@@ -2,7 +2,8 @@
 
 Group grammar:
 
-    group    := atom (" x " atom)*
+    group    := atom (sep atom)*
+    sep      := space* "x" space+     space: any whitespace character
     atom     := "H3" | "F(" n "," c ")" | "Z" | "Z^" n | "Z/" d
               | "<" name ("," name)* "|" word ("," word)* ">"
     word     := item+ | "1"      item := base ("^" int)?
@@ -10,13 +11,15 @@ Group grammar:
 
 Reductive grammar:
 
-    target   := factor (" x " factor)*
+    target   := factor (sep factor)*
     factor   := "SL" n | "GL" n | "PGL" n | "Sp" 2n | "SO" n | "Spin" n
               | "T" k | "G2" | "F4"
 
-str() on the parsed objects renders back into these grammars.  The word
-"1", alone between its separators, is the empty word, which is how str()
-writes a relator that reduces to the identity.
+str() on the parsed objects renders back into these grammars.  The
+product separator sep needs whitespace after its "x" only: "Zx Z" and
+"SL2x SL3" are products, while "Z/2 xZ" and "SL2 xSL3" are parse errors.
+The word "1", alone between the separators of words, is the empty word,
+which is how str() writes a relator that reduces to the identity.
 
 A word is read as a plain list of (generator, exponent) letters, kept
 freely reduced as each item joins it.  The letter helpers are those of
@@ -132,7 +135,9 @@ class _Scanner:
         return self.text[start:self.pos]
 
     def separator_x(self) -> bool:
-        """A standalone product separator 'x' between factors."""
+        """A product separator between factors: an 'x', after any spaces,
+        followed by whitespace or the end of input.  No space is needed
+        before it, so "Zx Z" is a product, and "Z xZ" is not."""
         save = self.pos
         self.skip_ws()
         if self.try_literal("x"):
@@ -142,6 +147,22 @@ class _Scanner:
                 return True
         self.pos = save
         return False
+
+
+def _product(text: str, atom) -> tuple:
+    """The atoms of text, each read by atom(scanner), separated by
+    separator_x and with spaces allowed before the first and after the
+    last; ParseError at anything left over."""
+    s = _Scanner(text)
+    s.skip_ws()
+    atoms = [atom(s)]
+    while s.separator_x():
+        atoms.append(atom(s))
+    s.skip_ws()
+    if not s.at_end():
+        raise ParseError("unexpected trailing input", s.pos,
+                         ("x", "end of input"))
+    return tuple(atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +175,8 @@ def parse_group_spec(text: str) -> GroupSpec:
     >>> parse_group_spec("F(2,3)")
     FreeNilpotent(n=2, c=3)
     """
-    s = _Scanner(text)
-    s.skip_ws()
-    atoms = [_group_atom(s)]
-    while s.separator_x():
-        atoms.append(_group_atom(s))
-    s.skip_ws()
-    if not s.at_end():
-        raise ParseError("unexpected trailing input", s.pos,
-                         ("x", "end of input"))
-    if len(atoms) == 1:
-        return atoms[0]
-    return DirectProduct(tuple(atoms))
+    atoms = _product(text, _group_atom)
+    return atoms[0] if len(atoms) == 1 else DirectProduct(atoms)
 
 
 def _group_atom(s: _Scanner) -> GroupSpec:
@@ -324,16 +335,7 @@ def parse_reductive_spec(text: str) -> ReductiveSpec:
     Unknown families raise ParseError; known families at unsupported
     sizes raise UnsupportedType.
     """
-    s = _Scanner(text)
-    s.skip_ws()
-    factors = [_factor(s)]
-    while s.separator_x():
-        factors.append(_factor(s))
-    s.skip_ws()
-    if not s.at_end():
-        raise ParseError("unexpected trailing input", s.pos,
-                         ("x", "end of input"))
-    return ReductiveSpec(tuple(factors))
+    return ReductiveSpec(_product(text, _factor))
 
 
 def _factor(s: _Scanner) -> Factor:

@@ -604,10 +604,10 @@ def test_non_abelian_targets_keep_the_two_limit_rule(target):
                          if target.order**k <= finitehom.SEARCH_LIMIT))
     for gens in range(1, 40):
         if gens <= largest:
-            finitehom._check_search(gens, target)
+            finitehom._plan(FreeAbelian(gens), target)
         else:
             with pytest.raises(TooLarge):
-                finitehom._check_search(gens, target)
+                finitehom._plan(FreeAbelian(gens), target)
     with pytest.raises(TooLarge):
         enumerate_homs(FreeAbelian(largest + 1), target)
 
@@ -1446,13 +1446,13 @@ def test_the_quaternion_rule_searches_each_group_value_once(monkeypatch):
     # searched once whatever the target, and names do not make another
     # value: three searches here, where one per verdict would be 35
     searched = []
-    search = finitehom.surjection_witness
+    search = finitehom._stopped
 
-    def counted(g, target):
-        searched.append(g)
-        return search(g, target)
+    def counted(pres, target):
+        searched.append(pres)
+        return search(pres, target)
 
-    monkeypatch.setattr(finitehom, "surjection_witness", counted)
+    monkeypatch.setattr(finitehom, "_stopped", counted)
     monkeypatch.setattr(finitehom, "_q8_witnesses", {})
     for texts, want in ((HEIS3_SPELLINGS, (I, J, 1)),
                         (("F(3,2)",), (0, I, J, 0, 0, 1)),
@@ -1465,6 +1465,26 @@ def test_the_quaternion_rule_searches_each_group_value_once(monkeypatch):
                 assert v.reason_code == "finite_nonabelian_quotient"
                 assert v.witness == want, (text, target)
         assert len(searched) == before + 1, texts
+
+
+def test_a_memo_miss_walks_the_spec_once(monkeypatch):
+    # the plan that keys the memo also writes the searched presentation:
+    # H3 x H3 is one walk of three nodes on a miss, and one on the hit
+    # that the next target reads
+    walked = []
+    lowered = finitehom._lowered
+
+    def counted(g, k):
+        walked.append(g)
+        return lowered(g, k)
+
+    monkeypatch.setattr(finitehom, "_lowered", counted)
+    monkeypatch.setattr(finitehom, "_q8_witnesses", {})
+    g = parse_group_spec("H3 x H3")
+    for target, calls in (("SL2", 3), ("Sp4", 6)):
+        v = connectivity_verdict(g, parse_reductive_spec(target))
+        assert v.witness == (0, 0, 0, I, J, 1)
+        assert len(walked) == calls, target
 
 
 def fresh_witness(g):

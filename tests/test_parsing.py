@@ -29,6 +29,37 @@ def test_products():
                                FiniteAbelian((2,))))
 
 
+SEPARATOR_CASES = [
+    (parse_group_spec, "Zx Z", DirectProduct((FreeAbelian(1),) * 2)),
+    (parse_group_spec, "H3x Z", DirectProduct((Heisenberg(),
+                                               FreeAbelian(1)))),
+    (parse_group_spec, "Z/2x Z", DirectProduct((FiniteAbelian((2,)),
+                                                FreeAbelian(1)))),
+    (parse_group_spec, "<a|a>x Z", DirectProduct((
+        Presented(Presentation(1, (gen(0),), names=("a",))),
+        FreeAbelian(1)))),
+    (parse_reductive_spec, "SL2x SL3",
+     ReductiveSpec((Factor("SL", 2), Factor("SL", 3)))),
+    (parse_group_spec, "Z/2 xZ", None),
+    (parse_reductive_spec, "SL2 xSL3", None),
+]
+
+
+@pytest.mark.parametrize("parse, text, want", SEPARATOR_CASES,
+                         ids=[text for _, text, _ in SEPARATOR_CASES])
+def test_the_separator_needs_whitespace_after_its_x_only(parse, text, want):
+    # both DSLs read "x" as a separator after any spaces, or none, when
+    # whitespace follows it; with none after it the input stops there
+    if want is not None:
+        assert parse(text) == want
+        return
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    err = info.value
+    assert (err.args[0], err.position, err.expected) \
+        == ("unexpected trailing input", 4, ("x", "end of input"))
+
+
 def test_presentation_words():
     g = parse_group_spec("<x,y | [x,y]>")
     assert isinstance(g, Presented)
