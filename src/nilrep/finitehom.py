@@ -47,8 +47,11 @@ is keyed on _lowered's key, which leaves display names out, so the
 spellings of one written group share one search.  The plan that gives
 the key also writes the searched presentation, so a miss walks the
 specs once.
-The other rules are the torus computation, the torsion obstruction, the
-non-abelian free nilpotent rule, and the facts about commuting tuples.
+The verdict is one ordered table of rungs, each a reason code, a status,
+a test and a reason template with {} fields: the first rung whose test
+holds decides, and one Verdict is built from it.  The other rungs are
+the torus computation, the torsion obstruction, the non-abelian free
+nilpotent rule, and the facts about commuting tuples.
 One verdict covers both spaces, since the identity component of the
 quotient is the quotient of the identity component.
 """
@@ -686,74 +689,69 @@ def connectivity_verdict(g: GroupSpec, spec: ReductiveSpec,
     leaves display names out, so the spellings of one written group share
     one search; the plan that keys a miss also writes what it searches,
     so a miss walks the specs once.
+
+    The rules are one ordered table of rungs, each (reason code, status,
+    test, reason template), and the verdict is the first rung whose test
+    holds: the loop over the table builds one Verdict, and formats the
+    rung's template once, with the {} fields r, spec, ab, torsion and
+    note.  note, the cyclic rule's trust in a written factor's
+    nilpotency, ends the six rungs that is_abelian's certificate admits.
+    A test that costs more than a lookup is computed before the table,
+    under the guard that reaches it: the quaternion witness only for a
+    target that is not a torus, a group that is_abelian does not certify,
+    and a root SL_2.  A new rule is one rung.
     """
     ab = abelianize(g)
-    r = ab.rank
+    r, torsion = ab.rank, list(ab.torsion)
     blocks = (rd or build_root_datum(spec)).blocks
-
-    if not any(b.simple_coroots for b in blocks):
-        if not ab.torsion:
-            return Verdict(CONNECTED, "torus_target",
-                           "the target is an algebraic torus and H_1 is "
-                           "torsion-free, so the space is a torus power T^%d"
-                           % r)
-        return Verdict(DISCONNECTED, "torus_target_torsion",
-                       "the torsion part of H_1 maps to a torus in more than "
-                       "one way, and each choice is isolated; %s admits %s"
-                       % (spec, ab))
-
-    level = is_abelian(g)
-    if not level and any(b.contains_sl2 for b in blocks):
-        witness = _q8_witness(g)
-        if witness is not None:
-            return Verdict(DISCONNECTED, "finite_nonabelian_quotient",
-                           "the group surjects onto a quaternion subgroup of "
-                           "the target, so no path connects that "
-                           "representation to the trivial one",
-                           witness=witness)
-
-    if ab.torsion:
-        return Verdict(DISCONNECTED, "torsion_obstruction",
-                       "H_1 has torsion %s; its finite-order characters into "
-                       "a maximal torus cannot deform to the trivial "
-                       "representation" % (list(ab.torsion),))
-
-    if isinstance(g, FreeNilpotent) and not level:
-        return Verdict(DISCONNECTED, "nonabelian_free_family",
-                       "a non-abelian free nilpotent or Heisenberg group has "
-                       "disconnected representation and character spaces for "
-                       "every reductive target that is not a torus")
-
-    if level:
-        note = ("; a written group whose H_1 needs at most one generator "
-                "is cyclic, as it is taken to be nilpotent"
-                if level == ABELIAN_ON_TRUST else "")
-        if r == 0:
-            return Verdict(CONNECTED, "trivial_group", "the trivial group "
-                           "has a single representation" + note)
-        if r == 1:
-            return Verdict(CONNECTED, "single_generator",
-                           "Hom(Z, G) = G, which is connected" + note)
-        if any(b.cokernel.torsion for b in blocks):
-            return Verdict(DISCONNECTED, "not_simply_connected",
-                           "the target has a non-simply-connected simple "
-                           "factor, and commuting %d-tuples in it do not all "
-                           "lie on one component" % r + note)
-        if all(map(_dual_labels_one, spec.factors)):
-            return Verdict(CONNECTED, "commuting_tuples_diagonalizable",
-                           "commuting tuples in the compact forms of these "
-                           "factors are simultaneously diagonalizable, so "
-                           "Hom(Z^%d, G) is connected, as Hom(Z^r, G) is for "
-                           "every r" % r + note)
-        if r == 2:
-            return Verdict(CONNECTED, "commuting_pairs_irreducible",
-                           "commuting pairs in a connected semisimple group "
-                           "form an irreducible, hence connected, variety"
-                           + note)
-        return Verdict(DISCONNECTED, "nontoral_commuting_triples",
-                       "a simply connected factor with a dual Kac label of "
-                       "at least 2 has commuting triples, and so commuting "
-                       "%d-tuples, in no maximal torus" % r + note)
-
-    return Verdict(UNKNOWN, "outside_catalog",
-                   "no implemented criterion decides this group/target pair")
+    torus = not any(b.simple_coroots for b in blocks)
+    level = not torus and is_abelian(g)
+    witness = (_q8_witness(g) if not (torus or level)
+               and any(b.contains_sl2 for b in blocks) else None)
+    note = ("; a written group whose H_1 needs at most one generator is "
+            "cyclic, as it is taken to be nilpotent"
+            if level == ABELIAN_ON_TRUST else "")
+    rungs = (
+        ("torus_target", CONNECTED, torus and not torsion,
+         "the target is an algebraic torus and H_1 is torsion-free, so the "
+         "space is a torus power T^{r}"),
+        ("torus_target_torsion", DISCONNECTED, torus,
+         "the torsion part of H_1 maps to a torus in more than one way, and "
+         "each choice is isolated; {spec} admits {ab}"),
+        ("finite_nonabelian_quotient", DISCONNECTED, witness is not None,
+         "the group surjects onto a quaternion subgroup of the target, so no "
+         "path connects that representation to the trivial one"),
+        ("torsion_obstruction", DISCONNECTED, torsion,
+         "H_1 has torsion {torsion}; its finite-order characters into a "
+         "maximal torus cannot deform to the trivial representation"),
+        ("nonabelian_free_family", DISCONNECTED,
+         not level and isinstance(g, FreeNilpotent),
+         "a non-abelian free nilpotent or Heisenberg group has disconnected "
+         "representation and character spaces for every reductive target "
+         "that is not a torus"),
+        ("trivial_group", CONNECTED, level and r == 0,
+         "the trivial group has a single representation{note}"),
+        ("single_generator", CONNECTED, level and r == 1,
+         "Hom(Z, G) = G, which is connected{note}"),
+        ("not_simply_connected", DISCONNECTED,
+         level and any(b.cokernel.torsion for b in blocks),
+         "the target has a non-simply-connected simple factor, and commuting "
+         "{r}-tuples in it do not all lie on one component{note}"),
+        ("commuting_tuples_diagonalizable", CONNECTED,
+         level and all(map(_dual_labels_one, spec.factors)),
+         "commuting tuples in the compact forms of these factors are "
+         "simultaneously diagonalizable, so Hom(Z^{r}, G) is connected, as "
+         "Hom(Z^r, G) is for every r{note}"),
+        ("commuting_pairs_irreducible", CONNECTED, level and r == 2,
+         "commuting pairs in a connected semisimple group form an "
+         "irreducible, hence connected, variety{note}"),
+        ("nontoral_commuting_triples", DISCONNECTED, level,
+         "a simply connected factor with a dual Kac label of at least 2 has "
+         "commuting triples, and so commuting {r}-tuples, in no maximal "
+         "torus{note}"),
+        ("outside_catalog", UNKNOWN, True,
+         "no implemented criterion decides this group/target pair"))
+    for code, status, holds, reason in rungs:
+        if holds:
+            return Verdict(status, code, reason.format(
+                r=r, spec=spec, ab=ab, torsion=torsion, note=note), witness)

@@ -1432,6 +1432,103 @@ def test_connected_nontorus_verdicts_only_for_abelian_groups():
             assert connectivity_verdict(g, spec).status != "Connected"
 
 
+NOTE = ("; a written group whose H_1 needs at most one generator is cyclic, "
+        "as it is taken to be nilpotent")
+# one (group, target) pair per rung of the ladder, in its order, with the
+# verdict that it gives
+RUNGS = (
+    ("Z", "T1", "Connected", "torus_target",
+     "the target is an algebraic torus and H_1 is torsion-free, so the "
+     "space is a torus power T^1"),
+    # the torus rung comes before the torsion rung
+    ("Z/2", "T1", "Disconnected", "torus_target_torsion",
+     "the torsion part of H_1 maps to a torus in more than one way, and "
+     "each choice is isolated; T1 admits Z/2"),
+    ("H3", "SL2", "Disconnected", "finite_nonabelian_quotient",
+     "the group surjects onto a quaternion subgroup of the target, so no "
+     "path connects that representation to the trivial one"),
+    ("Z/2", "SL2", "Disconnected", "torsion_obstruction",
+     "H_1 has torsion [2]; its finite-order characters into a maximal "
+     "torus cannot deform to the trivial representation"),
+    ("H3", "PGL2", "Disconnected", "nonabelian_free_family",
+     "a non-abelian free nilpotent or Heisenberg group has disconnected "
+     "representation and character spaces for every reductive target that "
+     "is not a torus"),
+    ("Z/1", "SL2", "Connected", "trivial_group",
+     "the trivial group has a single representation"),
+    ("Z", "SL2", "Connected", "single_generator",
+     "Hom(Z, G) = G, which is connected"),
+    ("Z^2", "PGL2", "Disconnected", "not_simply_connected",
+     "the target has a non-simply-connected simple factor, and commuting "
+     "2-tuples in it do not all lie on one component"),
+    ("Z^2", "SL2", "Connected", "commuting_tuples_diagonalizable",
+     "commuting tuples in the compact forms of these factors are "
+     "simultaneously diagonalizable, so Hom(Z^2, G) is connected, as "
+     "Hom(Z^r, G) is for every r"),
+    ("Z^2", "Spin7", "Connected", "commuting_pairs_irreducible",
+     "commuting pairs in a connected semisimple group form an irreducible, "
+     "hence connected, variety"),
+    ("Z^3", "Spin7", "Disconnected", "nontoral_commuting_triples",
+     "a simply connected factor with a dual Kac label of at least 2 has "
+     "commuting triples, and so commuting 3-tuples, in no maximal torus"),
+    ("H3 x Z", "PGL2", "Unknown", "outside_catalog",
+     "no implemented criterion decides this group/target pair"),
+)
+
+
+def test_every_rung_gives_its_reason():
+    # every reason text; the note of the cyclic rule on each of the six
+    # rungs that is_abelian's certificate admits; and two pairs where two
+    # rungs hold: the witness comes before torsion, and pi_1 torsion
+    # before the dual labels
+    rungs = {code: (status, reason) for _, _, status, code, reason in RUNGS}
+    assert len(rungs) == 12
+    cases = [(group, target, code, rungs[code][1],
+              (I, J, 1) if code == "finite_nonabelian_quotient" else None)
+             for group, target, _, code, _ in RUNGS]
+    cases += [(group, target, code, rungs[code][1] + NOTE, None)
+              for group, target, code in (
+                  ("<x | x>", "SL2", "trivial_group"),
+                  ("<x | 1>", "SL2", "single_generator"),
+                  ("<x | 1> x Z", "PGL2", "not_simply_connected"),
+                  ("<x | 1> x Z", "SL2", "commuting_tuples_diagonalizable"),
+                  ("<x | 1> x Z", "Spin7", "commuting_pairs_irreducible"),
+                  ("<x | 1> x Z^2", "Spin7", "nontoral_commuting_triples"))]
+    cases += [("H3 x Z/2", "SL2", "finite_nonabelian_quotient",
+               rungs["finite_nonabelian_quotient"][1], (I, J, 1, 0)),
+              ("Z^3", "SO3", "not_simply_connected",
+               "the target has a non-simply-connected simple factor, and "
+               "commuting 3-tuples in it do not all lie on one component",
+               None)]
+    for group, target, code, reason, witness in cases:
+        v = connectivity_verdict(parse_group_spec(group),
+                                 parse_reductive_spec(target))
+        assert (v.status, v.reason_code, v.reason, v.witness) == (
+            rungs[code][0], code, reason, witness), (group, target)
+
+
+def test_the_quaternion_rung_searches_only_where_it_can_decide(
+        monkeypatch):
+    # the witness is searched for a target that is not a torus, a group
+    # that is_abelian does not certify, and a root SL2, and nowhere else
+    calls = []
+    search = finitehom._q8_witness
+
+    def counted(g):
+        calls.append(g)
+        return search(g)
+
+    monkeypatch.setattr(finitehom, "_q8_witness", counted)
+    for group, target in (("H3", "T2"), ("Z^3", "SL2"), ("<x | 1>", "Sp4"),
+                          ("Z/2 x Z^2", "SL2"), ("H3", "PGL2"),
+                          ("H3", "SO3")):
+        connectivity_verdict(parse_group_spec(group),
+                             parse_reductive_spec(target))
+        assert calls == [], (group, target)
+    v = connectivity_verdict(Heisenberg(), parse_reductive_spec("SL2"))
+    assert v.witness == (I, J, 1) and len(calls) == 1
+
+
 # the written Heisenberg group in the three spellings that
 # quotient-verdicts draws, and that workload's targets, each with a root
 # SL2

@@ -137,16 +137,38 @@ def test_analyze_verdict_connected_for_all_torus_targets():
         assert report.verdict.status == "Connected", text
 
 
+# one pair per rung of the verdict ladder, in its order; then the cyclic
+# rule's note on each rung for groups that is_abelian certifies, and two
+# pairs where two rungs hold
+RUNG_PAIRS = [
+    ("Z", "T1"), ("Z/2", "T1"), ("H3", "SL2"), ("Z/2", "SL2"),
+    ("H3", "PGL2"), ("Z/1", "SL2"), ("Z", "SL2"), ("Z^2", "PGL2"),
+    ("Z^2", "SL2"), ("Z^2", "Spin7"), ("Z^3", "Spin7"), ("H3 x Z", "PGL2"),
+    ("<x | x>", "SL2"), ("<x | 1>", "SL2"), ("<x | 1> x Z", "PGL2"),
+    ("<x | 1> x Z", "SL2"), ("<x | 1> x Z", "Spin7"),
+    ("<x | 1> x Z^2", "Spin7"),
+    ("H3 x Z/2", "SL2"), ("Z^3", "SO3")]
+
+
 def test_report_json_matches_published_schema():
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(SCHEMA_PATH.read_text())
+    codes = set()
     for group, target in [("H3", "SL2"), ("Z^2", "GL2"), ("Z/4", "PGL2"),
-                          ("F(2,3)", "Sp4"), ("Z^9", "SL2")]:
+                          ("F(2,3)", "Sp4"), ("Z^9", "SL2"), *RUNG_PAIRS]:
         report = analyze(parse_group_spec(group),
                          parse_reductive_spec(target))
         payload = report.to_json_dict()
         jsonschema.validate(payload, schema)
         assert payload["verdict"]["reason_code"] == report.verdict.reason_code
+        codes.add(report.verdict.reason_code)
+    # the published codes are the twelve rungs', and no other code passes
+    assert codes == set(
+        schema["properties"]["verdict"]["properties"]["reason_code"]["enum"])
+    assert len(codes) == 12
+    payload["verdict"]["reason_code"] = "no_such_rule"
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(payload, schema)
     # the reason code is required
     del payload["verdict"]["reason_code"]
     with pytest.raises(jsonschema.ValidationError):
